@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .errors import ParseError, PreconditionError, ShapeMismatchError
@@ -25,6 +26,7 @@ from .ring import (
     degree_is_effective,
     degree_le,
     degree_sub,
+    degrees_up_to,
     enumerate_monomials,
     monomial_from_json,
     monomial_to_json,
@@ -243,6 +245,7 @@ def apolar_of_monomial(F: Tensor):
     return MonomialIdeal(F.shape, gens)
 
 
+@lru_cache(maxsize=None)
 def _bounded_compositions_count(bounds, total: int) -> int:
     # number of e with 0 <= e_i <= bounds_i and sum e_i = total, by a small DP
     counts = [1] + [0] * total
@@ -286,7 +289,9 @@ def catalecticant_lower_bound(F: Tensor) -> int:
         raise PreconditionError("catalecticant bound needs a non-zero tensor")
     best = 0
     mono = F.support_exponents() if F.is_monomial else None
-    for D in _degrees_up_to(F.degree):
+    for D in degrees_up_to(F.shape.num_factors, sum(F.degree)):
+        if not degree_le(D, F.degree):
+            continue
         if mono is not None:
             r = monomial_catalecticant_rank(mono, D)
         else:
@@ -294,15 +299,6 @@ def catalecticant_lower_bound(F: Tensor) -> int:
         if r > best:
             best = r
     return best
-
-
-def _degrees_up_to(L):
-    """All effective multidegrees D <= L, ascending in total degree then lex."""
-    from itertools import product as iter_product
-
-    degrees = list(iter_product(*(range(l + 1) for l in L)))
-    degrees.sort(key=lambda D: (sum(D), D))
-    return degrees
 
 
 # ---------------------------------------------------------------------------

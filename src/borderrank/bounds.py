@@ -28,15 +28,15 @@ from .apolarity import (
     catalecticant_lower_bound,
     is_concise,
 )
-from .errors import PreconditionError, UnsupportedShapeError
-from .ideals import minimal_generator_count
+from .errors import BorderRankError, PreconditionError, UnsupportedShapeError
+from .ideals import piece_generator_count
 from .macaulay import lexbar_growth
 from .ring import (
-    FactorShape,
     Monomial,
     degree_is_effective,
     degree_sub,
     enumerate_monomials,
+    generic_hilbert,
     piece_dimension,
 )
 
@@ -56,8 +56,10 @@ class BoundReport:
     components: dict  # every bound that was computed, for inspection
 
     def __post_init__(self):
-        if self.upper is not None:
-            assert self.lower <= self.upper
+        if self.upper is not None and self.lower > self.upper:
+            raise BorderRankError(
+                f"bound sandwich inverted: lower {self.lower} > upper {self.upper}"
+            )
 
     def to_json(self) -> dict:
         return {
@@ -92,66 +94,75 @@ def upper_bound_monomial(F: Tensor):
     return value, {"dropped": dropped}
 
 
+def disjoint_module_obstruction(F: Tensor, r: int, max_degree: int):
+    """The disjoint-module growth rule at rank r, for a monomial on one
+    projective space.
+
+    At a degree d <= max_degree where the apolar pieces split as a direct
+    sum of shifted polynomial modules, any move-fit ideal for r would need
+    codimension c_d inside the apolar piece at d and c_{d+1} at d+1.  If
+    c_{d+1} exceeds the maximal reachable growth, no such ideal exists and
+    br(F) > r.  Returns the witness for the first such d, or None.  Degrees
+    with c_d < 0 are skipped: there the catalecticant already rules r out.
+    """
+    a = _monomial_exponents(F)
+    if F.shape.num_factors != 1:
+        raise PreconditionError("growth pruning applies to single-factor shapes")
+    exps = a.exponents[0]
+    n = F.shape.factors[0]
+    for d in range(1, max_degree + 1):
+        present = [e for e in exps if d - e - 1 >= 0]
+        if not present or any(
+            present[i] + present[j] + 2 <= d
+            for i in range(len(present))
+            for j in range(i + 1, len(present))
+        ):
+            continue
+        dim_s, dim_perp, codim = {}, {}, {}
+        for t in (d, d + 1):
+            dim_s[t] = piece_dimension(F.shape, (t,))
+            dim_perp[t] = apolar_piece_dimension(F, (t,))
+            codim[t] = dim_perp[t] - (dim_s[t] - generic_hilbert(r, F.shape, (t,)))
+        if codim[d] < 0:
+            continue
+        modules = sorted(d - e - 1 for e in present)
+        new_modules = sum(1 for e in exps if e == d)
+        growth = lexbar_growth(modules, n, codim[d]) + new_modules
+        if codim[d + 1] > growth:
+            return {
+                "ruled_out_r": r,
+                "degree": d,
+                "codim_d": codim[d],
+                "codim_d_plus_1": codim[d + 1],
+                "max_growth": growth,
+                "new_modules": new_modules,
+                "dim_apolar_d": dim_perp[d],
+                "dim_s_d": dim_s[d],
+                "dim_apolar_d_plus_1": dim_perp[d + 1],
+                "dim_s_d_plus_1": dim_s[d + 1],
+            }
+    return None
+
+
 def disjoint_module_lower_bound(F: Tensor):
     """Lower bound for monomials on one projective space via Lex-bar growth.
 
-    For each candidate r below the chart bound and each degree d where the
-    apolar pieces split as a direct sum of shifted polynomial modules, any
-    move-fit ideal would need codimension c_d inside the apolar piece at d
-    and c_{d+1} at d+1; if c_{d+1} exceeds the maximal reachable growth, r
-    is impossible and the border rank is at least r + 1.
+    Tries the disjoint-module rule on every candidate r below the chart
+    bound, from the top, at every degree up to |L|; the first r it rules
+    out gives border rank at least r + 1.
 
     Returns (value, witness); witness is None when the catalecticant bound
     was never improved.
     """
-    a = _monomial_exponents(F)
+    _monomial_exponents(F)
     if F.shape.num_factors != 1:
         raise PreconditionError("disjoint-module bound applies to a single factor")
-    exps = a.exponents[0]
-    n = F.shape.factors[0]
-    total = sum(exps)
     upper, _ = upper_bound_monomial(F)
     cat = catalecticant_lower_bound(F)
-
-    # per-degree data, shared across all candidate ranks
-    dim_s = {d: piece_dimension(F.shape, (d,)) for d in range(total + 2)}
-    dim_perp = {d: apolar_piece_dimension(F, (d,)) for d in range(total + 2)}
-    usable = {}
-    for d in range(1, total + 1):
-        modules = sorted(d - e - 1 for e in exps if d - e - 1 >= 0)
-        if not modules:
-            continue
-        present = [e for e in exps if d - e - 1 >= 0]
-        direct = all(
-            present[i] + present[j] + 2 > d
-            for i in range(len(present))
-            for j in range(i + 1, len(present))
-        )
-        if not direct:
-            continue
-        new_modules = sum(1 for e in exps if e == d)
-        usable[d] = (tuple(modules), new_modules)
-
     for r in range(upper - 1, cat - 1, -1):
-        for d, (modules, new_modules) in usable.items():
-            c_d = dim_perp[d] - (dim_s[d] - min(r, dim_s[d]))
-            c_d1 = dim_perp[d + 1] - (dim_s[d + 1] - min(r, dim_s[d + 1]))
-            assert 0 <= c_d <= dim_perp[d]
-            growth = lexbar_growth(modules, n, c_d) + new_modules
-            if c_d1 > growth:
-                witness = {
-                    "ruled_out_r": r,
-                    "degree": d,
-                    "codim_d": c_d,
-                    "codim_d_plus_1": c_d1,
-                    "max_growth": growth,
-                    "new_modules": new_modules,
-                    "dim_apolar_d": dim_perp[d],
-                    "dim_s_d": dim_s[d],
-                    "dim_apolar_d_plus_1": dim_perp[d + 1],
-                    "dim_s_d_plus_1": dim_s[d + 1],
-                }
-                return max(r + 1, cat), witness
+        witness = disjoint_module_obstruction(F, r, sum(F.degree))
+        if witness is not None:
+            return max(r + 1, cat), witness
     return cat, None
 
 
@@ -222,7 +233,12 @@ def minimal_border_rank_generator_test(F: Tensor):
     if not is_concise(F):
         raise PreconditionError("generator test needs a concise tensor")
     a = F.shape.factors[0]
-    count = minimal_generator_count(F, F.degree)
+
+    def apolar_rows(E):
+        basis = enumerate_monomials(F.shape, E)
+        return [[p.get(m, Fraction(0)) for m in basis] for p in apolar_piece(F, E)]
+
+    count = piece_generator_count(F.shape, F.degree, apolar_rows)
     return count, (HOLDS if count >= a else NOT_MINIMAL)
 
 

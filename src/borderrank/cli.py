@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
@@ -39,15 +38,6 @@ from .movefit import BUDGET_EXCEEDED, SearchConfig, search, verify_candidate
 from .ring import monomial_to_text
 
 JOBS_ENV_VAR = "BORDERRANK_JOBS"
-
-
-@dataclass
-class Job:
-    command: str
-    inputs: dict  # role -> path
-    config: SearchConfig | None
-    output: str | None
-    options: dict
 
 
 def _default_jobs() -> int:
@@ -118,38 +108,46 @@ def _emit(document: dict, output: str | None) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_bounds(job: Job) -> int:
-    F = load_tensor(job.inputs["tensor"])
+def cmd_bounds(args: argparse.Namespace) -> int:
+    F = load_tensor(args.tensor)
     report = bounds_report(F)
     _emit(
         {
             "command": "bounds",
-            "input": job.inputs["tensor"],
+            "input": args.tensor,
             "tensor": _tensor_text(F),
             "shape": list(F.shape.factors),
             "degree": list(F.degree),
             "report": report.to_json(),
         },
-        job.output,
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_search(job: Job) -> int:
-    F = load_tensor(job.inputs["tensor"])
-    outcome = search(F, job.config)
+def cmd_search(args: argparse.Namespace) -> int:
+    config = SearchConfig(
+        r=args.r,
+        horizon=args.horizon,
+        symmetry_pruning=not args.no_symmetry,
+        growth_pruning=args.growth_prune,
+        parallel_width=args.jobs if args.jobs is not None else _default_jobs(),
+        node_budget=args.budget,
+    )
+    F = load_tensor(args.tensor)
+    outcome = search(F, config)
     document = {
         "command": "search",
-        "input": job.inputs["tensor"],
+        "input": args.tensor,
         "tensor": _tensor_text(F),
         "shape": list(F.shape.factors),
         "config": {
-            "r": job.config.r,
+            "r": config.r,
             "horizon": outcome.horizon,
-            "symmetry_pruning": job.config.symmetry_pruning,
-            "growth_pruning": job.config.growth_pruning,
-            "parallel_width": job.config.parallel_width,
-            "node_budget": job.config.node_budget,
+            "symmetry_pruning": config.symmetry_pruning,
+            "growth_pruning": config.growth_pruning,
+            "parallel_width": config.parallel_width,
+            "node_budget": config.node_budget,
         },
         "outcome": outcome.to_json(),
     }
@@ -157,7 +155,7 @@ def cmd_search(job: Job) -> int:
         document["outcome"]["candidate_ideal"] = ideal_to_json(outcome.candidate)
     else:
         document["outcome"]["candidate_ideal"] = None
-    _emit(document, job.output)
+    _emit(document, args.output)
     if outcome.status == BUDGET_EXCEEDED:
         _print_error(
             "BudgetExceededError",
@@ -168,33 +166,41 @@ def cmd_search(job: Job) -> int:
     return EXIT_OK
 
 
-def cmd_verify(job: Job) -> int:
-    I = load_ideal(job.inputs["ideal"])
-    F = load_tensor(job.inputs["tensor"])
-    report = verify_candidate(I, F, job.options["r"], job.options.get("horizon"))
+def cmd_verify(args: argparse.Namespace) -> int:
+    I = load_ideal(args.ideal)
+    F = load_tensor(args.tensor)
+    report = verify_candidate(I, F, args.r, args.horizon)
     _emit(
         {
             "command": "verify",
-            "input": job.inputs["ideal"],
-            "tensor_input": job.inputs["tensor"],
+            "input": args.ideal,
+            "tensor_input": args.tensor,
             "tensor": _tensor_text(F),
             "shape": list(F.shape.factors),
             "report": report.to_json(),
         },
-        job.output,
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_macaulay(job: Job) -> int:
+def cmd_macaulay(args: argparse.Namespace) -> int:
+    if args.d is None and args.summands is None:
+        raise ParseError("macaulay needs --d and/or --summands")
+    summands = None
+    if args.summands is not None:
+        if args.n is None:
+            raise ParseError("--summands needs --n")
+        try:
+            summands = [int(x) for x in args.summands.split(",")]
+        except ValueError:
+            raise ParseError(f"bad --summands value {args.summands!r}")
     document = {"command": "macaulay", "decomposition": None, "lexbar": None}
-    r = job.options["r"]
-    if job.options.get("d") is not None:
-        document["decomposition"] = macaulay_coefficients(r, job.options["d"]).to_json()
-    if job.options.get("summands") is not None:
-        profile = lexbar_profile(job.options["summands"], job.options["n"], r)
-        document["lexbar"] = profile.to_json()
-    _emit(document, job.output)
+    if args.d is not None:
+        document["decomposition"] = macaulay_coefficients(args.r, args.d).to_json()
+    if summands is not None:
+        document["lexbar"] = lexbar_profile(summands, args.n, args.r).to_json()
+    _emit(document, args.output)
     return EXIT_OK
 
 
@@ -258,28 +264,25 @@ def _run_corpus_case(case: dict, jobs: int) -> dict:
     }
 
 
-def cmd_corpus(job: Job) -> int:
+def cmd_corpus(args: argparse.Namespace) -> int:
     catalog = corpus_catalog()
-    action = job.options["action"]
-    if action == "list":
-        flt = job.options.get("filter") or ""
+    if args.action == "list":
+        flt = args.filter or ""
         cases = [
             {k: c[k] for k in ("name", "class", "command", "expected")}
             for c in catalog
             if flt in c["name"]
         ]
-        _emit({"command": "corpus", "action": "list", "cases": cases}, job.output)
+        _emit({"command": "corpus", "action": "list", "cases": cases}, args.output)
         return EXIT_OK
 
-    target = job.options["target"]
-    include_slow = job.options.get("slow", False)
-    jobs = job.options.get("jobs") or _default_jobs()
-    selected = [c for c in catalog if target == "all" or c["name"] == target]
+    jobs = args.jobs or _default_jobs()
+    selected = [c for c in catalog if args.target == "all" or c["name"] == args.target]
     if not selected:
-        raise ParseError(f"no corpus case named {target!r}")
+        raise ParseError(f"no corpus case named {args.target!r}")
     results = []
     for case in selected:
-        if case["class"] == "slow" and not include_slow:
+        if case["class"] == "slow" and not args.slow:
             results.append({"name": case["name"], "class": "slow", "skipped": True})
             continue
         results.append(_run_corpus_case(case, jobs))
@@ -292,7 +295,7 @@ def cmd_corpus(job: Job) -> int:
     }
     _emit(
         {"command": "corpus", "action": "run", "cases": results, "summary": summary},
-        job.output,
+        args.output,
     )
     return EXIT_OK if summary["failed"] == 0 else EXIT_INTERNAL
 
@@ -361,52 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _job_from_args(args: argparse.Namespace) -> Job:
-    if args.command == "bounds":
-        return Job("bounds", {"tensor": args.tensor}, None, args.output, {})
-    if args.command == "search":
-        jobs = args.jobs if args.jobs is not None else _default_jobs()
-        config = SearchConfig(
-            r=args.r,
-            horizon=args.horizon,
-            symmetry_pruning=not args.no_symmetry,
-            growth_pruning=args.growth_prune,
-            parallel_width=jobs,
-            node_budget=args.budget,
-        )
-        return Job("search", {"tensor": args.tensor}, config, args.output, {})
-    if args.command == "verify":
-        return Job(
-            "verify",
-            {"ideal": args.ideal, "tensor": args.tensor},
-            None,
-            args.output,
-            {"r": args.r, "horizon": args.horizon},
-        )
-    if args.command == "macaulay":
-        if args.d is None and args.summands is None:
-            raise ParseError("macaulay needs --d and/or --summands")
-        options = {"r": args.r, "d": args.d, "summands": None, "n": args.n}
-        if args.summands is not None:
-            if args.n is None:
-                raise ParseError("--summands needs --n")
-            try:
-                options["summands"] = [int(x) for x in args.summands.split(",")]
-            except ValueError:
-                raise ParseError(f"bad --summands value {args.summands!r}")
-        return Job("macaulay", {}, None, args.output, options)
-    if args.command == "corpus":
-        options = {"action": args.action}
-        if args.action == "list":
-            options["filter"] = args.filter
-        else:
-            options.update(
-                {"target": args.target, "slow": args.slow, "jobs": args.jobs}
-            )
-        return Job("corpus", {}, None, args.output, options)
-    raise ParseError(f"unknown command {args.command!r}")
-
-
 _DISPATCH = {
     "bounds": cmd_bounds,
     "search": cmd_search,
@@ -423,16 +380,11 @@ def _print_error(kind: str, message: str, code: int) -> None:
     )
 
 
-def run(job: Job) -> int:
-    return _DISPATCH[job.command](job)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        job = _job_from_args(args)
-        return run(job)
+        return _DISPATCH[args.command](args)
     except ParseError as exc:
         _print_error(type(exc).__name__, str(exc), EXIT_PARSE)
         return EXIT_PARSE

@@ -14,21 +14,19 @@ saturated, while finding none is inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
 from . import linalg
-from .apolarity import Tensor, apolar_piece, apolar_piece_dimension, poly_degree
+from .apolarity import Tensor, poly_degree
 from .errors import ParseError, PreconditionError, ShapeMismatchError
 from .ring import (
     FactorShape,
     Monomial,
-    MultiDegree,
     degree_add,
     degree_is_effective,
-    degree_le,
     degree_sub,
+    degrees_up_to,
     enumerate_monomials,
     monomial_from_json,
     monomial_to_json,
@@ -126,24 +124,6 @@ class GradedIdeal:
         return f"GradedIdeal({self.shape.factors}, {len(self.generators)} gens)"
 
 
-@dataclass
-class HilbertRecord:
-    """Degreewise Hilbert data: D -> (dim I_D, dim (S/I)_D)."""
-
-    shape: FactorShape
-    values: dict
-
-    def to_json(self) -> dict:
-        return {
-            "values": [
-                {"degree": list(D), "ideal": di, "quotient": dq}
-                for D, (di, dq) in sorted(
-                    self.values.items(), key=lambda kv: (sum(kv[0]), kv[0])
-                )
-            ]
-        }
-
-
 # ---------------------------------------------------------------------------
 # Graded pieces and Hilbert functions
 # ---------------------------------------------------------------------------
@@ -167,13 +147,6 @@ def hilbert_function(I, D) -> tuple:
     else:
         raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
     return di, total - di
-
-
-def hilbert_record(I, degrees) -> HilbertRecord:
-    values = {}
-    for D in degrees:
-        values[tuple(D)] = hilbert_function(I, D)
-    return HilbertRecord(I.shape, values)
 
 
 # ---------------------------------------------------------------------------
@@ -283,49 +256,39 @@ def contained_in_apolar(I, F: Tensor) -> bool:
 # Minimal generator counts
 # ---------------------------------------------------------------------------
 
-def _piece_info(I, D):
-    """(dimension, basis rows or monomial set) of I_D for any supported I."""
-    if isinstance(I, MonomialIdeal):
-        mons = monomial_piece(I, D)
-        return len(mons), mons
-    if isinstance(I, GradedIdeal):
-        rows = I.piece_rows(D)
-        echelon, _ = linalg.row_echelon(rows)
-        return len(echelon), echelon
-    if isinstance(I, Tensor):
-        # interpret a tensor as its apolar ideal
-        polys = apolar_piece(I, D)
-        basis = enumerate_monomials(I.shape, D)
-        index = {m: i for i, m in enumerate(basis)}
-        rows = []
-        for p in polys:
-            row = [Fraction(0)] * len(basis)
-            for m, c in p.items():
-                row[index[m]] = c
-            rows.append(row)
-        return len(rows), rows
-    raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
-
-
 def minimal_generator_count(I, D) -> int:
     """Number of minimal generators of I in degree D:
-    dim I_D - dim(sum over variables of I_{D - deg var} * var)."""
+    dim I_D - dim(sum over variables of I_{D - deg var} * var).
+
+    I is a MonomialIdeal or a GradedIdeal; for an ideal known by its pieces,
+    such as an apolar ideal, use piece_generator_count."""
     shape = I.shape
     D = shape.check_degree(D)
-    dim_piece, _ = _piece_info(I, D)
+    if isinstance(I, GradedIdeal):
+        return piece_generator_count(
+            shape, D, lambda E: linalg.row_echelon(I.piece_rows(E))[0]
+        )
+    if not isinstance(I, MonomialIdeal):
+        raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
+    dim_piece = len(monomial_piece(I, D))
+    products = set()
+    for j in range(shape.num_factors):
+        lower = degree_sub(D, shape.unit_degree(j))
+        if not degree_is_effective(lower):
+            continue
+        lower_mons = monomial_piece(I, lower)
+        for i in range(shape.factors[j] + 1):
+            var = Monomial.variable(shape, j, i)
+            products.update(m * var for m in lower_mons)
+    return dim_piece - len(products)
 
-    if isinstance(I, MonomialIdeal):
-        products = set()
-        for j in range(shape.num_factors):
-            lower = degree_sub(D, shape.unit_degree(j))
-            if not degree_is_effective(lower):
-                continue
-            lower_mons = monomial_piece(I, lower)
-            for i in range(shape.factors[j] + 1):
-                var = Monomial.variable(shape, j, i)
-                products.update(m * var for m in lower_mons)
-        return dim_piece - len(products)
 
+def piece_generator_count(shape: FactorShape, D, piece_rows) -> int:
+    """Number of minimal generators in degree D of the ideal whose piece in
+    each degree E is spanned by the linearly independent rows piece_rows(E),
+    coefficient vectors over the grevlex basis of S_E."""
+    D = shape.check_degree(D)
+    dim_piece = len(piece_rows(D))
     basis = enumerate_monomials(shape, D)
     index = {m: i for i, m in enumerate(basis)}
     product_rows = []
@@ -334,8 +297,7 @@ def minimal_generator_count(I, D) -> int:
         if not degree_is_effective(lower_degree):
             continue
         lower_basis = enumerate_monomials(shape, lower_degree)
-        _, lower_rows = _piece_info(I, lower_degree)
-        for row in lower_rows:
+        for row in piece_rows(lower_degree):
             for i in range(shape.factors[j] + 1):
                 var = Monomial.variable(shape, j, i)
                 prod = [Fraction(0)] * len(basis)
@@ -408,15 +370,9 @@ def saturation_defect(I, max_total_degree: int, max_steps: int = 3):
     outer and D by ascending total degree inner; None when no defect shows
     (which proves nothing for a GradedIdeal).
     """
-    shape = I.shape
-    degrees = []
-    for D in iter_product(*(range(max_total_degree + 1) for _ in shape.factors)):
-        if sum(D) <= max_total_degree:
-            degrees.append(D)
-    degrees.sort(key=lambda D: (sum(D), D))
     memo = {}
     for k in range(1, max_steps + 1):
-        for D in degrees:
+        for D in degrees_up_to(I.shape.num_factors, max_total_degree):
             base = iterated_colon_piece(I, D, 0, memo)
             grown = iterated_colon_piece(I, D, k, memo)
             if len(grown) > len(base):

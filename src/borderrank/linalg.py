@@ -79,15 +79,3 @@ def kernel_basis(rows, ncols: int):
             vec[col] = -erow[free]
         basis.append(vec)
     return basis
-
-
-def in_row_span(rows, vector) -> bool:
-    """Exact membership of `vector` in the row span of `rows`."""
-    echelon, pivots = row_echelon(rows)
-    vec = list(vector)
-    for erow, col in zip(echelon, pivots):
-        coeff = vec[col]
-        if coeff:
-            for k in range(col, len(vec)):
-                vec[k] -= coeff * erow[k]
-    return not any(vec)

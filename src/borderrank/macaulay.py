@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import BorderRankError, PreconditionError
 from .ring import FactorShape, enumerate_monomials
 
 
@@ -52,7 +52,7 @@ def macaulay_coefficients(r: int, d: int) -> MacaulayDecomposition:
 
     a_d is the largest a with C(a, d) <= remaining, then descend through the
     indices.  Strict decrease of the coefficients is automatic for the greedy
-    choice; we assert it anyway since everything downstream relies on it.
+    choice; it is checked anyway since everything downstream relies on it.
     """
     if r < 0 or d < 1:
         raise PreconditionError(f"need r >= 0 and d >= 1, got r={r}, d={d}")
@@ -64,8 +64,11 @@ def macaulay_coefficients(r: int, d: int) -> MacaulayDecomposition:
             a += 1
         coefficients.append(a)
         remaining -= math.comb(a, i)
-    assert remaining == 0
-    assert all(x > y for x, y in zip(coefficients, coefficients[1:]))
+    if remaining != 0 or any(x <= y for x, y in zip(coefficients, coefficients[1:])):
+        raise BorderRankError(
+            f"greedy Macaulay decomposition of r={r} in degree {d} failed: "
+            f"coefficients {coefficients}, remainder {remaining}"
+        )
     return MacaulayDecomposition(r=r, d=d, coefficients=tuple(coefficients))
 
 

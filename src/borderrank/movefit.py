@@ -28,7 +28,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .apolarity import Tensor, apolar_piece_dimension
+from .apolarity import Tensor
+from .bounds import disjoint_module_obstruction
 from .errors import PreconditionError
 from .ideals import (
     MonomialIdeal,
@@ -38,12 +39,12 @@ from .ideals import (
     saturate,
     saturation_defect,
 )
-from .macaulay import lexbar_growth
 from .ring import (
-    FactorShape,
     Monomial,
     degree_le,
+    degrees_up_to,
     enumerate_monomials,
+    generic_hilbert,
     piece_dimension,
 )
 
@@ -116,11 +117,6 @@ class SearchOutcome:
         }
 
 
-def generic_hilbert(r: int, shape: FactorShape, D) -> int:
-    """dim(S/I)_D forced on any ideal of a border-rank-r limit scheme."""
-    return min(r, piece_dimension(shape, D))
-
-
 # ---------------------------------------------------------------------------
 # Plan: everything the hot loop needs, as plain picklable data
 # ---------------------------------------------------------------------------
@@ -128,23 +124,11 @@ def generic_hilbert(r: int, shape: FactorShape, D) -> int:
 @dataclass
 class _Plan:
     degrees: list  # MultiDegree, ascending (total, lex)
-    dims: list  # dim S_D
     reqs: list  # dim I_D forced by the Hilbert function
     apolar_masks: list  # bitmask of monomials outside the divisor set of a
     sources: list  # per degree: list of (src_index, table) with table[p] = mask
     sym_tables: list  # per group element: per degree, table[p] = image bit
-    growth_kill: dict | None  # witness when static growth rules out r
-
-
-def _degree_schedule(shape: FactorShape, horizon: int):
-    degrees = []
-    w = shape.num_factors
-    for total in range(1, horizon + 1):
-        for split in itertools.product(range(total + 1), repeat=w):
-            if sum(split) == total:
-                degrees.append(split)
-    degrees.sort(key=lambda d: (sum(d), d))
-    return degrees
+    growth_kill: dict | None  # witness when the disjoint-module rule rules out r
 
 
 def _variable_permutations(a: Monomial):
@@ -203,41 +187,6 @@ def _apply_variable_permutation(m: Monomial, element) -> Monomial:
     return Monomial(blocks)
 
 
-def _static_growth_kill(a: Monomial, shape: FactorShape, r: int, horizon: int):
-    """Choice-independent infeasibility test: at a degree d where the apolar
-    pieces split as disjoint shifted modules, the required codimension jump
-    c_d -> c_{d+1} may exceed the Lex-bar cap; then no ideal with the generic
-    Hilbert function exists and the whole search is settled."""
-    if shape.num_factors != 1:
-        raise PreconditionError("growth pruning applies to single-factor shapes")
-    exps = a.exponents[0]
-    n = shape.factors[0]
-    F = Tensor.monomial(shape, a.exponents)
-    for d in range(1, horizon):
-        modules = sorted(d - e - 1 for e in exps if d - e - 1 >= 0)
-        if not modules:
-            continue
-        present = [e for e in exps if d - e - 1 >= 0]
-        if any(
-            present[i] + present[j] + 2 <= d
-            for i in range(len(present))
-            for j in range(i + 1, len(present))
-        ):
-            continue
-        dim_d = piece_dimension(shape, (d,))
-        dim_d1 = piece_dimension(shape, (d + 1,))
-        c_d = apolar_piece_dimension(F, (d,)) - (dim_d - min(r, dim_d))
-        c_d1 = apolar_piece_dimension(F, (d + 1,)) - (dim_d1 - min(r, dim_d1))
-        if c_d < 0:
-            # the catalecticant already rules r out; the dynamic walk will
-            # report this as an insufficient-candidates dead end
-            continue
-        cap = lexbar_growth(modules, n, c_d) + sum(1 for e in exps if e == d)
-        if c_d1 > cap:
-            return {"degree": d, "codim_d": c_d, "codim_d_plus_1": c_d1, "cap": cap}
-    return None
-
-
 def _build_plan(F: Tensor, config: SearchConfig):
     if not F.is_monomial:
         raise PreconditionError("move-fit search needs a monomial tensor")
@@ -259,18 +208,17 @@ def _build_plan(F: Tensor, config: SearchConfig):
     if config.node_budget is not None and config.node_budget < 1:
         raise PreconditionError("node budget must be >= 1")
 
-    degrees = _degree_schedule(shape, horizon)
+    # degree 0 is left out: I_0 = 0 for every r >= 1
+    degrees = degrees_up_to(shape.num_factors, horizon)[1:]
     deg_index = {d: k for k, d in enumerate(degrees)}
     mons_by_degree = [enumerate_monomials(shape, d) for d in degrees]
     index_by_degree = [
         {m: p for p, m in enumerate(mons)} for mons in mons_by_degree
     ]
 
-    dims, reqs, apolar_masks = [], [], []
-    for mons in mons_by_degree:
-        dim = len(mons)
-        dims.append(dim)
-        reqs.append(dim - min(config.r, dim))
+    reqs, apolar_masks = [], []
+    for d, mons in zip(degrees, mons_by_degree):
+        reqs.append(len(mons) - generic_hilbert(config.r, shape, d))
         mask = 0
         for p, m in enumerate(mons):
             if not degree_le(m.flat(), a.flat()):
@@ -307,11 +255,10 @@ def _build_plan(F: Tensor, config: SearchConfig):
 
     growth_kill = None
     if config.growth_pruning:
-        growth_kill = _static_growth_kill(a, shape, config.r, horizon)
+        growth_kill = disjoint_module_obstruction(F, config.r, horizon - 1)
 
     plan = _Plan(
         degrees=degrees,
-        dims=dims,
         reqs=reqs,
         apolar_masks=apolar_masks,
         sources=sources,
@@ -332,15 +279,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _mandatory(plan: _Plan, chosen: list, k: int) -> int:
-    M = 0
-    for src_k, table in plan.sources[k]:
-        m = chosen[src_k]
-        while m:
-            low = m & -m
-            M |= table[low.bit_length() - 1]
-            m ^= low
-    return M
+def _pieces(M: int, free: list, extra: int):
+    """Every piece M plus `extra` bits of `free`, in lexicographic order."""
+    for combo in itertools.combinations([1 << p for p in free], extra):
+        yield M | sum(combo)
 
 
 def _image_smaller(img: int, cur: int) -> int:
@@ -357,7 +299,10 @@ class _BudgetHit(Exception):
 
 
 class _Searcher:
-    """Depth-first search below a fixed prefix, with its own node budget."""
+    """Depth-first search below a fixed prefix, with its own node budget.
+
+    Level k reads only the pieces of lower levels, so `chosen` needs no
+    reset when a branch fails: every later level overwrites its entry."""
 
     def __init__(self, plan: _Plan, budget, prunings: dict):
         self.plan = plan
@@ -375,10 +320,33 @@ class _Searcher:
     def _prune(self, cause):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
 
+    def level(self, chosen, k):
+        """The step at level k: the mandatory set M spanned by the shifts of
+        the lower pieces, then the two prunes.  Returns (M, free, extra),
+        every piece being M plus `extra` bits of `free`, or None when no
+        piece fits.  M stays inside the apolar mask: a multiple of a monomial
+        outside the divisor set of a is outside it too."""
+        plan = self.plan
+        M = 0
+        for src_k, table in plan.sources[k]:
+            m = chosen[src_k]
+            while m:
+                low = m & -m
+                M |= table[low.bit_length() - 1]
+                m ^= low
+        extra = plan.reqs[k] - M.bit_count()
+        if extra < 0:
+            self._prune("mandatory_overflow")
+            return None
+        free = list(_bits(plan.apolar_masks[k] & ~M))
+        if len(free) < extra:
+            self._prune("insufficient_candidates")
+            return None
+        return M, free, extra
+
     def assign(self, chosen, active, k, piece: int):
         """Set piece at level k (counts a node), apply symmetry, descend."""
         self._spend()
-        chosen[k] = piece
         if active:
             next_active = []
             for g in active:
@@ -392,122 +360,113 @@ class _Searcher:
                 cmp = _image_smaller(img, piece)
                 if cmp < 0:
                     self._prune("symmetry")
-                    chosen[k] = 0
                     return None
                 if cmp == 0:
                     next_active.append(g)
-        else:
-            next_active = active
-        result = self.descend(chosen, next_active, k + 1)
-        if result is None:
-            chosen[k] = 0
-        return result
+            active = next_active
+        chosen[k] = piece
+        return self.descend(chosen, active, k + 1)
 
     def descend(self, chosen, active, k):
         """Explore level k onward; returns chosen pieces on success else None."""
-        plan = self.plan
-        if k == len(plan.degrees):
+        if k == len(self.plan.degrees):
             return list(chosen)
-        M = _mandatory(plan, chosen, k)
-        assert M & ~plan.apolar_masks[k] == 0
-        req = plan.reqs[k]
-        extra = req - M.bit_count()
-        if extra < 0:
-            self._prune("mandatory_overflow")
+        step = self.level(chosen, k)
+        if step is None:
             return None
-        free_mask = plan.apolar_masks[k] & ~M
-        free = list(_bits(free_mask))
-        if len(free) < extra:
-            self._prune("insufficient_candidates")
-            return None
-        for combo in itertools.combinations(free, extra):
-            piece = M
-            for p in combo:
-                piece |= 1 << p
+        for piece in _pieces(*step):
             result = self.assign(chosen, active, k, piece)
             if result is not None:
                 return result
         return None
 
 
-def _initial_active(plan: _Plan):
-    return list(range(len(plan.sym_tables)))
-
-
-def _forced_walk(plan: _Plan, searcher: _Searcher):
-    """Apply every level with a unique choice; stop at the first branch.
-
-    Returns (chosen, k, free, extra) with k the branching level, or
-    (chosen, None, None, None) when the walk settles the search: chosen is
-    the full assignment (Found) or None (Exhausted)."""
-    chosen = [0] * len(plan.degrees)
-    for k in range(len(plan.degrees)):
-        M = _mandatory(plan, chosen, k)
-        assert M & ~plan.apolar_masks[k] == 0
-        req = plan.reqs[k]
-        extra = req - M.bit_count()
-        if extra < 0:
-            searcher._prune("mandatory_overflow")
-            return None, None, None, None
-        free_mask = plan.apolar_masks[k] & ~M
-        free = list(_bits(free_mask))
-        if len(free) < extra:
-            searcher._prune("insufficient_candidates")
-            return None, None, None, None
-        if extra == 0:
-            searcher._spend()
-            chosen[k] = M
-            continue
-        if extra == len(free):
-            searcher._spend()
-            chosen[k] = M | free_mask
-            continue
-        return chosen, k, free, extra
-    return chosen, None, None, None
-
-
 # worker-side state, installed once per process
-_WORKER_PLAN = None
-_WORKER_ARGS = None
+_WORKER_STATE = None
 
 
-def _init_worker(plan, chosen, active, k, free, extra, budget):
-    global _WORKER_PLAN, _WORKER_ARGS
-    _WORKER_PLAN = plan
-    _WORKER_ARGS = (chosen, active, k, free, extra, budget)
+def _init_worker(*state):
+    global _WORKER_STATE
+    _WORKER_STATE = state
 
 
-def _run_chunk(bounds_pair):
-    """Explore top-level combos with absolute indices in [lo, hi).
+def _run_chunk(span):
+    """Explore the pieces of the branching level with indices in [lo, hi).
 
-    Each top-level subtree gets a fresh node budget.  Returns the lowest
-    Found index with its pieces, whether any subtree hit the budget, and
-    the accumulated statistics."""
-    lo, hi = bounds_pair
-    chosen, active, k, free, extra, budget = _WORKER_ARGS
-    plan = _WORKER_PLAN
+    Each piece's subtree gets a fresh node budget.  Returns the pieces of
+    the first Found (or None), whether any subtree hit the budget, and the
+    nodes and prunings spent."""
+    lo, hi = span
+    plan, chosen, k, step, budget = _WORKER_STATE
+    chosen = list(chosen)
+    # the forced prefix is fixed by every symmetry, so all of them are active
+    active = list(range(len(plan.sym_tables)))
     prunings = {}
     nodes = 0
     budget_hit = False
-    chosen = list(chosen)
-    M = _mandatory(plan, chosen, k)
-    for offset, combo in enumerate(
-        itertools.islice(itertools.combinations(free, extra), lo, hi)
-    ):
+    for piece in itertools.islice(_pieces(*step), lo, hi):
         searcher = _Searcher(plan, budget, prunings)
-        piece = M
-        for p in combo:
-            piece |= 1 << p
         try:
-            result = searcher.assign(chosen, list(active), k, piece)
+            result = searcher.assign(chosen, active, k, piece)
         except _BudgetHit:
             budget_hit = True
-            chosen[k] = 0
             result = None
         nodes += searcher.nodes
         if result is not None:
-            return (lo + offset, result, budget_hit, nodes, prunings)
-    return (None, None, budget_hit, nodes, prunings)
+            return result, budget_hit, nodes, prunings
+    return None, budget_hit, nodes, prunings
+
+
+def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
+    """Walk the levels with a single piece, then split the first level with
+    more than one into spans and merge the span results in order.
+
+    Returns (status, pieces).  Serial runs map the spans lazily, so both
+    paths stop at the first span that finds a candidate."""
+    searcher = _Searcher(plan, config.node_budget, stats.prunings)
+    chosen = [0] * len(plan.degrees)
+    try:
+        for k in range(len(plan.degrees)):
+            step = searcher.level(chosen, k)
+            if step is None:
+                return EXHAUSTED, None
+            total = math.comb(len(step[1]), step[2])
+            if total > 1:
+                break
+            searcher._spend()
+            chosen[k] = next(_pieces(*step))
+        else:
+            return FOUND, chosen
+    except _BudgetHit:
+        return BUDGET_EXCEEDED, None
+    finally:
+        stats.nodes = searcher.nodes
+
+    workers = min(config.parallel_width, total)
+    size = math.ceil(total / (workers * 4))
+    spans = [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    init_args = (plan, chosen, k, step, config.node_budget)
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=init_args
+        )
+    else:
+        _init_worker(*init_args)
+    budget_hit = False
+    try:
+        results = map(_run_chunk, spans) if pool is None else pool.map(_run_chunk, spans)
+        for pieces, hit, nodes, prunings in results:
+            stats.nodes += nodes
+            budget_hit = budget_hit or hit
+            for cause, count in prunings.items():
+                stats.prunings[cause] = stats.prunings.get(cause, 0) + count
+            if pieces is not None:
+                return FOUND, pieces
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return (BUDGET_EXCEEDED if budget_hit else EXHAUSTED), None
 
 
 def _finish(plan, mons_by_degree, F, config, horizon, status, pieces, stats, t0):
@@ -577,15 +536,14 @@ def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
     """
     if horizon is None:
         horizon = sum(F.degree)
-    schedule = [tuple(0 for _ in F.shape.factors)] + _degree_schedule(F.shape, horizon)
 
     rows = []
     hilbert_ok = True
     sat_I = saturate(I) if isinstance(I, MonomialIdeal) else None
-    for D in schedule:
+    for D in degrees_up_to(F.shape.num_factors, horizon):
         dim_s = piece_dimension(F.shape, D)
         dim_ideal, dim_quotient = hilbert_function(I, D)
-        required_quotient = min(r, dim_s)
+        required_quotient = generic_hilbert(r, F.shape, D)
         row = {
             "degree": list(D),
             "dim_s": dim_s,
@@ -646,69 +604,7 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
         )
         return outcome
 
-    prefix_searcher = _Searcher(plan, config.node_budget, stats.prunings)
-    try:
-        chosen, k, free, extra = _forced_walk(plan, prefix_searcher)
-    except _BudgetHit:
-        stats.nodes = prefix_searcher.nodes
-        return _finish(
-            plan, mons_by_degree, F, config, horizon, BUDGET_EXCEEDED, None, stats, t0
-        )
-    stats.nodes = prefix_searcher.nodes
-
-    if k is None:
-        status = FOUND if chosen is not None else EXHAUSTED
-        return _finish(
-            plan, mons_by_degree, F, config, horizon, status, chosen, stats, t0
-        )
-
-    active = _initial_active(plan)
-    total = math.comb(len(free), extra)
-    workers = min(config.parallel_width, total)
-    init_args = (plan, chosen, active, k, free, extra, config.node_budget)
-
-    found_index = None
-    found_pieces = None
-    budget_hit = False
-
-    if workers <= 1:
-        _init_worker(*init_args)
-        chunk = 1024
-        for lo in range(0, total, chunk):
-            idx, pieces, hit, nodes, prunings = _run_chunk((lo, min(lo + chunk, total)))
-            stats.nodes += nodes
-            budget_hit = budget_hit or hit
-            for cause, count in prunings.items():
-                stats.prunings[cause] = stats.prunings.get(cause, 0) + count
-            if idx is not None:
-                found_index, found_pieces = idx, pieces
-                break
-    else:
-        chunk_count = max(workers * 4, 1)
-        step = max(1, math.ceil(total / chunk_count))
-        spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=init_args
-        ) as pool:
-            futures = [pool.submit(_run_chunk, span) for span in spans]
-            for fut in futures:
-                idx, pieces, hit, nodes, prunings = fut.result()
-                stats.nodes += nodes
-                budget_hit = budget_hit or hit
-                for cause, count in prunings.items():
-                    stats.prunings[cause] = stats.prunings.get(cause, 0) + count
-                if idx is not None:
-                    found_index, found_pieces = idx, pieces
-                    for later in futures[futures.index(fut) + 1 :]:
-                        later.cancel()
-                    break
-
-    if found_pieces is not None:
-        status = FOUND
-    elif budget_hit:
-        status = BUDGET_EXCEEDED
-    else:
-        status = EXHAUSTED
+    status, pieces = _drive(plan, config, stats)
     return _finish(
-        plan, mons_by_degree, F, config, horizon, status, found_pieces, stats, t0
+        plan, mons_by_degree, F, config, horizon, status, pieces, stats, t0
     )

@@ -224,6 +224,19 @@ def _compositions(total: int, parts: int) -> tuple:
     return tuple(out)
 
 
+def degrees_up_to(num_factors: int, max_total: int) -> list:
+    """All multidegrees with num_factors entries and total degree at most
+    max_total, ascending in total degree, then lexicographically."""
+    return [
+        D for total in range(max_total + 1) for D in _compositions(total, num_factors)
+    ]
+
+
+def generic_hilbert(r: int, shape: FactorShape, D) -> int:
+    """dim(S/I)_D forced on any ideal of a border-rank-r limit scheme."""
+    return min(r, piece_dimension(shape, D))
+
+
 @lru_cache(maxsize=None)
 def _enumerate_cached(factors: tuple, D: tuple) -> tuple:
     block_choices = [_compositions(d, a + 1) for a, d in zip(factors, D)]

@@ -10,15 +10,21 @@ from borderrank.apolarity import Tensor, catalecticant_lower_bound
 from borderrank.bounds import (
     HOLDS,
     NOT_MINIMAL,
+    BoundReport,
     almost_unbalanced_check,
     bounds_report,
     closed_form_border_rank,
     disjoint_module_lower_bound,
+    disjoint_module_obstruction,
     minimal_border_rank_generator_test,
     minimal_border_rank_quotient_test,
     upper_bound_monomial,
 )
-from borderrank.errors import PreconditionError, UnsupportedShapeError
+from borderrank.errors import (
+    BorderRankError,
+    PreconditionError,
+    UnsupportedShapeError,
+)
 from borderrank.ring import FactorShape, Monomial
 
 
@@ -67,6 +73,9 @@ def test_disjoint_module_flagship_witness():
     assert witness["dim_s_d"] == 165
     assert witness["dim_apolar_d_plus_1"] == 158
     assert witness["dim_s_d_plus_1"] == 220
+    # the rule itself, at the ruled-out rank and the next one up
+    assert disjoint_module_obstruction(F, 85, 15) == witness
+    assert disjoint_module_obstruction(F, 86, 15) is None
 
 
 def test_disjoint_module_matches_closed_form_on_p2():
@@ -99,6 +108,8 @@ def test_disjoint_module_requires_single_factor():
     F = Tensor.monomial(FactorShape([1, 1]), [(1, 0), (1, 0)])
     with pytest.raises(PreconditionError):
         disjoint_module_lower_bound(F)
+    with pytest.raises(PreconditionError):
+        disjoint_module_obstruction(F, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +237,19 @@ def test_report_sandwich_shape():
     assert report.upper_provenance == "chart"
     assert report.components["catalecticant"]["value"] == 70
     assert report.lower <= report.upper
+
+
+def test_report_rejects_inverted_sandwich():
+    with pytest.raises(BorderRankError):
+        BoundReport(
+            lower=5,
+            lower_provenance="catalecticant",
+            lower_witness={},
+            upper=4,
+            upper_provenance="chart",
+            upper_witness={},
+            components={},
+        )
 
 
 def test_report_almost_unbalanced_pins_value():

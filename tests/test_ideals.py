@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borderrank.apolarity import Tensor, apolar_of_monomial, apolar_piece_dimension
+from borderrank.apolarity import (
+    Tensor,
+    apolar_of_monomial,
+    apolar_piece,
+    apolar_piece_dimension,
+)
 from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
 from borderrank.ideals import (
     GradedIdeal,
@@ -15,7 +20,6 @@ from borderrank.ideals import (
     colon_irrelevant,
     contained_in_apolar,
     hilbert_function,
-    hilbert_record,
     ideal_from_json,
     ideal_to_json,
     intersect,
@@ -24,6 +28,7 @@ from borderrank.ideals import (
     iterated_colon_piece,
     minimal_generator_count,
     monomial_piece,
+    piece_generator_count,
     saturate,
     saturation_defect,
 )
@@ -59,10 +64,8 @@ def test_monomial_piece_and_hilbert():
     di, dq = hilbert_function(I, (3,))
     assert di == len(piece) == 3
     assert dq == piece_dimension(P2, (3,)) - 3
-    record = hilbert_record(I, [(0,), (1,), (2,), (3,)])
-    data = record.to_json()
-    assert [v["degree"] for v in data["values"]] == [[0], [1], [2], [3]]
-    assert data["values"][2] == {"degree": [2], "ideal": 1, "quotient": 5}
+    values = [hilbert_function(I, (d,)) for d in range(4)]
+    assert values == [(0, 1), (0, 3), (1, 5), (3, 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +238,17 @@ def test_minimal_generator_count_graded_matches_monomial():
 
 
 def test_minimal_generator_count_of_apolar_tensor():
-    # Tensor argument means: minimal generators of F^perp in that degree
+    # minimal generators of F^perp in a degree, from its apolar pieces
     F = Tensor.monomial(FactorShape([1]), [(2, 1)])
+
+    def apolar_rows(E):
+        basis = enumerate_monomials(F.shape, E)
+        return [[p.get(m, Fraction(0)) for m in basis] for p in apolar_piece(F, E)]
+
     # F^perp = (a0^3, a1^2); degree (2,): one generator
-    assert minimal_generator_count(F, (2,)) == 1
-    assert minimal_generator_count(F, (3,)) == 1
-    assert minimal_generator_count(F, (4,)) == 0
+    assert piece_generator_count(F.shape, (2,), apolar_rows) == 1
+    assert piece_generator_count(F.shape, (3,), apolar_rows) == 1
+    assert piece_generator_count(F.shape, (4,), apolar_rows) == 0
 
 
 # ---------------------------------------------------------------------------

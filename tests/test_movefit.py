@@ -15,7 +15,7 @@ from borderrank.movefit import (
     EXHAUSTED,
     FOUND,
     SearchConfig,
-    generic_hilbert,
+    _build_plan,
     search,
     verify_candidate,
 )
@@ -23,6 +23,7 @@ from borderrank.ring import (
     FactorShape,
     Monomial,
     enumerate_monomials,
+    generic_hilbert,
     piece_dimension,
 )
 
@@ -139,6 +140,59 @@ def test_symmetry_pruning_keeps_first_candidate():
             )
         # pruning never explores more nodes
         assert with_sym.statistics.nodes <= without.statistics.nodes
+
+
+@pytest.mark.parametrize(
+    "blocks, kwargs, status, generators, nodes, prunings",
+    [
+        # the README example
+        (
+            [(2, 2, 2)], {"r": 8, "horizon": 5}, EXHAUSTED, None, 8,
+            {"mandatory_overflow": 2, "symmetry": 3},
+        ),
+        (
+            [(2, 2, 2)], {"r": 9}, FOUND,
+            ["a0*a1^3", "a1^4", "a1^3*a2", "a0^3"], 6, {},
+        ),
+        ([(2, 2, 2)], {"r": 9, "node_budget": 1}, BUDGET_EXCEEDED, None, 2, {}),
+        # the budget applies per subtree, so 5 is enough for a 6-node run
+        (
+            [(2, 2, 2)], {"r": 9, "node_budget": 5}, FOUND,
+            ["a0*a1^3", "a1^4", "a1^3*a2", "a0^3"], 6, {},
+        ),
+        (
+            [(1, 1, 1, 1, 1)], {"r": 15}, EXHAUSTED, None, 53143,
+            {"mandatory_overflow": 551, "symmetry": 52589},
+        ),
+    ],
+)
+def test_search_outcomes_pinned(blocks, kwargs, status, generators, nodes, prunings):
+    F = Tensor.monomial(FactorShape([len(blocks[0]) - 1]), blocks)
+    data = search(F, SearchConfig(**kwargs)).to_json()
+    assert data["status"] == status
+    assert data["candidate_generators"] == generators
+    assert data["statistics"]["nodes"] == nodes
+    assert data["statistics"]["prunings"] == prunings
+
+
+def test_shifts_of_apolar_monomials_stay_apolar():
+    # the hot loop relies on this: a multiple of a monomial outside the
+    # divisor set of a is outside it too, so the mandatory set of every
+    # level lies inside that level's apolar mask
+    for shape, blocks in [
+        (FactorShape([2]), [(2, 2, 2)]),
+        (FactorShape([3]), [(2, 1, 1, 0)]),
+        (FactorShape([1, 1]), [(2, 1), (1, 0)]),
+        (FactorShape([2, 1]), [(1, 1, 0), (0, 1)]),
+    ]:
+        F = Tensor.monomial(shape, blocks)
+        plan, _ = _build_plan(F, SearchConfig(r=2))
+        masks = plan.apolar_masks
+        for target, sources in enumerate(plan.sources):
+            for src, table in sources:
+                for p, bits in enumerate(table):
+                    if masks[src] >> p & 1:
+                        assert bits & ~masks[target] == 0
 
 
 # ---------------------------------------------------------------------------

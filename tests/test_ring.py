@@ -1,5 +1,6 @@
 """Tests for the combinatorial ring layer: shapes, monomials, grevlex, text."""
 
+import itertools
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from borderrank.ring import (
     degree_is_effective,
     degree_le,
     degree_sub,
+    degrees_up_to,
     enumerate_monomials,
     monomial_from_json,
     monomial_from_text,
@@ -134,6 +136,18 @@ def test_enumeration_matches_dimension():
             assert compare_grevlex(m1, m2) > 0
     with pytest.raises(ValueError):
         enumerate_monomials(shape, (1, -1))
+
+
+def test_degrees_up_to_matches_brute_force():
+    for w in range(1, 4):
+        for max_total in range(6):
+            brute = [
+                D
+                for D in itertools.product(range(max_total + 1), repeat=w)
+                if sum(D) <= max_total
+            ]
+            brute.sort(key=lambda D: (sum(D), D))
+            assert degrees_up_to(w, max_total) == brute
 
 
 def test_grevlex_order_on_p2_quadrics():

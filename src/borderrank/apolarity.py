@@ -13,7 +13,6 @@ pivot always the first non-zero entry in grevlex column order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,6 +30,7 @@ from .ring import (
     monomial_from_json,
     monomial_to_json,
     piece_dimension,
+    shape_from_json,
 )
 
 # A polynomial is a dict {Monomial: Fraction}; zero coefficients are dropped.
@@ -159,63 +159,37 @@ def hook_tensor(theta, F: Tensor) -> Tensor:
 # Catalecticants
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CatalecticantMatrix:
-    """The matrix of S_D -> dual_{L-D}, theta |-> theta ⌟ F.
+def catalecticant(F: Tensor, D) -> list:
+    """Rows of the matrix of S_D -> dual_{L-D}, theta |-> theta ⌟ F.
 
     Row basis: monomials of S_D; column basis: divided-power monomials of
     degree L - D; both in descending grevlex.  entry(e, m) = F[e + m].
     """
-
-    shape: FactorShape
-    D: MultiDegree
-    row_basis: tuple
-    col_basis: tuple
-    rows: list
-
-    def rank(self) -> int:
-        return linalg.rank(self.rows)
-
-    def kernel(self):
-        """Basis of F^⊥_D as polynomials, deterministic RREF construction."""
-        # kernel of the map = left null space of the matrix; transpose first
-        transposed = [
-            [self.rows[i][j] for i in range(len(self.row_basis))]
-            for j in range(len(self.col_basis))
-        ]
-        vectors = linalg.kernel_basis(transposed, len(self.row_basis))
-        out = []
-        for vec in vectors:
-            out.append({m: c for m, c in zip(self.row_basis, vec) if c != 0})
-        return out
-
-
-def catalecticant(F: Tensor, D) -> CatalecticantMatrix:
     D = F.shape.check_degree(D)
     if not degree_is_effective(D):
         raise PreconditionError(f"catalecticant degree {D} is not effective")
-    row_basis = enumerate_monomials(F.shape, D)
     comp = degree_sub(F.degree, D)
     col_basis = enumerate_monomials(F.shape, comp) if degree_is_effective(comp) else ()
-    rows = [
+    return [
         [F.coefficient(e * m) for m in col_basis]
-        for e in row_basis
+        for e in enumerate_monomials(F.shape, D)
     ]
-    return CatalecticantMatrix(F.shape, D, row_basis, col_basis, rows)
 
 
-def apolar_piece(F: Tensor, D):
-    """Exact-rational basis of F^⊥_D = ker(catalecticant at D).
+def apolar_piece(F: Tensor, D) -> list:
+    """Exact-rational basis of F^⊥_D = ker(catalecticant at D), as rows over
+    the grevlex basis of S_D, by the deterministic RREF construction.
 
     For effective D not <= L componentwise the piece is all of S_D (nothing
-    of degree L - D survives), so the full monomial basis comes back.
+    of degree L - D survives): the matrix has no columns, so the identity
+    rows come back.
     """
     D = F.shape.check_degree(D)
     if not degree_is_effective(D):
         raise PreconditionError(f"degree {D} is not effective")
-    if not degree_le(D, F.degree):
-        return [{m: Fraction(1)} for m in enumerate_monomials(F.shape, D)]
-    return catalecticant(F, D).kernel()
+    # the kernel of the map is the left null space of the matrix
+    transposed = [list(column) for column in zip(*catalecticant(F, D))]
+    return linalg.kernel_basis(transposed, piece_dimension(F.shape, D))
 
 
 def apolar_piece_dimension(F: Tensor, D) -> int:
@@ -226,7 +200,7 @@ def apolar_piece_dimension(F: Tensor, D) -> int:
         return dim
     if F.is_monomial:
         return dim - monomial_catalecticant_rank(F.support_exponents(), D)
-    return dim - catalecticant(F, D).rank()
+    return dim - linalg.rank(catalecticant(F, D))
 
 
 def apolar_of_monomial(F: Tensor):
@@ -295,7 +269,7 @@ def catalecticant_lower_bound(F: Tensor) -> int:
         if mono is not None:
             r = monomial_catalecticant_rank(mono, D)
         else:
-            r = catalecticant(F, D).rank()
+            r = linalg.rank(catalecticant(F, D))
         if r > best:
             best = r
     return best
@@ -333,10 +307,7 @@ def tensor_from_json(data: dict) -> Tensor:
         raise ParseError(f"tensor JSON missing field: {exc}") from exc
     if convention not in ("divided", "plain"):
         raise ParseError(f"unknown coefficient convention {convention!r}")
-    if any(a < 1 for a in shape_list):
-        shape = FactorShape.with_point_factors(shape_list)
-    else:
-        shape = FactorShape(shape_list)
+    shape = shape_from_json(shape_list)
     coeffs = {}
     for term in raw_terms:
         try:

@@ -18,7 +18,6 @@ would overreach on monomials with one exponent equal to the probe degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .apolarity import (
@@ -29,16 +28,9 @@ from .apolarity import (
     is_concise,
 )
 from .errors import BorderRankError, PreconditionError, UnsupportedShapeError
-from .ideals import piece_generator_count
+from .ideals import piece_generator_count, times_variables
 from .macaulay import lexbar_growth
-from .ring import (
-    Monomial,
-    degree_is_effective,
-    degree_sub,
-    enumerate_monomials,
-    generic_hilbert,
-    piece_dimension,
-)
+from .ring import Monomial, degree_sub, generic_hilbert, piece_dimension
 
 
 @dataclass(frozen=True)
@@ -233,12 +225,7 @@ def minimal_border_rank_generator_test(F: Tensor):
     if not is_concise(F):
         raise PreconditionError("generator test needs a concise tensor")
     a = F.shape.factors[0]
-
-    def apolar_rows(E):
-        basis = enumerate_monomials(F.shape, E)
-        return [[p.get(m, Fraction(0)) for m in basis] for p in apolar_piece(F, E)]
-
-    count = piece_generator_count(F.shape, F.degree, apolar_rows)
+    count = piece_generator_count(F.shape, F.degree, lambda E: apolar_piece(F, E))
     return count, (HOLDS if count >= a else NOT_MINIMAL)
 
 
@@ -255,20 +242,10 @@ def minimal_border_rank_quotient_test(F: Tensor, i: int = None):
         raise PreconditionError(
             f"factor {i} has dimension {F.shape.factors[i]}, not the maximal {max_dim}"
         )
-    L = F.degree
-    basis = enumerate_monomials(F.shape, L)
-    index = {m: k for k, m in enumerate(basis)}
-    lower_degree = degree_sub(L, F.shape.unit_degree(i))
-    rows = []
-    if degree_is_effective(lower_degree):
-        for poly in apolar_piece(F, lower_degree):
-            for v in range(F.shape.factors[i] + 1):
-                var = Monomial.variable(F.shape, i, v)
-                row = [Fraction(0)] * len(basis)
-                for m, c in poly.items():
-                    row[index[m * var]] += c
-                rows.append(row)
-    quotient_dim = len(basis) - linalg.rank(rows)
+    # a concise tensor has L >= e_i, so the lower degree is effective
+    lower_degree = degree_sub(F.degree, F.shape.unit_degree(i))
+    products = times_variables(F.shape, apolar_piece(F, lower_degree), lower_degree, i)
+    quotient_dim = piece_dimension(F.shape, F.degree) - linalg.rank(products)
     threshold = max_dim + 1  # dim S_{deg alpha_i}
     return quotient_dim, (HOLDS if quotient_dim >= threshold else NOT_MINIMAL)
 

@@ -31,6 +31,7 @@ from .ring import (
     monomial_from_json,
     monomial_to_json,
     piece_dimension,
+    shape_from_json,
 )
 
 
@@ -62,6 +63,18 @@ class MonomialIdeal:
 
     def is_zero(self) -> bool:
         return not self.generators
+
+    def piece_rows(self, D) -> list:
+        """Unit rows spanning I_D over the grevlex basis of S_D."""
+        basis = enumerate_monomials(self.shape, D)
+        return [
+            [Fraction(int(k == i)) for k in range(len(basis))]
+            for i, m in enumerate(basis)
+            if self.contains_monomial(m)
+        ]
+
+    def piece_dimension(self, D) -> int:
+        return len(monomial_piece(self, D))
 
     def __eq__(self, other):
         return (
@@ -136,17 +149,8 @@ def monomial_piece(I: MonomialIdeal, D) -> tuple:
 
 def hilbert_function(I, D) -> tuple:
     """(dim I_D, dim (S/I)_D); counting for monomial ideals, rank otherwise."""
-    if isinstance(I, MonomialIdeal):
-        D = I.shape.check_degree(D)
-        total = piece_dimension(I.shape, D)
-        di = len(monomial_piece(I, D))
-    elif isinstance(I, GradedIdeal):
-        D = I.shape.check_degree(D)
-        total = piece_dimension(I.shape, D)
-        di = I.piece_dimension(D)
-    else:
-        raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
-    return di, total - di
+    di = I.piece_dimension(D)
+    return di, piece_dimension(I.shape, D) - di
 
 
 # ---------------------------------------------------------------------------
@@ -283,43 +287,44 @@ def minimal_generator_count(I, D) -> int:
     return dim_piece - len(products)
 
 
+def times_variables(shape: FactorShape, rows, E, j: int) -> list:
+    """Rows spanning V * S_{e_j} in S_{E + e_j}, where V is spanned by rows
+    over the grevlex basis of S_E: every row times every variable of factor j."""
+    basis = enumerate_monomials(shape, E)
+    up_basis = enumerate_monomials(shape, degree_add(E, shape.unit_degree(j)))
+    up_index = {m: i for i, m in enumerate(up_basis)}
+    shifts = [
+        [up_index[m * Monomial.variable(shape, j, i)] for m in basis]
+        for i in range(shape.factors[j] + 1)
+    ]
+    products = []
+    for row in rows:
+        for shifted in shifts:
+            prod = [Fraction(0)] * len(up_basis)
+            for col, c in enumerate(row):
+                if c:
+                    prod[shifted[col]] = c
+            products.append(prod)
+    return products
+
+
 def piece_generator_count(shape: FactorShape, D, piece_rows) -> int:
     """Number of minimal generators in degree D of the ideal whose piece in
     each degree E is spanned by the linearly independent rows piece_rows(E),
     coefficient vectors over the grevlex basis of S_E."""
     D = shape.check_degree(D)
     dim_piece = len(piece_rows(D))
-    basis = enumerate_monomials(shape, D)
-    index = {m: i for i, m in enumerate(basis)}
     product_rows = []
     for j in range(shape.num_factors):
-        lower_degree = degree_sub(D, shape.unit_degree(j))
-        if not degree_is_effective(lower_degree):
-            continue
-        lower_basis = enumerate_monomials(shape, lower_degree)
-        for row in piece_rows(lower_degree):
-            for i in range(shape.factors[j] + 1):
-                var = Monomial.variable(shape, j, i)
-                prod = [Fraction(0)] * len(basis)
-                for col, c in enumerate(row):
-                    if c:
-                        prod[index[lower_basis[col] * var]] += c
-                product_rows.append(prod)
+        lower = degree_sub(D, shape.unit_degree(j))
+        if degree_is_effective(lower):
+            product_rows += times_variables(shape, piece_rows(lower), lower, j)
     return dim_piece - linalg.rank(product_rows)
 
 
 # ---------------------------------------------------------------------------
 # Degreewise saturation-defect probe for graded ideals
 # ---------------------------------------------------------------------------
-
-def _monomial_rows(mons, basis_index, size):
-    rows = []
-    for m in mons:
-        row = [Fraction(0)] * size
-        row[basis_index[m]] = Fraction(1)
-        rows.append(row)
-    return rows
-
 
 def iterated_colon_piece(I, D, steps: int, _memo=None):
     """Echelon basis of (I : B^steps)_D, by the degreewise recursion
@@ -333,12 +338,7 @@ def iterated_colon_piece(I, D, steps: int, _memo=None):
         return _memo[key]
 
     if steps == 0:
-        if isinstance(I, MonomialIdeal):
-            basis = enumerate_monomials(shape, D)
-            index = {m: i for i, m in enumerate(basis)}
-            rows = _monomial_rows(monomial_piece(I, D), index, len(basis))
-        else:
-            rows, _ = linalg.row_echelon(I.piece_rows(D))
+        rows, _ = linalg.row_echelon(I.piece_rows(D))
         _memo[key] = rows
         return rows
 
@@ -411,16 +411,10 @@ def ideal_to_json(I) -> dict:
     raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
 
 
-def _shape_from_json(shape_list) -> FactorShape:
-    if any(a < 1 for a in shape_list):
-        return FactorShape.with_point_factors(shape_list)
-    return FactorShape(shape_list)
-
-
 def ideal_from_json(data: dict):
     if not isinstance(data, dict) or "shape" not in data:
         raise ParseError("ideal JSON needs a 'shape' key")
-    shape = _shape_from_json(data["shape"])
+    shape = shape_from_json(data["shape"])
     if "monomial_generators" in data:
         gens = [monomial_from_json({"exponents": e}) for e in data["monomial_generators"]]
         return MonomialIdeal(shape, gens)

@@ -423,6 +423,7 @@ def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
 
     Returns (status, pieces).  Serial runs map the spans lazily, so both
     paths stop at the first span that finds a candidate."""
+    global _WORKER_STATE
     searcher = _Searcher(plan, config.node_budget, stats.prunings)
     chosen = [0] * len(plan.degrees)
     try:
@@ -466,6 +467,8 @@ def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+        else:
+            _WORKER_STATE = None  # the serial path installed the plan here
     return (BUDGET_EXCEEDED if budget_hit else EXHAUSTED), None
 
 

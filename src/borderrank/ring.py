@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ParseError, ShapeMismatchError
 
@@ -69,22 +69,9 @@ class FactorShape:
     def num_factors(self) -> int:
         return len(self.factors)
 
-    @property
-    def num_variables(self) -> int:
-        return sum(a + 1 for a in self.factors)
-
-    def variables(self) -> Iterator[tuple]:
-        """Yield (factor, index) for every variable, in factor-major order."""
-        for j, a in enumerate(self.factors):
-            for i in range(a + 1):
-                yield (j, i)
-
     def unit_degree(self, factor: int) -> MultiDegree:
         """The multidegree of any variable in the given factor."""
         return tuple(1 if j == factor else 0 for j in range(len(self.factors)))
-
-    def zero_degree(self) -> MultiDegree:
-        return (0,) * len(self.factors)
 
     def check_degree(self, D: Sequence[int]) -> MultiDegree:
         """Validate the length of D against this shape and return it as a tuple."""
@@ -118,10 +105,6 @@ class Monomial:
             if any(e < 0 for e in block):
                 raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
-
-    @classmethod
-    def one(cls, shape: FactorShape) -> "Monomial":
-        return cls(tuple((0,) * (a + 1) for a in shape.factors))
 
     @classmethod
     def variable(cls, shape: FactorShape, factor: int, index: int) -> "Monomial":
@@ -337,3 +320,13 @@ def monomial_from_json(data: dict) -> Monomial:
         return Monomial(data["exponents"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad monomial JSON {data!r}: {exc}") from exc
+
+
+def shape_from_json(data) -> FactorShape:
+    """The shape of a tensor or ideal document: a non-empty list of integers
+    >= 0.  Point factors (0) are accepted, as the schemas allow them."""
+    if not isinstance(data, (list, tuple)) or not data or not all(
+        type(a) in (int, float) and a >= 0 and a % 1 == 0 for a in data
+    ):
+        raise ParseError(f"shape must be a non-empty list of integers >= 0: {data!r}")
+    return FactorShape.with_point_factors(data)

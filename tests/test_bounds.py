@@ -1,12 +1,13 @@
 """Border-rank bound assembly: chart upper, disjoint-module lower, closed
 forms, almost-unbalanced values, and the minimal-border-rank tests."""
 
+import random
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 
-from borderrank.apolarity import Tensor, catalecticant_lower_bound
+from borderrank.apolarity import Tensor, catalecticant_lower_bound, is_concise
 from borderrank.bounds import (
     HOLDS,
     NOT_MINIMAL,
@@ -25,7 +26,7 @@ from borderrank.errors import (
     PreconditionError,
     UnsupportedShapeError,
 )
-from borderrank.ring import FactorShape, Monomial
+from borderrank.ring import FactorShape, Monomial, enumerate_monomials
 
 
 def single(*exps):
@@ -213,6 +214,30 @@ def test_quotient_test_flags_high_rank_tensor():
     # so the quotient is everything and the test holds
     assert verdict == HOLDS
     assert qdim == 4
+
+
+def test_generator_count_is_quotient_dimension_minus_one():
+    # on one factor both tests reduce P = F^perp_{L-1} * S_1: the count is
+    # dim F^perp_L - rank P, the quotient dim S_L - rank P, and
+    # dim S_L - dim F^perp_L is the rank 1 of the catalecticant at L
+    rng = random.Random(1910)
+    checked = 0
+    for _ in range(240):
+        n = rng.randint(1, 3)
+        shape = FactorShape([n])
+        L = (rng.randint(2, 4 if n < 3 else 3),)
+        coeffs = {m: rng.randint(-2, 2) for m in enumerate_monomials(shape, L)}
+        coeffs = {m: c for m, c in coeffs.items() if c}
+        if not coeffs:
+            continue
+        F = Tensor(shape, L, coeffs)
+        if not is_concise(F):
+            continue
+        count, _ = minimal_border_rank_generator_test(F)
+        qdim, _ = minimal_border_rank_quotient_test(F)
+        assert count == qdim - 1, F.terms()
+        checked += 1
+    assert checked >= 200
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from borderrank.apolarity import (
     apolar_of_monomial,
     apolar_piece,
     apolar_piece_dimension,
+    tensor_from_json,
 )
 from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
 from borderrank.ideals import (
@@ -108,7 +109,7 @@ def test_saturation_single_factor():
     # an artinian-ish ideal saturates to the whole ring
     J = MonomialIdeal(P2, [mono(1, 0, 0), mono(0, 1, 0), mono(0, 0, 1)])
     S = saturate(J)
-    assert S.generators == (Monomial.one(P2),)
+    assert S.generators == (mono(0, 0, 0),)
 
 
 def test_saturation_multi_factor():
@@ -242,8 +243,7 @@ def test_minimal_generator_count_of_apolar_tensor():
     F = Tensor.monomial(FactorShape([1]), [(2, 1)])
 
     def apolar_rows(E):
-        basis = enumerate_monomials(F.shape, E)
-        return [[p.get(m, Fraction(0)) for m in basis] for p in apolar_piece(F, E)]
+        return apolar_piece(F, E)
 
     # F^perp = (a0^3, a1^2); degree (2,): one generator
     assert piece_generator_count(F.shape, (2,), apolar_rows) == 1
@@ -332,3 +332,19 @@ def test_ideal_json_errors():
                 ],
             }
         )
+
+
+@pytest.mark.parametrize("bad", [[-1], [], "ab", [1.5], [True], 3, None])
+def test_bad_shapes_are_parse_errors(bad):
+    # tensor and ideal documents share one shape parser
+    with pytest.raises(ParseError):
+        ideal_from_json({"shape": bad, "monomial_generators": []})
+    with pytest.raises(ParseError):
+        tensor_from_json({"shape": bad, "degree": [1], "terms": []})
+
+
+def test_point_factor_shapes_parse():
+    # the schemas allow P^0 factors
+    I = ideal_from_json({"shape": [2, 0], "monomial_generators": []})
+    F = tensor_from_json({"shape": [2, 0], "degree": [1, 0], "terms": []})
+    assert I.shape.factors == F.shape.factors == (2, 0)

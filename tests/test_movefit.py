@@ -7,6 +7,7 @@ from itertools import combinations, product as iter_product
 
 import pytest
 
+from borderrank import movefit
 from borderrank.apolarity import Tensor, tensor_from_json
 from borderrank.errors import PreconditionError
 from borderrank.ideals import MonomialIdeal, ideal_from_json
@@ -316,6 +317,22 @@ def test_budget_exceeded_and_statistics():
     assert data["status"] == BUDGET_EXCEEDED
     assert data["candidate_generators"] is None
     assert set(data["statistics"]) == {"nodes", "prunings", "wall_time_seconds"}
+
+
+@pytest.mark.parametrize(
+    "kwargs, status",
+    [
+        ({"r": 9}, FOUND),
+        ({"r": 8, "horizon": 5}, EXHAUSTED),
+        ({"r": 9, "node_budget": 2}, BUDGET_EXCEEDED),
+    ],
+)
+def test_serial_search_releases_plan(kwargs, status):
+    # a serial run installs the plan as worker state for its spans; once
+    # search() returns, the module must not keep the plan alive
+    F = Tensor.monomial(FactorShape([2]), [(2, 2, 2)])
+    assert search(F, SearchConfig(**kwargs)).status == status
+    assert movefit._WORKER_STATE is None
 
 
 def test_budget_large_enough_changes_nothing():

@@ -33,12 +33,10 @@ from borderrank.ring import (
 def test_shape_basic():
     shape = FactorShape([2, 1, 1])
     assert shape.num_factors == 3
-    assert shape.num_variables == 3 + 2 + 2
+    assert shape.factors == (2, 1, 1)
     assert shape.unit_degree(1) == (0, 1, 0)
-    assert shape.zero_degree() == (0, 0, 0)
-    assert list(shape.variables()) == [
-        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1),
-    ]
+    # variables are factor-major: (factor 1, index 1) is the 5th of 7
+    assert Monomial.variable(shape, 1, 1).flat() == (0, 0, 0, 0, 1, 0, 0)
 
 
 def test_shape_rejects_empty_and_nonpositive():
@@ -72,8 +70,9 @@ def test_monomial_degree_and_flat():
 
 def test_monomial_constructors():
     shape = FactorShape([2, 1])
-    one = Monomial.one(shape)
+    one = Monomial([(0, 0, 0), (0, 0)])
     assert one.degree == (0, 0)
+    assert one.matches_shape(shape)
     v = Monomial.variable(shape, 1, 0)
     assert v.exponents == ((0, 0, 0), (1, 0))
     assert v.matches_shape(shape)

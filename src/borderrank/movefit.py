@@ -13,7 +13,15 @@ into an actual border-rank-r decomposition is NOT checked here, so Found
 never certifies br(F) <= r.
 
 Pieces are bitmasks over the descending-grevlex monomial list of each
-multidegree, so the hot loop is integer arithmetic.  Symmetry pruning quotients
+multidegree, so the hot loop is integer arithmetic.  The search carries, for
+every level, the image of the pieces chosen so far (their shifts by one
+variable), so the mandatory part of a piece is read off, never rebuilt.  It
+also looks ahead: a piece is built bit by bit in increasing position, and a
+bit is cut as soon as the image of the piece would give some higher level
+more monomials than that level's piece may have.  Images only grow as bits
+are added, so the cut loses no piece that fits, and the pieces still come in
+lexicographic order.  A node is a complete piece that fits every level it
+maps into, counted before the symmetry test.  Symmetry pruning quotients
 by variable permutations fixing the exponent vector; a state is discarded if
 relabelling makes its piece sequence strictly smaller in the prefix order, which
 keeps the lexicographically least member of every orbit and hence preserves
@@ -22,6 +30,7 @@ both the Exhausted status and the first candidate found.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import time
@@ -59,6 +68,11 @@ FOUND_NOTE = (
 )
 
 _SYMMETRY_GROUP_CAP = 720
+
+# pieces of the branching level per unit of work, and how many units a
+# process pool may have submitted ahead of the result being merged
+_SPAN_SIZE = 16
+_SPANS_AHEAD = 64
 
 
 @dataclass
@@ -126,7 +140,8 @@ class _Plan:
     degrees: list  # MultiDegree, ascending (total, lex)
     reqs: list  # dim I_D forced by the Hilbert function
     apolar_masks: list  # bitmask of monomials outside the divisor set of a
-    sources: list  # per degree: list of (src_index, table) with table[p] = mask
+    targets: list  # per degree: (target index, table, target req), with
+    # table[p] the mask of the shifts of monomial p into the target degree
     sym_tables: list  # per group element: per degree, table[p] = image bit
     growth_kill: dict | None  # witness when the disjoint-module rule rules out r
 
@@ -225,7 +240,7 @@ def _build_plan(F: Tensor, config: SearchConfig):
                 mask |= 1 << p
         apolar_masks.append(mask)
 
-    sources = [[] for _ in degrees]
+    targets = [[] for _ in degrees]
     for src_k, d in enumerate(degrees):
         for j, nj in enumerate(shape.factors):
             target = tuple(
@@ -241,7 +256,7 @@ def _build_plan(F: Tensor, config: SearchConfig):
                 for v in range(nj + 1):
                     bits |= 1 << tgt_index[m * Monomial.variable(shape, j, v)]
                 table.append(bits)
-            sources[tk].append((src_k, table))
+            targets[src_k].append((tk, table, reqs[tk]))
 
     sym_tables = []
     if config.symmetry_pruning:
@@ -261,7 +276,7 @@ def _build_plan(F: Tensor, config: SearchConfig):
         degrees=degrees,
         reqs=reqs,
         apolar_masks=apolar_masks,
-        sources=sources,
+        targets=targets,
         sym_tables=sym_tables,
         growth_kill=growth_kill,
     )
@@ -279,10 +294,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _pieces(M: int, free: list, extra: int):
-    """Every piece M plus `extra` bits of `free`, in lexicographic order."""
-    for combo in itertools.combinations([1 << p for p in free], extra):
-        yield M | sum(combo)
+# maps the digits of bin(mask) to the selector bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _image(mask: int, table: list) -> int:
+    """The union of table[p] over the bits p of mask."""
+    img = 0
+    selectors = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+    for bits in itertools.compress(table, selectors):
+        img |= bits
+    return img
 
 
 def _image_smaller(img: int, cur: int) -> int:
@@ -301,8 +323,10 @@ class _BudgetHit(Exception):
 class _Searcher:
     """Depth-first search below a fixed prefix, with its own node budget.
 
-    Level k reads only the pieces of lower levels, so `chosen` needs no
-    reset when a branch fails: every later level overwrites its entry."""
+    `carried[t]` is the image in level t of the pieces chosen so far, so at
+    level k it is the mandatory set.  Each assignment extends a copy of it,
+    and `chosen` needs no reset when a branch fails: every later level
+    overwrites its entry."""
 
     def __init__(self, plan: _Plan, budget, prunings: dict):
         self.plan = plan
@@ -320,44 +344,60 @@ class _Searcher:
     def _prune(self, cause):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
 
-    def level(self, chosen, k):
-        """The step at level k: the mandatory set M spanned by the shifts of
-        the lower pieces, then the two prunes.  Returns (M, free, extra),
-        every piece being M plus `extra` bits of `free`, or None when no
-        piece fits.  M stays inside the apolar mask: a multiple of a monomial
-        outside the divisor set of a is outside it too."""
-        plan = self.plan
-        M = 0
-        for src_k, table in plan.sources[k]:
-            m = chosen[src_k]
-            while m:
-                low = m & -m
-                M |= table[low.bit_length() - 1]
-                m ^= low
-        extra = plan.reqs[k] - M.bit_count()
-        if extra < 0:
-            self._prune("mandatory_overflow")
-            return None
-        free = list(_bits(plan.apolar_masks[k] & ~M))
-        if len(free) < extra:
-            self._prune("insufficient_candidates")
-            return None
-        return M, free, extra
+    def fitting(self, carried, k):
+        """Every piece at level k that fits, with its images in the target
+        levels, in lexicographic order of the added bits.
 
-    def assign(self, chosen, active, k, piece: int):
+        A piece is the mandatory set M = carried[k] plus req_k - |M| free
+        bits of the apolar mask, and fits when its image in every target t,
+        joined to carried[t], has at most req_t bits.  The bits are chosen
+        one at a time in increasing position, and a bit is cut as soon as a
+        target would overflow: adding bits only grows an image, so no
+        fitting piece is lost.  M stays inside the apolar mask: a multiple
+        of a monomial outside the divisor set of a is outside it too."""
+        plan = self.plan
+        M = carried[k]
+        targets = plan.targets[k]
+        images = []
+        for t, table, cap in targets:
+            img = carried[t] | _image(M, table)
+            if img.bit_count() > cap:
+                self._prune("mandatory_overflow")
+                return
+            images.append(img)
+        free = list(_bits(plan.apolar_masks[k] & ~M))
+        need = plan.reqs[k] - M.bit_count()
+        # the entry at depth d is (i, piece, images) with d bits chosen, all
+        # below free[i]; the branch that skips free[i] waits below the one
+        # that takes it
+        stack = [(0, M, images)]
+        while stack:
+            i, piece, images = stack.pop()
+            d = len(stack)
+            if d == need:
+                yield piece, images
+                continue
+            if i > len(free) - need + d:
+                continue  # too few free bits left
+            stack.append((i + 1, piece, images))
+            p = free[i]
+            grown = []
+            for (t, table, cap), img in zip(targets, images):
+                img |= table[p]
+                if img.bit_count() > cap:
+                    self._prune("mandatory_overflow")
+                    break
+                grown.append(img)
+            else:
+                stack.append((i + 1, piece | 1 << p, grown))
+
+    def assign(self, chosen, carried, active, k, piece: int, images):
         """Set piece at level k (counts a node), apply symmetry, descend."""
         self._spend()
         if active:
             next_active = []
             for g in active:
-                table = self.plan.sym_tables[g][k]
-                img = 0
-                m = piece
-                while m:
-                    low = m & -m
-                    img |= table[low.bit_length() - 1]
-                    m ^= low
-                cmp = _image_smaller(img, piece)
+                cmp = _image_smaller(_image(piece, self.plan.sym_tables[g][k]), piece)
                 if cmp < 0:
                     self._prune("symmetry")
                     return None
@@ -365,20 +405,25 @@ class _Searcher:
                     next_active.append(g)
             active = next_active
         chosen[k] = piece
-        return self.descend(chosen, active, k + 1)
+        return self.descend(chosen, _carry(self.plan, carried, k, images), active, k + 1)
 
-    def descend(self, chosen, active, k):
+    def descend(self, chosen, carried, active, k):
         """Explore level k onward; returns chosen pieces on success else None."""
         if k == len(self.plan.degrees):
             return list(chosen)
-        step = self.level(chosen, k)
-        if step is None:
-            return None
-        for piece in _pieces(*step):
-            result = self.assign(chosen, active, k, piece)
+        for piece, images in self.fitting(carried, k):
+            result = self.assign(chosen, carried, active, k, piece, images)
             if result is not None:
                 return result
         return None
+
+
+def _carry(plan: _Plan, carried, k, images):
+    """carried with the images of the piece at level k in its targets."""
+    carried = list(carried)
+    for (t, _, _), img in zip(plan.targets[k], images):
+        carried[t] = img
+    return carried
 
 
 # worker-side state, installed once per process
@@ -390,24 +435,26 @@ def _init_worker(*state):
     _WORKER_STATE = state
 
 
-def _run_chunk(span):
-    """Explore the pieces of the branching level with indices in [lo, hi).
+def _run_chunk(pieces):
+    """Explore the given pieces of the branching level in order.
 
     Each piece's subtree gets a fresh node budget.  Returns the pieces of
     the first Found (or None), whether any subtree hit the budget, and the
     nodes and prunings spent."""
-    lo, hi = span
-    plan, chosen, k, step, budget = _WORKER_STATE
+    plan, chosen, carried, k, budget = _WORKER_STATE
     chosen = list(chosen)
     # the forced prefix is fixed by every symmetry, so all of them are active
     active = list(range(len(plan.sym_tables)))
     prunings = {}
     nodes = 0
     budget_hit = False
-    for piece in itertools.islice(_pieces(*step), lo, hi):
+    for piece in pieces:
         searcher = _Searcher(plan, budget, prunings)
+        images = [
+            carried[t] | _image(piece, table) for t, table, _ in plan.targets[k]
+        ]
         try:
-            result = searcher.assign(chosen, active, k, piece)
+            result = searcher.assign(chosen, carried, active, k, piece, images)
         except _BudgetHit:
             budget_hit = True
             result = None
@@ -417,25 +464,48 @@ def _run_chunk(span):
     return None, budget_hit, nodes, prunings
 
 
+def _in_order(pool, spans):
+    """_run_chunk over spans on the pool, results in span order.  Spans are
+    submitted at most _SPANS_AHEAD ahead of the result being read, so a
+    Found run stops reading the piece stream soon after its span."""
+    pending = collections.deque(
+        pool.submit(_run_chunk, span) for span in itertools.islice(spans, _SPANS_AHEAD)
+    )
+    while pending:
+        result = pending.popleft().result()
+        for span in itertools.islice(spans, 1):
+            pending.append(pool.submit(_run_chunk, span))
+        yield result
+
+
 def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
-    """Walk the levels with a single piece, then split the first level with
-    more than one into spans and merge the span results in order.
+    """Walk the levels with a single fitting piece, then split the fitting
+    pieces of the first level with more than one into spans and merge the
+    span results in order.
 
     Returns (status, pieces).  Serial runs map the spans lazily, so both
     paths stop at the first span that finds a candidate."""
     global _WORKER_STATE
+    # every piece lies inside its apolar mask: a level whose mask is smaller
+    # than its req rules out every ideal before any piece is chosen
+    if any(m.bit_count() < req for m, req in zip(plan.apolar_masks, plan.reqs)):
+        stats.prunings["insufficient_candidates"] = 1
+        return EXHAUSTED, None
     searcher = _Searcher(plan, config.node_budget, stats.prunings)
     chosen = [0] * len(plan.degrees)
+    carried = [0] * len(plan.degrees)
     try:
         for k in range(len(plan.degrees)):
-            step = searcher.level(chosen, k)
-            if step is None:
+            stream = searcher.fitting(carried, k)
+            first = next(stream, None)
+            second = next(stream, None)
+            if first is None:
                 return EXHAUSTED, None
-            total = math.comb(len(step[1]), step[2])
-            if total > 1:
+            if second is not None:
                 break
             searcher._spend()
-            chosen[k] = next(_pieces(*step))
+            chosen[k] = first[0]
+            carried = _carry(plan, carried, k, first[1])
         else:
             return FOUND, chosen
     except _BudgetHit:
@@ -443,27 +513,30 @@ def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
     finally:
         stats.nodes = searcher.nodes
 
-    workers = min(config.parallel_width, total)
-    size = math.ceil(total / (workers * 4))
-    spans = [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-    init_args = (plan, chosen, k, step, config.node_budget)
+    # the stream is read lazily: a level can have more fitting pieces than
+    # could ever be listed, and a Found run needs only the first few
+    pieces = itertools.chain((first[0], second[0]), (piece for piece, _ in stream))
+    spans = iter(lambda: list(itertools.islice(pieces, _SPAN_SIZE)), [])
+    head = list(itertools.islice(spans, config.parallel_width))
+    spans = itertools.chain(head, spans)
+    init_args = (plan, chosen, carried, k, config.node_budget)
     pool = None
-    if workers > 1:
+    if len(head) > 1:
         pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=init_args
+            max_workers=len(head), initializer=_init_worker, initargs=init_args
         )
     else:
         _init_worker(*init_args)
     budget_hit = False
     try:
-        results = map(_run_chunk, spans) if pool is None else pool.map(_run_chunk, spans)
-        for pieces, hit, nodes, prunings in results:
+        results = map(_run_chunk, spans) if pool is None else _in_order(pool, spans)
+        for found, hit, nodes, prunings in results:
             stats.nodes += nodes
             budget_hit = budget_hit or hit
             for cause, count in prunings.items():
                 stats.prunings[cause] = stats.prunings.get(cause, 0) + count
-            if pieces is not None:
-                return FOUND, pieces
+            if found is not None:
+                return FOUND, found
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -589,8 +662,9 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
 
     The outcome status is Exhausted (certificate: br > r up to the horizon
     constraints), Found (candidate ideal, nothing certified), or
-    BudgetExceeded.  Given the same config the status and candidate are
-    deterministic, independent of parallel_width; statistics are not.
+    BudgetExceeded.  Given the same config the status, the candidate and the
+    node count are deterministic, independent of parallel_width; the pruning
+    counts of a Found run are not.
     """
     t0 = time.perf_counter()
     plan, mons_by_degree = _build_plan(F, config)

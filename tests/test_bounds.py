@@ -62,7 +62,9 @@ def test_chart_upper_bound():
 
 def test_disjoint_module_flagship_witness():
     F = single(4, 4, 4, 3)
-    value, witness = disjoint_module_lower_bound(F)
+    value, witness = disjoint_module_lower_bound(
+        F, catalecticant_lower_bound(F), upper_bound_monomial(F)[0]
+    )
     assert value == 86
     assert witness["ruled_out_r"] == 85
     assert witness["degree"] == 8
@@ -89,7 +91,9 @@ def test_disjoint_module_matches_closed_form_on_p2():
                 if a + b + c > 9:
                     continue
                 F = single(a, b, c)
-                value, _ = disjoint_module_lower_bound(F)
+                value, _ = disjoint_module_lower_bound(
+                    F, catalecticant_lower_bound(F), upper_bound_monomial(F)[0]
+                )
                 assert value == closed_form_border_rank(F)
                 count += 1
     assert count == 23
@@ -100,15 +104,16 @@ def test_disjoint_module_never_exceeds_chart():
         if sum(exps) == 0:
             continue
         F = single(*exps)
-        value, _ = disjoint_module_lower_bound(F)
+        cat = catalecticant_lower_bound(F)
         upper, _ = upper_bound_monomial(F)
-        assert catalecticant_lower_bound(F) <= value <= upper
+        value, _ = disjoint_module_lower_bound(F, cat, upper)
+        assert cat <= value <= upper
 
 
 def test_disjoint_module_requires_single_factor():
     F = Tensor.monomial(FactorShape([1, 1]), [(1, 0), (1, 0)])
     with pytest.raises(PreconditionError):
-        disjoint_module_lower_bound(F)
+        disjoint_module_lower_bound(F, 1, 4)
     with pytest.raises(PreconditionError):
         disjoint_module_obstruction(F, 2, 2)
 

@@ -136,12 +136,12 @@ def disjoint_module_obstruction(F: Tensor, r: int, max_degree: int):
     return None
 
 
-def disjoint_module_lower_bound(F: Tensor, cat: int, upper: int):
+def disjoint_module_lower_bound(F: Tensor):
     """Lower bound for monomials on one projective space via Lex-bar growth.
 
-    Tries the disjoint-module rule on every candidate r from the chart bound
-    `upper` - 1 down to the catalecticant bound `cat`, at every degree up to
-    |L|; the first r it rules out gives border rank at least r + 1.
+    Tries the disjoint-module rule on every candidate r below the chart
+    bound, from the top, at every degree up to |L|; the first r it rules
+    out gives border rank at least r + 1.
 
     Returns (value, witness); witness is None when the catalecticant bound
     was never improved.
@@ -149,6 +149,14 @@ def disjoint_module_lower_bound(F: Tensor, cat: int, upper: int):
     _monomial_exponents(F)
     if F.shape.num_factors != 1:
         raise PreconditionError("disjoint-module bound applies to a single factor")
+    upper, _ = upper_bound_monomial(F)
+    return _disjoint_module_scan(F, catalecticant_lower_bound(F), upper)
+
+
+def _disjoint_module_scan(F: Tensor, cat: int, upper: int):
+    """disjoint_module_lower_bound(F) for a monomial F on one projective
+    space, given cat = catalecticant_lower_bound(F) and upper = its chart
+    bound: r runs from upper - 1 down to cat."""
     for r in range(upper - 1, cat - 1, -1):
         witness = disjoint_module_obstruction(F, r, sum(F.degree))
         if witness is not None:
@@ -295,7 +303,7 @@ def bounds_report(F: Tensor) -> BoundReport:
 
     lower, lower_provenance, lower_witness = cat, "catalecticant", {}
     if F.shape.num_factors == 1:
-        dm, dm_witness = disjoint_module_lower_bound(F, cat, upper)
+        dm, dm_witness = _disjoint_module_scan(F, cat, upper)
         components["disjoint_module"] = {"value": dm, "witness": dm_witness}
         if dm > lower:
             lower, lower_provenance, lower_witness = dm, "disjoint-module", dm_witness

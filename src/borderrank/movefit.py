@@ -69,9 +69,8 @@ FOUND_NOTE = (
 
 _SYMMETRY_GROUP_CAP = 720
 
-# pieces of the branching level per unit of work, and how many units a
-# process pool may have submitted ahead of the result being merged
-_SPAN_SIZE = 16
+# how many spans of the branching level a process pool may have submitted
+# ahead of the result being merged
 _SPANS_AHEAD = 64
 
 
@@ -464,6 +463,18 @@ def _run_chunk(pieces):
     return None, budget_hit, nodes, prunings
 
 
+def _spans(pieces, workers):
+    """Consecutive runs of pieces, read lazily.  A span holds one piece for
+    every 4 * workers pieces read before it, and at least one: the first
+    spans are single pieces, so a level of two pieces already keeps two
+    workers busy, and a level of N pieces makes O(workers * log N) spans,
+    none much larger than a 1/(4 * workers) share of it."""
+    read = 0
+    while span := list(itertools.islice(pieces, max(1, read // (4 * workers)))):
+        read += len(span)
+        yield span
+
+
 def _in_order(pool, spans):
     """_run_chunk over spans on the pool, results in span order.  Spans are
     submitted at most _SPANS_AHEAD ahead of the result being read, so a
@@ -483,8 +494,8 @@ def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
     pieces of the first level with more than one into spans and merge the
     span results in order.
 
-    Returns (status, pieces).  Serial runs map the spans lazily, so both
-    paths stop at the first span that finds a candidate."""
+    Returns (status, pieces).  Both paths read the spans lazily and stop at
+    the first span that finds a candidate."""
     global _WORKER_STATE
     # every piece lies inside its apolar mask: a level whose mask is smaller
     # than its req rules out every ideal before any piece is chosen
@@ -516,9 +527,8 @@ def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
     # the stream is read lazily: a level can have more fitting pieces than
     # could ever be listed, and a Found run needs only the first few
     pieces = itertools.chain((first[0], second[0]), (piece for piece, _ in stream))
-    spans = iter(lambda: list(itertools.islice(pieces, _SPAN_SIZE)), [])
-    head = list(itertools.islice(spans, config.parallel_width))
-    spans = itertools.chain(head, spans)
+    head = list(itertools.islice(pieces, config.parallel_width))
+    spans = _spans(itertools.chain(head, pieces), len(head))
     init_args = (plan, chosen, carried, k, config.node_budget)
     pool = None
     if len(head) > 1:

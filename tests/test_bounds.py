@@ -62,9 +62,7 @@ def test_chart_upper_bound():
 
 def test_disjoint_module_flagship_witness():
     F = single(4, 4, 4, 3)
-    value, witness = disjoint_module_lower_bound(
-        F, catalecticant_lower_bound(F), upper_bound_monomial(F)[0]
-    )
+    value, witness = disjoint_module_lower_bound(F)
     assert value == 86
     assert witness["ruled_out_r"] == 85
     assert witness["degree"] == 8
@@ -91,9 +89,7 @@ def test_disjoint_module_matches_closed_form_on_p2():
                 if a + b + c > 9:
                     continue
                 F = single(a, b, c)
-                value, _ = disjoint_module_lower_bound(
-                    F, catalecticant_lower_bound(F), upper_bound_monomial(F)[0]
-                )
+                value, _ = disjoint_module_lower_bound(F)
                 assert value == closed_form_border_rank(F)
                 count += 1
     assert count == 23
@@ -104,16 +100,15 @@ def test_disjoint_module_never_exceeds_chart():
         if sum(exps) == 0:
             continue
         F = single(*exps)
-        cat = catalecticant_lower_bound(F)
+        value, _ = disjoint_module_lower_bound(F)
         upper, _ = upper_bound_monomial(F)
-        value, _ = disjoint_module_lower_bound(F, cat, upper)
-        assert cat <= value <= upper
+        assert catalecticant_lower_bound(F) <= value <= upper
 
 
 def test_disjoint_module_requires_single_factor():
     F = Tensor.monomial(FactorShape([1, 1]), [(1, 0), (1, 0)])
     with pytest.raises(PreconditionError):
-        disjoint_module_lower_bound(F, 1, 4)
+        disjoint_module_lower_bound(F)
     with pytest.raises(PreconditionError):
         disjoint_module_obstruction(F, 2, 2)
 
@@ -267,6 +262,23 @@ def test_report_sandwich_shape():
     assert report.upper_provenance == "chart"
     assert report.components["catalecticant"]["value"] == 70
     assert report.lower <= report.upper
+
+
+def test_report_computes_catalecticant_once(monkeypatch):
+    # the disjoint-module scan starts from the report's own catalecticant
+    # bound instead of computing it again
+    from borderrank import bounds
+
+    calls = []
+
+    def counted(F):
+        calls.append(F)
+        return catalecticant_lower_bound(F)
+
+    monkeypatch.setattr(bounds, "catalecticant_lower_bound", counted)
+    report = bounds_report(single(4, 4, 4, 3))
+    assert report.lower == 86 and report.components["disjoint_module"]["value"] == 86
+    assert len(calls) == 1
 
 
 def test_report_rejects_inverted_sandwich():

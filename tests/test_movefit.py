@@ -403,6 +403,36 @@ def test_found_reads_branching_level_lazily(width):
     assert outcome.statistics.nodes == 5
 
 
+@pytest.mark.parametrize(
+    "n, exps, kwargs, status",
+    [
+        (2, (2, 2, 2), {"r": 8, "horizon": 5}, EXHAUSTED),
+        (3, (2, 2, 1, 1), {"r": 11, "horizon": 5}, EXHAUSTED),
+        (4, (1, 1, 1, 1, 1), {"r": 15}, EXHAUSTED),
+        (4, (2, 2, 1, 1, 1), {"r": 23, "node_budget": 2}, BUDGET_EXCEEDED),
+    ],
+)
+def test_pool_merges_like_serial(monkeypatch, n, exps, kwargs, status):
+    # the first three cases branch on levels of two to five pieces; at
+    # width 2 even those go through the pool, and the merged status, nodes
+    # and prunings must equal the serial run's
+    F = Tensor.monomial(FactorShape([n]), [exps])
+    serial = search(F, SearchConfig(**kwargs))
+    submitted = []
+
+    class CountingPool(movefit.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(movefit, "ProcessPoolExecutor", CountingPool)
+    pooled = search(F, SearchConfig(parallel_width=2, **kwargs))
+    assert len(submitted) >= 2
+    assert pooled.status == serial.status == status
+    assert pooled.statistics.nodes == serial.statistics.nodes
+    assert pooled.statistics.prunings == serial.statistics.prunings
+
+
 def test_parallel_exhausted_deterministic():
     F = Tensor.monomial(FactorShape([3]), [(2, 2, 1, 1)])
     seq = search(F, SearchConfig(r=11, horizon=5))

@@ -230,9 +230,8 @@ def minimal_border_rank_generator_test(F: Tensor):
         )
     if not is_concise(F):
         raise PreconditionError("generator test needs a concise tensor")
-    a = F.shape.factors[0]
     count = piece_generator_count(F.shape, F.degree, lambda E: apolar_piece(F, E))
-    return count, (HOLDS if count >= a else NOT_MINIMAL)
+    return _generator_verdict(F, count)
 
 
 def minimal_border_rank_quotient_test(F: Tensor, i: int = None):
@@ -248,12 +247,46 @@ def minimal_border_rank_quotient_test(F: Tensor, i: int = None):
         raise PreconditionError(
             f"factor {i} has dimension {F.shape.factors[i]}, not the maximal {max_dim}"
         )
+    return _quotient_verdict(F, i, _products_rank(F, i))
+
+
+def _products_rank(F: Tensor, i: int) -> int:
+    """rank of F^⊥_{L - e_i} * S_{e_i} inside S_L, for a concise F."""
     # a concise tensor has L >= e_i, so the lower degree is effective
     lower_degree = degree_sub(F.degree, F.shape.unit_degree(i))
     products = times_variables(F.shape, apolar_piece(F, lower_degree), lower_degree, i)
-    quotient_dim = piece_dimension(F.shape, F.degree) - linalg.rank(products)
-    threshold = max_dim + 1  # dim S_{deg alpha_i}
+    return linalg.rank(products)
+
+
+def _generator_verdict(F: Tensor, count: int):
+    return count, (HOLDS if count >= F.shape.factors[0] else NOT_MINIMAL)
+
+
+def _quotient_verdict(F: Tensor, i: int, products_rank: int):
+    quotient_dim = piece_dimension(F.shape, F.degree) - products_rank
+    threshold = F.shape.factors[i] + 1  # dim S_{deg alpha_i}
     return quotient_dim, (HOLDS if quotient_dim >= threshold else NOT_MINIMAL)
+
+
+def _minimal_tests(F: Tensor):
+    """(generator test, quotient test) of F as the public functions return
+    them, None for a test whose precondition F fails.
+
+    On one factor both tests reduce the same matrix F^⊥_{L-1} * S_1, so its
+    rank is computed once and handed to both verdicts."""
+    if F.shape.num_factors == 1:
+        if not is_concise(F):
+            return None, None
+        products_rank = _products_rank(F, 0)
+        count = apolar_piece_dimension(F, F.degree) - products_rank
+        return _generator_verdict(F, count), _quotient_verdict(F, 0, products_rank)
+    results = []
+    for test in (minimal_border_rank_generator_test, minimal_border_rank_quotient_test):
+        try:
+            results.append(test(F))
+        except PreconditionError:
+            results.append(None)
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +302,21 @@ def bounds_report(F: Tensor) -> BoundReport:
     if not F.is_monomial:
         # general tensors get the catalecticant floor and, where defined,
         # the two necessary minimal-border-rank tests
-        if len(set(F.shape.factors)) == 1:
-            try:
-                count, verdict = minimal_border_rank_generator_test(F)
-                components["minimal_generator_test"] = {
-                    "count": count,
-                    "threshold": F.shape.factors[0],
-                    "verdict": verdict,
-                }
-            except PreconditionError:
-                pass
-        try:
-            qdim, verdict = minimal_border_rank_quotient_test(F)
+        generator, quotient = _minimal_tests(F)
+        if generator is not None:
+            count, verdict = generator
+            components["minimal_generator_test"] = {
+                "count": count,
+                "threshold": F.shape.factors[0],
+                "verdict": verdict,
+            }
+        if quotient is not None:
+            qdim, verdict = quotient
             components["minimal_quotient_test"] = {
                 "dimension": qdim,
                 "threshold": max(F.shape.factors) + 1,
                 "verdict": verdict,
             }
-        except PreconditionError:
-            pass
         return BoundReport(
             lower=cat,
             lower_provenance="catalecticant",

@@ -26,6 +26,7 @@ from borderrank.errors import (
     PreconditionError,
     UnsupportedShapeError,
 )
+from borderrank.movefit import EXHAUSTED, FOUND, SearchConfig, search
 from borderrank.ring import FactorShape, Monomial, enumerate_monomials
 
 
@@ -281,6 +282,34 @@ def test_report_computes_catalecticant_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_report_reduces_shared_product_matrix_once(monkeypatch):
+    # on one factor the generator and quotient tests both need the rank of
+    # F^perp_3 * S_1 (30 * 5 = 150 rows over S_4); the report reduces it once
+    from borderrank import linalg
+
+    shape = FactorShape([4])
+    rng = random.Random(4)
+    coeffs = {m: rng.choice([-2, -1, 1, 2]) for m in enumerate_monomials(shape, (4,))}
+    F = Tensor(shape, (4,), coeffs)
+    heights = []
+    row_echelon = linalg.row_echelon
+
+    def counted(rows):
+        heights.append(len(rows))
+        return row_echelon(rows)
+
+    monkeypatch.setattr(linalg, "row_echelon", counted)
+    report = bounds_report(F)
+    assert report.components["minimal_generator_test"]["count"] == 0
+    assert report.components["minimal_quotient_test"]["dimension"] == 1
+    assert heights.count(150) == 1
+    # 5 catalecticants, conciseness, F^perp_3, the product matrix, dim F^perp_4
+    assert len(heights) == 9
+    monkeypatch.undo()
+    assert minimal_border_rank_generator_test(F) == (0, NOT_MINIMAL)
+    assert minimal_border_rank_quotient_test(F) == (1, NOT_MINIMAL)
+
+
 def test_report_rejects_inverted_sandwich():
     with pytest.raises(BorderRankError):
         BoundReport(
@@ -317,3 +346,46 @@ def test_report_monotone_under_exponent_growth():
     bigger = bounds_report(single(3, 2, 2))
     assert bigger.lower >= prev.lower
     assert bigger.upper >= prev.upper
+
+
+# ---------------------------------------------------------------------------
+# Bounds against search
+# ---------------------------------------------------------------------------
+
+def _descending(n, max_total):
+    # exponent vectors up to a permutation of the variables
+    for e in iter_product(range(max_total + 1), repeat=n):
+        if list(e) == sorted(e, reverse=True) and 1 <= sum(e) <= max_total:
+            yield e
+
+
+def _bounds_against_search_cases():
+    cases = [(FactorShape([1]), [e]) for e in _descending(2, 12)]
+    cases += [(FactorShape([2]), [e]) for e in _descending(3, 8)]
+    cases += [(FactorShape([3]), [e]) for e in _descending(4, 9)]
+    cases += [
+        (FactorShape([2, 1]), [a, b])
+        for a in _descending(3, 4)
+        for b in _descending(2, 4)
+        if sum(a) + sum(b) <= 5
+    ]
+    return cases
+
+
+def test_bounds_agree_with_search():
+    # a certified lower bound L means no move-fit ideal at r = L - 1, and a
+    # settled value v means one exists at r = v
+    exhausted = found = 0
+    cases = _bounds_against_search_cases()
+    for shape, blocks in cases:
+        F = Tensor.monomial(shape, blocks)
+        report = bounds_report(F)
+        if report.lower >= 2:
+            outcome = search(F, SearchConfig(r=report.lower - 1))
+            assert outcome.status == EXHAUSTED, (shape.factors, blocks, report.lower)
+            exhausted += 1
+        if report.lower == report.upper:
+            outcome = search(F, SearchConfig(r=report.lower))
+            assert outcome.status == FOUND, (shape.factors, blocks, report.lower)
+            found += 1
+    assert (len(cases), exhausted, found) == (189, 150, 178)

@@ -17,3 +17,18 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_linalg_has_no_float_or_true_division():
+    # certificates rest on exact ranks: an int `/` would silently make the
+    # elimination a float computation, so linalg.py uses no `/` at all
+    path = PACKAGE / "linalg.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"true division at line {node.lineno}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"float at line {node.lineno}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"float literal at line {node.lineno}")
+    assert found == []

@@ -30,6 +30,7 @@ from .ring import (
     monomial_from_json,
     monomial_to_json,
     piece_dimension,
+    product_table,
     shape_from_json,
 )
 
@@ -169,11 +170,10 @@ def catalecticant(F: Tensor, D) -> list:
     if not degree_is_effective(D):
         raise PreconditionError(f"catalecticant degree {D} is not effective")
     comp = degree_sub(F.degree, D)
-    col_basis = enumerate_monomials(F.shape, comp) if degree_is_effective(comp) else ()
-    return [
-        [F.coefficient(e * m) for m in col_basis]
-        for e in enumerate_monomials(F.shape, D)
-    ]
+    if not degree_is_effective(comp):
+        return [[] for _ in range(piece_dimension(F.shape, D))]
+    values = [F.coefficient(m) for m in enumerate_monomials(F.shape, F.degree)]
+    return [[values[i] for i in row] for row in product_table(F.shape, comp, D)]
 
 
 def apolar_piece(F: Tensor, D) -> list:

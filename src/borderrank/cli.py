@@ -40,14 +40,18 @@ from .ring import monomial_to_text
 JOBS_ENV_VAR = "BORDERRANK_JOBS"
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise PreconditionError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}")
+def _jobs(flag: int | None) -> int:
+    """The worker count: --jobs when given, else $BORDERRANK_JOBS, else 1."""
+    if flag is not None:
+        value, source = flag, "--jobs"
+    else:
+        raw, source = os.environ.get(JOBS_ENV_VAR, "1"), JOBS_ENV_VAR
+        try:
+            value = int(raw)
+        except ValueError:
+            raise PreconditionError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}")
     if value < 1:
-        raise PreconditionError(f"{JOBS_ENV_VAR} must be >= 1, got {value}")
+        raise PreconditionError(f"{source} must be >= 1, got {value}")
     return value
 
 
@@ -131,7 +135,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         horizon=args.horizon,
         symmetry_pruning=not args.no_symmetry,
         growth_pruning=args.growth_prune,
-        parallel_width=args.jobs if args.jobs is not None else _default_jobs(),
+        parallel_width=_jobs(args.jobs),
         node_budget=args.budget,
     )
     F = load_tensor(args.tensor)
@@ -276,7 +280,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         _emit({"command": "corpus", "action": "list", "cases": cases}, args.output)
         return EXIT_OK
 
-    jobs = args.jobs or _default_jobs()
+    jobs = _jobs(args.jobs)
     selected = [c for c in catalog if args.target == "all" or c["name"] == args.target]
     if not selected:
         raise ParseError(f"no corpus case named {args.target!r}")

@@ -15,7 +15,6 @@ saturated, while finding none is inconclusive.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
 
 from . import linalg
 from .apolarity import Tensor, poly_degree
@@ -31,6 +30,8 @@ from .ring import (
     monomial_from_json,
     monomial_to_json,
     piece_dimension,
+    positions,
+    product_table,
     shape_from_json,
 )
 
@@ -116,17 +117,17 @@ class GradedIdeal:
     def piece_rows(self, D) -> list:
         """Coefficient rows spanning I_D over the grevlex basis of S_D."""
         D = self.shape.check_degree(D)
-        basis = enumerate_monomials(self.shape, D)
-        index = {m: i for i, m in enumerate(basis)}
+        size = piece_dimension(self.shape, D)
         rows = []
         for gen_degree, poly in self.generators:
             shift = degree_sub(D, gen_degree)
             if not degree_is_effective(shift):
                 continue
-            for mult in enumerate_monomials(self.shape, shift):
-                row = [Fraction(0)] * len(basis)
-                for m, c in poly.items():
-                    row[index[m * mult]] += c
+            terms = _term_positions(self.shape, gen_degree, poly)
+            for shifted in product_table(self.shape, gen_degree, shift):
+                row = [Fraction(0)] * size
+                for p, c in terms:
+                    row[shifted[p]] += c
                 rows.append(row)
         return rows
 
@@ -135,6 +136,12 @@ class GradedIdeal:
 
     def __repr__(self):
         return f"GradedIdeal({self.shape.factors}, {len(self.generators)} gens)"
+
+
+def _term_positions(shape: FactorShape, D, poly) -> list:
+    """(position in the grevlex basis of S_D, coefficient) for each term."""
+    pos = positions(shape, D)
+    return [(pos[m.flat()], c) for m, c in poly.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +195,11 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.shape, gens)
 
 
-def irrelevant_generators(shape: FactorShape) -> tuple:
-    """Generators of the irrelevant ideal B: one variable from each factor."""
-    choices = [range(a + 1) for a in shape.factors]
-    gens = []
-    for pick in iter_product(*choices):
-        exps = [[0] * (a + 1) for a in shape.factors]
-        for j, i in enumerate(pick):
-            exps[j][i] = 1
-        gens.append(Monomial(exps))
-    return tuple(gens)
-
-
 def colon_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
-    """(I : B) as the intersection of (I : b) over the generators b of B."""
+    """(I : B) as the intersection of (I : b) over the generators b of B,
+    the monomials of degree (1, ..., 1): one variable from each factor."""
     result = None
-    for b in irrelevant_generators(I.shape):
+    for b in enumerate_monomials(I.shape, (1,) * I.shape.num_factors):
         piece = colon(I, b)
         result = piece if result is None else intersect(result, piece)
     return result
@@ -243,14 +239,14 @@ def contained_in_apolar(I, F: Tensor) -> bool:
     if isinstance(I, GradedIdeal):
         if I.shape != F.shape:
             raise ShapeMismatchError("ideal and tensor shapes differ")
+        values = [F.coefficient(m) for m in enumerate_monomials(F.shape, L)]
         for gen_degree, poly in I.generators:
             shift = degree_sub(L, gen_degree)
             if not degree_is_effective(shift):
                 continue  # annihilates automatically
-            for mult in enumerate_monomials(F.shape, shift):
-                value = sum((c * F.coefficient(m * mult) for m, c in poly.items()),
-                            Fraction(0))
-                if value != 0:
+            terms = _term_positions(F.shape, gen_degree, poly)
+            for shifted in product_table(F.shape, gen_degree, shift):
+                if sum((c * values[shifted[p]] for p, c in terms), Fraction(0)):
                     return False
         return True
     raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
@@ -277,30 +273,27 @@ def minimal_generator_count(I, D) -> int:
     dim_piece = len(monomial_piece(I, D))
     products = set()
     for j in range(shape.num_factors):
-        lower = degree_sub(D, shape.unit_degree(j))
+        unit = shape.unit_degree(j)
+        lower = degree_sub(D, unit)
         if not degree_is_effective(lower):
             continue
-        lower_mons = monomial_piece(I, lower)
-        for i in range(shape.factors[j] + 1):
-            var = Monomial.variable(shape, j, i)
-            products.update(m * var for m in lower_mons)
+        pos = positions(shape, lower)
+        lower_positions = [pos[m.flat()] for m in monomial_piece(I, lower)]
+        for shifted in product_table(shape, lower, unit):
+            products.update(shifted[p] for p in lower_positions)
     return dim_piece - len(products)
 
 
 def times_variables(shape: FactorShape, rows, E, j: int) -> list:
     """Rows spanning V * S_{e_j} in S_{E + e_j}, where V is spanned by rows
     over the grevlex basis of S_E: every row times every variable of factor j."""
-    basis = enumerate_monomials(shape, E)
-    up_basis = enumerate_monomials(shape, degree_add(E, shape.unit_degree(j)))
-    up_index = {m: i for i, m in enumerate(up_basis)}
-    shifts = [
-        [up_index[m * Monomial.variable(shape, j, i)] for m in basis]
-        for i in range(shape.factors[j] + 1)
-    ]
+    unit = shape.unit_degree(j)
+    size = piece_dimension(shape, degree_add(E, unit))
+    shifts = product_table(shape, E, unit)
     products = []
     for row in rows:
         for shifted in shifts:
-            prod = [Fraction(0)] * len(up_basis)
+            prod = [Fraction(0)] * size
             for col, c in enumerate(row):
                 if c:
                     prod[shifted[col]] = c
@@ -342,21 +335,18 @@ def iterated_colon_piece(I, D, steps: int, _memo=None):
         _memo[key] = rows
         return rows
 
-    ones = tuple(1 for _ in shape.factors)
+    ones = (1,) * shape.num_factors
     up = degree_add(D, ones)
     upper = iterated_colon_piece(I, up, steps - 1, _memo)
-    basis = enumerate_monomials(shape, D)
-    up_basis = enumerate_monomials(shape, up)
-    up_index = {m: i for i, m in enumerate(up_basis)}
-    # f in V iff f*b lands in span(upper) for every B-generator b; membership
-    # in a span is vanishing against the null space of its row matrix
-    normals = linalg.kernel_basis(upper, len(up_basis))
+    # f in V iff f*b lands in span(upper) for every B-generator b, the
+    # monomials of degree (1, ..., 1); membership in a span is vanishing
+    # against the null space of its row matrix
+    normals = linalg.kernel_basis(upper, piece_dimension(shape, up))
     constraints = []
-    for b in irrelevant_generators(shape):
-        shifted = [up_index[m * b] for m in basis]
+    for shifted in product_table(shape, D, ones):
         for normal in normals:
             constraints.append([normal[s] for s in shifted])
-    vectors = linalg.kernel_basis(constraints, len(basis))
+    vectors = linalg.kernel_basis(constraints, piece_dimension(shape, D))
     rows, _ = linalg.row_echelon(vectors)
     _memo[key] = rows
     return rows

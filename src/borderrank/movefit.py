@@ -33,6 +33,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -50,11 +51,14 @@ from .ideals import (
 )
 from .ring import (
     Monomial,
+    degree_add,
     degree_le,
     degrees_up_to,
     enumerate_monomials,
     generic_hilbert,
     piece_dimension,
+    positions,
+    product_table,
 )
 
 EXHAUSTED = "Exhausted"
@@ -146,59 +150,32 @@ class _Plan:
 
 
 def _variable_permutations(a: Monomial):
-    """All permutations of variables, factor by factor, fixing the exponent
-    vector of a.  Returned as tuples of per-factor index maps, identity
-    excluded; falls back to class transpositions if the group is large."""
-    per_factor = []
-    for block in a.exponents:
-        classes = {}
-        for i, e in enumerate(block):
-            classes.setdefault(e, []).append(i)
-        factor_perms = []
-        for assignment in itertools.product(
-            *(itertools.permutations(idxs) for idxs in classes.values())
-        ):
-            mapping = list(range(len(block)))
-            for idxs, image in zip(classes.values(), assignment):
-                for src, dst in zip(idxs, image):
-                    mapping[src] = dst
-            factor_perms.append(tuple(mapping))
-        per_factor.append(factor_perms)
+    """Permutations of the variables, factor by factor, fixing the exponent
+    vector of a, identity excluded.  An element g maps a flat exponent tuple
+    f to tuple(f[x] for x in g).  Above _SYMMETRY_GROUP_CAP elements only
+    the transpositions of neighbours in each class are returned: a
+    generating set is still a sound (weaker) pruning group."""
+    classes = {}
+    flat_index = itertools.count()
+    for j, block in enumerate(a.exponents):
+        for e in block:
+            classes.setdefault((j, e), []).append(next(flat_index))
+    classes = list(classes.values())
+    identity = tuple(range(len(a.flat())))
 
-    order = math.prod(len(p) for p in per_factor)
-    if order > _SYMMETRY_GROUP_CAP:
-        # a generating set is still a sound (weaker) pruning group
-        elements = set()
-        for j, block in enumerate(a.exponents):
-            classes = {}
-            for i, e in enumerate(block):
-                classes.setdefault(e, []).append(i)
-            for idxs in classes.values():
-                for s, t in zip(idxs, idxs[1:]):
-                    mapping = list(range(len(block)))
-                    mapping[s], mapping[t] = t, s
-                    element = tuple(
-                        tuple(mapping) if jj == j else tuple(range(len(b)))
-                        for jj, b in enumerate(a.exponents)
-                    )
-                    elements.add(element)
-        return sorted(elements)
+    def moved(pairs):
+        g = list(identity)
+        for src, dst in pairs:
+            g[src] = dst
+        return tuple(g)
 
-    identity = tuple(tuple(range(len(b))) for b in a.exponents)
-    elements = [
-        e for e in itertools.product(*per_factor) if e != identity
-    ]
-    return elements
-
-
-def _apply_variable_permutation(m: Monomial, element) -> Monomial:
-    blocks = []
-    for block, mapping in zip(m.exponents, element):
-        new = [0] * len(block)
-        for i, e in enumerate(block):
-            new[mapping[i]] = e
-        blocks.append(tuple(new))
-    return Monomial(blocks)
+    if math.prod(math.factorial(len(c)) for c in classes) > _SYMMETRY_GROUP_CAP:
+        return [moved([(s, t), (t, s)]) for c in classes for s, t in zip(c, c[1:])]
+    elements = (
+        moved(pair for c, image in zip(classes, images) for pair in zip(c, image))
+        for images in itertools.product(*map(itertools.permutations, classes))
+    )
+    return [g for g in elements if g != identity]
 
 
 def _build_plan(F: Tensor, config: SearchConfig):
@@ -225,53 +202,43 @@ def _build_plan(F: Tensor, config: SearchConfig):
     # degree 0 is left out: I_0 = 0 for every r >= 1
     degrees = degrees_up_to(shape.num_factors, horizon)[1:]
     deg_index = {d: k for k, d in enumerate(degrees)}
-    mons_by_degree = [enumerate_monomials(shape, d) for d in degrees]
-    index_by_degree = [
-        {m: p for p, m in enumerate(mons)} for mons in mons_by_degree
-    ]
+    pos_by_degree = [positions(shape, d) for d in degrees]
 
     reqs, apolar_masks = [], []
-    for d, mons in zip(degrees, mons_by_degree):
-        reqs.append(len(mons) - generic_hilbert(config.r, shape, d))
+    for d, pos in zip(degrees, pos_by_degree):
+        reqs.append(len(pos) - generic_hilbert(config.r, shape, d))
         mask = 0
-        for p, m in enumerate(mons):
-            if not degree_le(m.flat(), a.flat()):
+        for p, f in enumerate(pos):
+            if not degree_le(f, a.flat()):
                 mask |= 1 << p
         apolar_masks.append(mask)
 
     targets = [[] for _ in degrees]
     for src_k, d in enumerate(degrees):
-        for j, nj in enumerate(shape.factors):
-            target = tuple(
-                x + (1 if jj == j else 0) for jj, x in enumerate(d)
-            )
-            tk = deg_index.get(target)
+        for j in range(shape.num_factors):
+            unit = shape.unit_degree(j)
+            tk = deg_index.get(degree_add(d, unit))
             if tk is None:
                 continue
-            tgt_index = index_by_degree[tk]
-            table = []
-            for m in mons_by_degree[src_k]:
-                bits = 0
-                for v in range(nj + 1):
-                    bits |= 1 << tgt_index[m * Monomial.variable(shape, j, v)]
-                table.append(bits)
+            # the shifts of a monomial by distinct variables are distinct
+            # monomials, so the sum of their bits is their union
+            products = product_table(shape, d, unit)
+            table = [sum(1 << t for t in shifts) for shifts in zip(*products)]
             targets[src_k].append((tk, table, reqs[tk]))
 
     sym_tables = []
     if config.symmetry_pruning:
-        for element in _variable_permutations(a):
-            tables = []
-            for mons, idx in zip(mons_by_degree, index_by_degree):
-                tables.append(
-                    [1 << idx[_apply_variable_permutation(m, element)] for m in mons]
-                )
-            sym_tables.append(tables)
+        for g in _variable_permutations(a):
+            permute = operator.itemgetter(*g)  # f -> tuple(f[x] for x in g)
+            sym_tables.append(
+                [[1 << pos[permute(f)] for f in pos] for pos in pos_by_degree]
+            )
 
     growth_kill = None
     if config.growth_pruning:
         growth_kill = disjoint_module_obstruction(F, config.r, horizon - 1)
 
-    plan = _Plan(
+    return _Plan(
         degrees=degrees,
         reqs=reqs,
         apolar_masks=apolar_masks,
@@ -279,7 +246,6 @@ def _build_plan(F: Tensor, config: SearchConfig):
         sym_tables=sym_tables,
         growth_kill=growth_kill,
     )
-    return plan, mons_by_degree
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +521,7 @@ def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
     return (BUDGET_EXCEEDED if budget_hit else EXHAUSTED), None
 
 
-def _finish(plan, mons_by_degree, F, config, horizon, status, pieces, stats, t0):
+def _finish(plan, F, config, horizon, status, pieces, stats, t0):
     stats.wall_time_seconds = time.perf_counter() - t0
     candidate = None
     candidate_pieces = None
@@ -564,7 +530,8 @@ def _finish(plan, mons_by_degree, F, config, horizon, status, pieces, stats, t0)
         candidate_pieces = {}
         monomials = []
         for k, degree in enumerate(plan.degrees):
-            chosen = [mons_by_degree[k][p] for p in _bits(pieces[k])]
+            mons = enumerate_monomials(F.shape, degree)
+            chosen = [mons[p] for p in _bits(pieces[k])]
             chosen.sort(key=Monomial.grevlex_key)
             candidate_pieces[degree] = tuple(chosen)
             monomials.extend(chosen)
@@ -677,21 +644,17 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     counts of a Found run are not.
     """
     t0 = time.perf_counter()
-    plan, mons_by_degree = _build_plan(F, config)
+    plan = _build_plan(F, config)
     horizon = config.horizon if config.horizon is not None else sum(F.degree)
     stats = SearchStatistics()
 
     if plan.growth_kill is not None:
         stats.prunings["growth"] = 1
-        outcome = _finish(
-            plan, mons_by_degree, F, config, horizon, EXHAUSTED, None, stats, t0
-        )
+        outcome = _finish(plan, F, config, horizon, EXHAUSTED, None, stats, t0)
         outcome.note += (
             f" (settled by the growth cap at degree {plan.growth_kill['degree']})"
         )
         return outcome
 
     status, pieces = _drive(plan, config, stats)
-    return _finish(
-        plan, mons_by_degree, F, config, horizon, status, pieces, stats, t0
-    )
+    return _finish(plan, F, config, horizon, status, pieces, stats, t0)

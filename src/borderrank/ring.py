@@ -6,7 +6,9 @@ polynomial ring with one block of variables per factor, graded by
 Pic(X) = Z^w; the degree of every variable in block j is the j-th unit
 vector.  This module holds the purely combinatorial layer: shapes,
 multidegrees, monomials, graded-piece dimensions and enumeration, and the
-grevlex order used everywhere downstream.
+grevlex order used everywhere downstream.  It is also the one place that
+decides where a monomial, or a product of two, sits in a grevlex basis
+(positions, product_table); the other modules read those tables.
 
 Variable order is factor-major: all variables of factor 0 first, then
 factor 1, and so on.  Nothing in the mathematics forces a cross-factor
@@ -21,6 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
+from types import MappingProxyType
 from typing import Sequence
 
 from .errors import ParseError, ShapeMismatchError
@@ -220,6 +223,13 @@ def generic_hilbert(r: int, shape: FactorShape, D) -> int:
     return min(r, piece_dimension(shape, D))
 
 
+def _effective_degree(shape: FactorShape, D: Sequence[int]) -> MultiDegree:
+    D = shape.check_degree(D)
+    if not degree_is_effective(D):
+        raise ValueError(f"cannot enumerate monomials of ineffective degree {D}")
+    return D
+
+
 @lru_cache(maxsize=None)
 def _enumerate_cached(factors: tuple, D: tuple) -> tuple:
     block_choices = [_compositions(d, a + 1) for a, d in zip(factors, D)]
@@ -233,10 +243,38 @@ def enumerate_monomials(shape: FactorShape, D: Sequence[int]) -> tuple:
 
     The result length always equals piece_dimension(shape, D).
     """
-    D = shape.check_degree(D)
-    if not degree_is_effective(D):
-        raise ValueError(f"cannot enumerate monomials of ineffective degree {D}")
-    return _enumerate_cached(shape.factors, D)
+    return _enumerate_cached(shape.factors, _effective_degree(shape, D))
+
+
+@lru_cache(maxsize=None)
+def _positions_cached(factors: tuple, D: tuple) -> MappingProxyType:
+    mons = _enumerate_cached(factors, D)
+    return MappingProxyType({m.flat(): p for p, m in enumerate(mons)})
+
+
+def positions(shape: FactorShape, D: Sequence[int]) -> MappingProxyType:
+    """The position of every monomial of multidegree D in the grevlex basis
+    of S_D, keyed by its flat exponent tuple; the keys come in basis order.
+    Cached, so it is a read-only view."""
+    return _positions_cached(shape.factors, _effective_degree(shape, D))
+
+
+@lru_cache(maxsize=None)
+def _product_table_cached(factors: tuple, D: tuple, E: tuple) -> tuple:
+    target = _positions_cached(factors, degree_add(D, E))
+    left = _positions_cached(factors, D)
+    return tuple(
+        tuple(target[tuple(x + y for x, y in zip(f, u))] for f in left)
+        for u in _positions_cached(factors, E)
+    )
+
+
+def product_table(shape: FactorShape, D: Sequence[int], E: Sequence[int]) -> tuple:
+    """table[u][p]: the position in S_{D+E} of monomial p of S_D times
+    monomial u of S_E, all positions in the grevlex bases."""
+    return _product_table_cached(
+        shape.factors, _effective_degree(shape, D), _effective_degree(shape, E)
+    )
 
 
 def compare_grevlex(m1: Monomial, m2: Monomial) -> int:

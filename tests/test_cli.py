@@ -233,7 +233,7 @@ def test_corpus_run_all_fast(capsys):
     document = parse_and_check(out)
     summary = document["summary"]
     assert summary["failed"] == 0
-    assert summary["skipped"] == 3  # the slow class stays off by default
+    assert summary["skipped"] == 1  # the slow class stays off by default
     assert summary["passed"] == summary["total"] - summary["skipped"]
     for case in document["cases"]:
         if not case.get("skipped"):
@@ -335,6 +335,25 @@ def test_jobs_env_var_validated(monkeypatch, capsys):
     monkeypatch.setenv(JOBS_ENV_VAR, "0")
     code, _, _ = run_cli(capsys, "search", corpus("mono-21.json"), "--r", "2")
     assert code == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "mono-21.json", "--r", "2"],
+        ["corpus", "run", "search-21-r1"],
+    ],
+)
+@pytest.mark.parametrize("env", ["2", "0"])
+def test_jobs_flag_zero_is_precondition(monkeypatch, capsys, argv, env):
+    # an explicit --jobs 0 is refused on both commands, whatever the
+    # environment says, and the error names the flag
+    monkeypatch.setenv(JOBS_ENV_VAR, env)
+    argv = [corpus(a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--jobs", "0")
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == "--jobs must be >= 1, got 0"
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from borderrank.ideals import (
     ideal_from_json,
     ideal_to_json,
     intersect,
-    irrelevant_generators,
     is_saturated,
     iterated_colon_piece,
     minimal_generator_count,
@@ -90,13 +89,16 @@ def test_intersect_known():
 
 
 def test_irrelevant_generators_product():
+    # B is generated by the monomials of degree (1, ..., 1): one variable
+    # from each factor, 2 x 2 choices on P^1 x P^1
     shape = FactorShape([1, 1])
-    gens = irrelevant_generators(shape)
-    # one variable from each factor; 2 x 2 choices
+    gens = enumerate_monomials(shape, (1, 1))
     assert len(gens) == 4
-    assert all(g.degree == (1, 1) for g in gens)
+    assert {g.exponents for g in gens} == {
+        (x, y) for x in ((1, 0), (0, 1)) for y in ((1, 0), (0, 1))
+    }
     # single factor: just the variables
-    assert len(irrelevant_generators(P2)) == 3
+    assert len(enumerate_monomials(P2, (1,))) == 3
 
 
 def test_saturation_single_factor():

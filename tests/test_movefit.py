@@ -2,13 +2,15 @@
 budget semantics, and candidate verification."""
 
 import json
+import math
+import random
 from importlib import resources
-from itertools import combinations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 
 import pytest
 
 from borderrank import movefit
-from borderrank.apolarity import Tensor, tensor_from_json
+from borderrank.apolarity import Tensor, catalecticant_lower_bound, tensor_from_json
 from borderrank.errors import PreconditionError
 from borderrank.ideals import MonomialIdeal, ideal_from_json
 from borderrank.movefit import (
@@ -26,6 +28,7 @@ from borderrank.ring import (
     enumerate_monomials,
     generic_hilbert,
     piece_dimension,
+    product_table,
 )
 
 
@@ -214,13 +217,242 @@ def test_shifts_of_apolar_monomials_stay_apolar():
         (FactorShape([2, 1]), [(1, 1, 0), (0, 1)]),
     ]:
         F = Tensor.monomial(shape, blocks)
-        plan, _ = _build_plan(F, SearchConfig(r=2))
+        plan = _build_plan(F, SearchConfig(r=2))
         masks = plan.apolar_masks
         for src, targets in enumerate(plan.targets):
             for target, table, _ in targets:
                 for p, bits in enumerate(table):
                     if masks[src] >> p & 1:
                         assert bits & ~masks[target] == 0
+
+
+# ---------------------------------------------------------------------------
+# Plan tables against the Monomial-object construction they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_permutations(a):
+    """Variable permutations fixing a, as per-factor index maps (m -> m' with
+    m'[mapping[i]] = m[i]), identity excluded; class transpositions above
+    720 elements."""
+    per_factor = []
+    for block in a.exponents:
+        classes = {}
+        for i, e in enumerate(block):
+            classes.setdefault(e, []).append(i)
+        factor_perms = []
+        for assignment in iter_product(
+            *(permutations(idxs) for idxs in classes.values())
+        ):
+            mapping = list(range(len(block)))
+            for idxs, image in zip(classes.values(), assignment):
+                for src, dst in zip(idxs, image):
+                    mapping[src] = dst
+            factor_perms.append(tuple(mapping))
+        per_factor.append(factor_perms)
+    if math.prod(len(p) for p in per_factor) > 720:
+        elements = set()
+        for j, block in enumerate(a.exponents):
+            classes = {}
+            for i, e in enumerate(block):
+                classes.setdefault(e, []).append(i)
+            for idxs in classes.values():
+                for s, t in zip(idxs, idxs[1:]):
+                    mapping = list(range(len(block)))
+                    mapping[s], mapping[t] = t, s
+                    elements.add(tuple(
+                        tuple(mapping) if jj == j else tuple(range(len(b)))
+                        for jj, b in enumerate(a.exponents)
+                    ))
+        return sorted(elements)
+    identity = tuple(tuple(range(len(b))) for b in a.exponents)
+    return [e for e in iter_product(*per_factor) if e != identity]
+
+
+def _reference_permute(m, element):
+    blocks = []
+    for block, mapping in zip(m.exponents, element):
+        new = [0] * len(block)
+        for i, e in enumerate(block):
+            new[mapping[i]] = e
+        blocks.append(tuple(new))
+    return Monomial(blocks)
+
+
+def _reference_tables(F, horizon):
+    """targets and sym_tables of the plan, built through Monomial products
+    and {monomial: position} dicts."""
+    shape, a = F.shape, F.support_exponents()
+    degrees = _schedule(shape, horizon)
+    deg_index = {d: k for k, d in enumerate(degrees)}
+    mons_by_degree = [enumerate_monomials(shape, d) for d in degrees]
+    index_by_degree = [{m: p for p, m in enumerate(ms)} for ms in mons_by_degree]
+    reqs = [piece_dimension(shape, d) - generic_hilbert(2, shape, d) for d in degrees]
+    targets = [[] for _ in degrees]
+    for src_k, d in enumerate(degrees):
+        for j, nj in enumerate(shape.factors):
+            target = tuple(x + (1 if jj == j else 0) for jj, x in enumerate(d))
+            tk = deg_index.get(target)
+            if tk is None:
+                continue
+            table = []
+            for m in mons_by_degree[src_k]:
+                bits = 0
+                for v in range(nj + 1):
+                    bits |= 1 << index_by_degree[tk][m * Monomial.variable(shape, j, v)]
+                table.append(bits)
+            targets[src_k].append((tk, table, reqs[tk]))
+    sym_tables = [
+        [
+            [1 << idx[_reference_permute(m, element)] for m in ms]
+            for ms, idx in zip(mons_by_degree, index_by_degree)
+        ]
+        for element in _reference_permutations(a)
+    ]
+    return targets, sym_tables
+
+
+def _frozen(sym_tables):
+    return {tuple(tuple(t) for t in tables) for tables in sym_tables}
+
+
+@pytest.mark.parametrize(
+    "factors, blocks, horizon",
+    [
+        ([1], [(2, 2)], None),
+        ([2, 1], [(1, 1, 0), (1, 1)], None),
+        ([1, 1, 1], [(1, 1), (1, 1), (2, 0)], None),
+        # 7! = 5040 permutations: the plan falls back to transpositions
+        ([6], [(1, 1, 1, 1, 1, 1, 1)], 4),
+    ],
+)
+def test_plan_tables_match_monomial_reference(factors, blocks, horizon):
+    shape = FactorShape(factors)
+    F = Tensor.monomial(shape, blocks)
+    horizon = horizon or sum(F.degree)
+    plan = _build_plan(F, SearchConfig(r=2, horizon=horizon))
+    targets, sym_tables = _reference_tables(F, horizon)
+    assert plan.targets == targets
+    assert len(plan.sym_tables) == len(sym_tables) > 0
+    assert _frozen(plan.sym_tables) == _frozen(sym_tables)
+    # every product of two pieces lands where Monomial.__mul__ puts it
+    for D in plan.degrees:
+        for E in plan.degrees:
+            if sum(D) + sum(E) > horizon:
+                continue
+            DE = tuple(x + y for x, y in zip(D, E))
+            index = {m: p for p, m in enumerate(enumerate_monomials(shape, DE))}
+            assert product_table(shape, D, E) == tuple(
+                tuple(index[m * u] for m in enumerate_monomials(shape, D))
+                for u in enumerate_monomials(shape, E)
+            )
+
+
+@pytest.mark.parametrize(
+    "factors, blocks, classes",
+    [
+        ([4], [(2, 2, 1, 1, 1)], [[0, 1], [2, 3, 4]]),
+        ([2, 1], [(1, 1, 0), (1, 1)], [[0, 1], [2], [3, 4]]),
+        # equal exponents in different factors are not exchanged
+        ([1, 1, 1], [(1, 1), (1, 1), (1, 1)], [[0, 1], [2, 3], [4, 5]]),
+        ([5], [(1, 1, 1, 1, 1, 1)], [[0, 1, 2, 3, 4, 5]]),  # 720: at the cap
+    ],
+)
+def test_variable_permutations_form_the_stabilizer(factors, blocks, classes):
+    a = Monomial(blocks)
+    elements = set(movefit._variable_permutations(a))
+    identity = tuple(range(len(a.flat())))
+    assert identity not in elements
+    group = elements | {identity}
+    assert len(group) == math.prod(math.factorial(len(c)) for c in classes)
+    for g in group:
+        assert tuple(a.flat()[x] for x in g) == a.flat()
+        assert all(sorted(g[x] for x in c) == c for c in classes)
+        for h in group:
+            # f -> g -> h reads f[g[h[i]]]
+            assert tuple(g[h[i]] for i in identity) in group
+
+
+def test_variable_permutations_above_cap_are_neighbour_transpositions():
+    # classes of 7 and 2 (with one singleton) give 7! * 2! > 720 elements
+    a = Monomial([(1, 1, 1, 1, 1, 1, 1), (2, 2, 0)])
+    elements = movefit._variable_permutations(a)
+    identity = list(range(10))
+    expected = set()
+    for s in list(range(6)) + [7]:
+        g = list(identity)
+        g[s], g[s + 1] = s + 1, s
+        expected.add(tuple(g))
+    assert len(elements) == len(expected)
+    assert set(elements) == expected
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic checks: input and option changes that must not move the status
+# ---------------------------------------------------------------------------
+
+def _seeded_cases(seed, count):
+    """Random concise monomials, with r drawn from the catalecticant bound
+    upward, where the search has work to do on both sides of the border
+    rank."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        factors, top, max_total = rng.choice(
+            [([1], 5, 8), ([2], 3, 7), ([3], 2, 6), ([1, 1], 2, 6), ([2, 1], 2, 5)]
+        )
+        blocks = [tuple(rng.randint(1, top) for _ in range(a + 1)) for a in factors]
+        if sum(map(sum, blocks)) > max_total:
+            continue
+        shape = FactorShape(factors)
+        F = Tensor.monomial(shape, blocks)
+        low = catalecticant_lower_bound(F)
+        r = rng.randint(low, min(low + 4, piece_dimension(shape, F.degree)))
+        cases.append((shape, blocks, r))
+    return cases
+
+
+def test_status_survives_options_and_relabelling():
+    rng = random.Random(5)
+    statuses = []
+    for shape, blocks, r in _seeded_cases(seed=5, count=120):
+        base = search(Tensor.monomial(shape, blocks), SearchConfig(r=r))
+        statuses.append(base.status)
+        variants = [(blocks, {"symmetry_pruning": False})]
+        if shape.num_factors == 1:
+            variants.append((blocks, {"growth_pruning": True}))
+        permuted = [tuple(rng.sample(block, len(block))) for block in blocks]
+        variants.append((permuted, {}))
+        for variant_blocks, options in variants:
+            F = Tensor.monomial(shape, variant_blocks)
+            outcome = search(F, SearchConfig(r=r, **options))
+            assert outcome.status == base.status, (blocks, r, variant_blocks, options)
+            if not options and base.status == EXHAUSTED:
+                # an exhausted run visits one piece sequence per orbit,
+                # whatever the variable order
+                assert outcome.statistics.nodes == base.statistics.nodes
+    assert statuses.count(EXHAUSTED) >= 5 and statuses.count(FOUND) >= 5
+
+
+@pytest.mark.parametrize(
+    "factors, blocks, r, status",
+    [([2, 1], [(1, 1, 1), (1, 1)], 6, EXHAUSTED), ([1, 1], [(2, 2), (1, 1)], 6, FOUND)],
+)
+def test_status_survives_parallel_width(monkeypatch, factors, blocks, r, status):
+    F = Tensor.monomial(FactorShape(factors), blocks)
+    serial = search(F, SearchConfig(r=r))
+    submitted = []
+
+    class CountingPool(movefit.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(movefit, "ProcessPoolExecutor", CountingPool)
+    pooled = search(F, SearchConfig(r=r, parallel_width=2))
+    assert len(submitted) >= 2
+    assert pooled.status == serial.status == status
+    assert pooled.candidate_pieces == serial.candidate_pieces
+    assert pooled.statistics.nodes == serial.statistics.nodes
 
 
 # ---------------------------------------------------------------------------

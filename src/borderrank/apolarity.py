@@ -1,4 +1,4 @@
-"""Apolarity: the hook action, apolar ideals, catalecticants, conciseness.
+"""Apolarity: tensors, catalecticants, apolar pieces, conciseness.
 
 A tensor F lives in the degree-L piece of the dual ring, which we treat as a
 divided power algebra: the hook action of a ring monomial on a divided-power
@@ -28,7 +28,6 @@ from .ring import (
     degrees_up_to,
     enumerate_monomials,
     monomial_from_json,
-    monomial_to_json,
     piece_dimension,
     product_table,
     shape_from_json,
@@ -114,49 +113,6 @@ class Tensor:
 
 
 # ---------------------------------------------------------------------------
-# The hook action
-# ---------------------------------------------------------------------------
-
-def hook(theta: Monomial, mon: Monomial):
-    """theta ⌟ x^(a): exponent subtraction, coefficient exactly 1.
-
-    Returns the divided-power monomial x^(a - e), or None when any exponent
-    underflows.
-    """
-    if tuple(len(b) for b in theta.exponents) != tuple(len(b) for b in mon.exponents):
-        raise ShapeMismatchError("hook operands live on different shapes")
-    blocks = []
-    for tb, mb in zip(theta.exponents, mon.exponents):
-        block = tuple(m - t for t, m in zip(tb, mb))
-        if any(e < 0 for e in block):
-            return None
-        blocks.append(block)
-    return Monomial(blocks)
-
-
-def hook_tensor(theta, F: Tensor) -> Tensor:
-    """Bilinear extension of the hook: (theta ⌟ F)(psi) = F(theta * psi).
-
-    theta may be a Monomial or a homogeneous {Monomial: coefficient} dict.
-    """
-    if isinstance(theta, Monomial):
-        theta = {theta: Fraction(1)}
-    D = poly_degree(theta)
-    if len(D) != F.shape.num_factors:
-        raise ShapeMismatchError("operator and tensor shapes differ")
-    result = {}
-    for tmon, tcoeff in theta.items():
-        tcoeff = Fraction(tcoeff)
-        for fmon, fcoeff in F._coeffs.items():
-            hit = hook(tmon, fmon)
-            if hit is not None:
-                result[hit] = result.get(hit, Fraction(0)) + tcoeff * fcoeff
-    result = {m: c for m, c in result.items() if c != 0}
-    target = degree_sub(F.degree, D)
-    return Tensor(F.shape, target, result, allow_zero=True)
-
-
-# ---------------------------------------------------------------------------
 # Catalecticants
 # ---------------------------------------------------------------------------
 
@@ -198,25 +154,7 @@ def apolar_piece_dimension(F: Tensor, D) -> int:
     dim = piece_dimension(F.shape, D)
     if not degree_le(D, F.degree):
         return dim
-    if F.is_monomial:
-        return dim - monomial_catalecticant_rank(F.support_exponents(), D)
-    return dim - linalg.rank(catalecticant(F, D))
-
-
-def apolar_of_monomial(F: Tensor):
-    """F^⊥ of a monomial x^(a): the ideal (alpha_i^(a_i + 1) for every i)."""
-    if not F.is_monomial:
-        raise PreconditionError("apolar_of_monomial needs a monomial tensor")
-    from .ideals import MonomialIdeal
-
-    a = F.support_exponents()
-    gens = []
-    for j, block in enumerate(a.exponents):
-        for i, e in enumerate(block):
-            exps = [[0] * len(b) for b in a.exponents]
-            exps[j][i] = e + 1
-            gens.append(Monomial(exps))
-    return MonomialIdeal(F.shape, gens)
+    return dim - catalecticant_rank(F, D)
 
 
 @lru_cache(maxsize=None)
@@ -248,6 +186,14 @@ def monomial_catalecticant_rank(a: Monomial, D) -> int:
     return rank
 
 
+def catalecticant_rank(F: Tensor, D) -> int:
+    """rank of the degree-D catalecticant of F: a count for a monomial,
+    exact row reduction otherwise."""
+    if F.is_monomial:
+        return monomial_catalecticant_rank(F.support_exponents(), D)
+    return linalg.rank(catalecticant(F, D))
+
+
 def is_concise(F: Tensor) -> bool:
     """True iff F^⊥ has no forms in any variable degree."""
     for j in range(F.shape.num_factors):
@@ -261,41 +207,16 @@ def catalecticant_lower_bound(F: Tensor) -> int:
     """max over effective D <= L of rank(catalecticant at D); bounds border rank."""
     if F.is_zero():
         raise PreconditionError("catalecticant bound needs a non-zero tensor")
-    best = 0
-    mono = F.support_exponents() if F.is_monomial else None
-    for D in degrees_up_to(F.shape.num_factors, sum(F.degree)):
-        if not degree_le(D, F.degree):
-            continue
-        if mono is not None:
-            r = monomial_catalecticant_rank(mono, D)
-        else:
-            r = linalg.rank(catalecticant(F, D))
-        if r > best:
-            best = r
-    return best
+    return max(
+        catalecticant_rank(F, D)
+        for D in degrees_up_to(F.shape.num_factors, sum(F.degree))
+        if degree_le(D, F.degree)
+    )
 
 
 # ---------------------------------------------------------------------------
 # JSON format
 # ---------------------------------------------------------------------------
-
-def tensor_to_json(F: Tensor) -> dict:
-    terms = []
-    for mon, coeff in F.terms():
-        terms.append(
-            {
-                "exp": monomial_to_json(mon)["exponents"],
-                "num": str(coeff.numerator),
-                "den": str(coeff.denominator),
-            }
-        )
-    return {
-        "shape": list(F.shape.factors),
-        "degree": list(F.degree),
-        "convention": "divided",
-        "terms": terms,
-    }
-
 
 def tensor_from_json(data: dict) -> Tensor:
     try:

@@ -17,7 +17,7 @@ would overreach on monomials with one exponent equal to the probe degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import linalg
 from .apolarity import (
@@ -54,15 +54,7 @@ class BoundReport:
             )
 
     def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "lower_provenance": self.lower_provenance,
-            "lower_witness": self.lower_witness,
-            "upper": self.upper,
-            "upper_provenance": self.upper_provenance,
-            "upper_witness": self.upper_witness,
-            "components": self.components,
-        }
+        return asdict(self)
 
 
 def _monomial_exponents(F: Tensor) -> Monomial:
@@ -136,27 +128,15 @@ def disjoint_module_obstruction(F: Tensor, r: int, max_degree: int):
     return None
 
 
-def disjoint_module_lower_bound(F: Tensor):
-    """Lower bound for monomials on one projective space via Lex-bar growth.
-
-    Tries the disjoint-module rule on every candidate r below the chart
-    bound, from the top, at every degree up to |L|; the first r it rules
-    out gives border rank at least r + 1.
-
-    Returns (value, witness); witness is None when the catalecticant bound
-    was never improved.
-    """
-    _monomial_exponents(F)
-    if F.shape.num_factors != 1:
-        raise PreconditionError("disjoint-module bound applies to a single factor")
-    upper, _ = upper_bound_monomial(F)
-    return _disjoint_module_scan(F, catalecticant_lower_bound(F), upper)
-
-
 def _disjoint_module_scan(F: Tensor, cat: int, upper: int):
-    """disjoint_module_lower_bound(F) for a monomial F on one projective
-    space, given cat = catalecticant_lower_bound(F) and upper = its chart
-    bound: r runs from upper - 1 down to cat."""
+    """Lower bound for a monomial F on one projective space via Lex-bar
+    growth, given cat = catalecticant_lower_bound(F) and upper = its chart
+    bound.
+
+    Tries the disjoint-module rule on every r from upper - 1 down to cat, at
+    every degree up to |L|; the first r it rules out gives border rank at
+    least r + 1.  Returns (value, witness); witness is None when the
+    catalecticant bound was never improved."""
     for r in range(upper - 1, cat - 1, -1):
         witness = disjoint_module_obstruction(F, r, sum(F.degree))
         if witness is not None:

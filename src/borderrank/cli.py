@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -145,14 +146,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "input": args.tensor,
         "tensor": _tensor_text(F),
         "shape": list(F.shape.factors),
-        "config": {
-            "r": config.r,
-            "horizon": outcome.horizon,
-            "symmetry_pruning": config.symmetry_pruning,
-            "growth_pruning": config.growth_pruning,
-            "parallel_width": config.parallel_width,
-            "node_budget": config.node_budget,
-        },
+        "config": {**asdict(config), "horizon": outcome.horizon},
         "outcome": outcome.to_json(),
     }
     if outcome.candidate is not None:
@@ -286,7 +280,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         raise ParseError(f"no corpus case named {args.target!r}")
     results = []
     for case in selected:
-        if case["class"] == "slow" and not args.slow:
+        # --slow widens "all"; a case named on its own always runs
+        if case["class"] == "slow" and args.target == "all" and not args.slow:
             results.append({"name": case["name"], "class": "slow", "skipped": True})
             continue
         results.append(_run_corpus_case(case, jobs))
@@ -361,7 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--output")
     p_run = corpus_sub.add_parser("run")
     p_run.add_argument("target", help="case name or 'all'")
-    p_run.add_argument("--slow", action="store_true", help="include slow cases")
+    p_run.add_argument(
+        "--slow",
+        action="store_true",
+        help="include slow cases in 'all'; a case named on its own always runs",
+    )
     p_run.add_argument("--jobs", type=int)
     p_run.add_argument("--output")
 

@@ -23,10 +23,6 @@ class UnsupportedShapeError(PreconditionError):
     """A closed-form formula was requested outside its proven range."""
 
 
-class BudgetExceededError(BorderRankError):
-    """A node budget ran out before the search could settle."""
-
-
 # CLI exit codes.  0 is success; everything else is deliberately distinct so
 # scripts can branch on the failure class.
 EXIT_OK = 0

@@ -256,34 +256,6 @@ def contained_in_apolar(I, F: Tensor) -> bool:
 # Minimal generator counts
 # ---------------------------------------------------------------------------
 
-def minimal_generator_count(I, D) -> int:
-    """Number of minimal generators of I in degree D:
-    dim I_D - dim(sum over variables of I_{D - deg var} * var).
-
-    I is a MonomialIdeal or a GradedIdeal; for an ideal known by its pieces,
-    such as an apolar ideal, use piece_generator_count."""
-    shape = I.shape
-    D = shape.check_degree(D)
-    if isinstance(I, GradedIdeal):
-        return piece_generator_count(
-            shape, D, lambda E: linalg.row_echelon(I.piece_rows(E))[0]
-        )
-    if not isinstance(I, MonomialIdeal):
-        raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
-    dim_piece = len(monomial_piece(I, D))
-    products = set()
-    for j in range(shape.num_factors):
-        unit = shape.unit_degree(j)
-        lower = degree_sub(D, unit)
-        if not degree_is_effective(lower):
-            continue
-        pos = positions(shape, lower)
-        lower_positions = [pos[m.flat()] for m in monomial_piece(I, lower)]
-        for shifted in product_table(shape, lower, unit):
-            products.update(shifted[p] for p in lower_positions)
-    return dim_piece - len(products)
-
-
 def times_variables(shape: FactorShape, rows, E, j: int) -> list:
     """Rows spanning V * S_{e_j} in S_{E + e_j}, where V is spanned by rows
     over the grevlex basis of S_E: every row times every variable of factor j."""
@@ -380,25 +352,13 @@ def saturation_defect(I, max_total_degree: int, max_steps: int = 3):
 # ---------------------------------------------------------------------------
 
 def ideal_to_json(I) -> dict:
-    if isinstance(I, MonomialIdeal):
-        return {
-            "shape": list(I.shape.factors),
-            "monomial_generators": [monomial_to_json(g)["exponents"] for g in I.generators],
-        }
-    if isinstance(I, GradedIdeal):
-        gens = []
-        for degree, poly in I.generators:
-            terms = [
-                {
-                    "exp": monomial_to_json(m)["exponents"],
-                    "num": str(c.numerator),
-                    "den": str(c.denominator),
-                }
-                for m, c in sorted(poly.items(), key=lambda mc: mc[0].grevlex_key())
-            ]
-            gens.append({"degree": list(degree), "terms": terms})
-        return {"shape": list(I.shape.factors), "generators": gens}
-    raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
+    """The monomial form, in which the CLI writes a search candidate."""
+    if not isinstance(I, MonomialIdeal):
+        raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
+    return {
+        "shape": list(I.shape.factors),
+        "monomial_generators": [monomial_to_json(g)["exponents"] for g in I.generators],
+    }
 
 
 def ideal_from_json(data: dict):

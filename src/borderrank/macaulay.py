@@ -1,11 +1,10 @@
 """Extremal Hilbert-function growth in one block of variables.
 
-Three classical ingredients, all exact integer arithmetic:
+Two classical ingredients, all exact integer arithmetic:
 
 * the Macaulay decomposition of an integer r in degree d and the Macaulay
   exponent r^<d>, which caps how much the codimension of a subspace of S_d
-  can grow when multiplied into S_{d+1};
-* grevlex lex-segments, the subspaces attaining the cap;
+  can grow when multiplied into S_{d+1} (grevlex lex-segments attain it);
 * the Lex-bar bound for a direct sum of graded pieces S_{d_1} + ... + S_{d_j}:
   the extremal configuration empties the smallest degrees first, and the
   maximal codimension growth is the sum of per-summand Macaulay exponents.
@@ -20,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import BorderRankError, PreconditionError
-from .ring import FactorShape, enumerate_monomials
 
 
 @dataclass(frozen=True)
@@ -75,21 +73,6 @@ def macaulay_coefficients(r: int, d: int) -> MacaulayDecomposition:
 def macaulay_exponent(r: int, d: int) -> int:
     """r^<d>: the maximal growth dim->codim bound from degree d to d + 1."""
     return macaulay_coefficients(r, d).exponent()
-
-
-def lex_segment(n: int, d: int, r: int) -> tuple:
-    """The grevlex lex-segment of codimension r in S_d on P^n.
-
-    Returns the last dim S_d - r monomials of S_d in descending grevlex
-    order, i.e. the full list with the first r monomials removed.
-    """
-    shape = FactorShape((n,)) if n >= 1 else FactorShape.with_point_factors((0,))
-    mons = enumerate_monomials(shape, (d,))
-    if r < 0 or r > len(mons):
-        raise PreconditionError(
-            f"codimension r={r} out of range 0..{len(mons)} for n={n}, d={d}"
-        )
-    return mons[r:]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import math
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .apolarity import Tensor
 from .bounds import disjoint_module_obstruction
@@ -567,15 +567,7 @@ class VerificationReport:
     passed: bool  # Hilbert function and containment; saturation is informational
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "horizon": self.horizon,
-            "rows": self.rows,
-            "hilbert_ok": self.hilbert_ok,
-            "containment": self.containment,
-            "saturation": self.saturation,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):

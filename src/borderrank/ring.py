@@ -19,7 +19,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -108,13 +107,6 @@ class Monomial:
             if any(e < 0 for e in block):
                 raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
-
-    @classmethod
-    def variable(cls, shape: FactorShape, factor: int, index: int) -> "Monomial":
-        """The single variable (factor, index) as a monomial."""
-        exps = [[0] * (a + 1) for a in shape.factors]
-        exps[factor][index] = 1
-        return cls(exps)
 
     @property
     def degree(self) -> MultiDegree:
@@ -277,29 +269,9 @@ def product_table(shape: FactorShape, D: Sequence[int], E: Sequence[int]) -> tup
     )
 
 
-def compare_grevlex(m1: Monomial, m2: Monomial) -> int:
-    """Grevlex comparison: positive if m1 > m2, negative if m1 < m2, else 0.
-
-    Larger total degree wins.  At equal total degree, m1 > m2 iff the last
-    non-zero entry of exponents(m1) - exponents(m2) is negative, variables
-    taken in factor-major order.
-    """
-    _check_same_structure(m1, m2)
-    k1, k2 = m1.grevlex_key(), m2.grevlex_key()
-    # ascending key order is descending grevlex, so the smaller key is greater
-    if k1 < k2:
-        return 1
-    if k1 > k2:
-        return -1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Text and JSON formats
 # ---------------------------------------------------------------------------
-
-_VAR_RE = re.compile(r"^([a-z])(\d+)(?:\^(\d+))?$")
-
 
 def monomial_to_text(m: Monomial) -> str:
     """Render like `a0^2*a1|b0^3`; factors separated by `|`, trivial factor `1`."""
@@ -316,35 +288,6 @@ def monomial_to_text(m: Monomial) -> str:
                 parts.append(f"{letter}{i}^{e}")
         segments.append("*".join(parts) if parts else "1")
     return "|".join(segments)
-
-
-def monomial_from_text(shape: FactorShape, text: str) -> Monomial:
-    """Parse the output of monomial_to_text back, against a known shape."""
-    segments = text.strip().split("|")
-    if len(segments) != shape.num_factors:
-        raise ParseError(
-            f"monomial {text!r} has {len(segments)} factor segments, shape has "
-            f"{shape.num_factors}"
-        )
-    exps = [[0] * (a + 1) for a in shape.factors]
-    for j, segment in enumerate(segments):
-        segment = segment.strip()
-        if segment == "1":
-            continue
-        for token in segment.split("*"):
-            match = _VAR_RE.match(token.strip())
-            if match is None:
-                raise ParseError(f"bad variable token {token!r} in {text!r}")
-            letter, index, power = match.groups()
-            if letter != _BLOCK_LETTERS[j]:
-                raise ParseError(
-                    f"variable {token!r} does not belong to factor {j} in {text!r}"
-                )
-            i = int(index)
-            if i >= len(exps[j]):
-                raise ParseError(f"variable index out of range in {text!r}")
-            exps[j][i] += int(power) if power is not None else 1
-    return Monomial(exps)
 
 
 def monomial_to_json(m: Monomial) -> dict:

@@ -1,0 +1,218 @@
+"""Reference implementations the tests compare package code against.
+
+None of these is reached by the CLI or by the library example in the
+README, so they live with the tests: the hook action on tensors, the
+apolar ideal of a monomial by its generators, the tensor and graded-ideal
+JSON writers, minimal generator counts of presented ideals, grevlex
+lex-segments, the text parser for monomials, and single variables.
+"""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+
+from borderrank import linalg
+from borderrank.apolarity import Tensor, poly_degree
+from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
+from borderrank.ideals import (
+    GradedIdeal,
+    MonomialIdeal,
+    monomial_piece,
+    piece_generator_count,
+)
+from borderrank.ring import (
+    _BLOCK_LETTERS,
+    FactorShape,
+    Monomial,
+    degree_is_effective,
+    degree_sub,
+    enumerate_monomials,
+    monomial_to_json,
+    positions,
+    product_table,
+)
+
+
+# ---------------------------------------------------------------------------
+# Ring
+# ---------------------------------------------------------------------------
+
+def variable(shape: FactorShape, factor: int, index: int) -> Monomial:
+    """The single variable (factor, index) as a monomial."""
+    exps = [[0] * (a + 1) for a in shape.factors]
+    exps[factor][index] = 1
+    return Monomial(exps)
+
+
+_VAR_RE = re.compile(r"^([a-z])(\d+)(?:\^(\d+))?$")
+
+
+def monomial_from_text(shape: FactorShape, text: str) -> Monomial:
+    """Parse the output of monomial_to_text back, against a known shape."""
+    segments = text.strip().split("|")
+    if len(segments) != shape.num_factors:
+        raise ParseError(
+            f"monomial {text!r} has {len(segments)} factor segments, shape has "
+            f"{shape.num_factors}"
+        )
+    exps = [[0] * (a + 1) for a in shape.factors]
+    for j, segment in enumerate(segments):
+        segment = segment.strip()
+        if segment == "1":
+            continue
+        for token in segment.split("*"):
+            match = _VAR_RE.match(token.strip())
+            if match is None:
+                raise ParseError(f"bad variable token {token!r} in {text!r}")
+            letter, index, power = match.groups()
+            if letter != _BLOCK_LETTERS[j]:
+                raise ParseError(
+                    f"variable {token!r} does not belong to factor {j} in {text!r}"
+                )
+            i = int(index)
+            if i >= len(exps[j]):
+                raise ParseError(f"variable index out of range in {text!r}")
+            exps[j][i] += int(power) if power is not None else 1
+    return Monomial(exps)
+
+
+# ---------------------------------------------------------------------------
+# Apolarity
+# ---------------------------------------------------------------------------
+
+def hook(theta: Monomial, mon: Monomial):
+    """theta ⌟ x^(a): exponent subtraction, coefficient exactly 1.
+
+    Returns the divided-power monomial x^(a - e), or None when any exponent
+    underflows.
+    """
+    if tuple(len(b) for b in theta.exponents) != tuple(len(b) for b in mon.exponents):
+        raise ShapeMismatchError("hook operands live on different shapes")
+    blocks = []
+    for tb, mb in zip(theta.exponents, mon.exponents):
+        block = tuple(m - t for t, m in zip(tb, mb))
+        if any(e < 0 for e in block):
+            return None
+        blocks.append(block)
+    return Monomial(blocks)
+
+
+def hook_tensor(theta, F: Tensor) -> Tensor:
+    """Bilinear extension of the hook: (theta ⌟ F)(psi) = F(theta * psi).
+
+    theta may be a Monomial or a homogeneous {Monomial: coefficient} dict.
+    """
+    if isinstance(theta, Monomial):
+        theta = {theta: Fraction(1)}
+    D = poly_degree(theta)
+    if len(D) != F.shape.num_factors:
+        raise ShapeMismatchError("operator and tensor shapes differ")
+    result = {}
+    for tmon, tcoeff in theta.items():
+        tcoeff = Fraction(tcoeff)
+        for fmon, fcoeff in F._coeffs.items():
+            hit = hook(tmon, fmon)
+            if hit is not None:
+                result[hit] = result.get(hit, Fraction(0)) + tcoeff * fcoeff
+    result = {m: c for m, c in result.items() if c != 0}
+    target = degree_sub(F.degree, D)
+    return Tensor(F.shape, target, result, allow_zero=True)
+
+
+def apolar_of_monomial(F: Tensor):
+    """F^⊥ of a monomial x^(a): the ideal (alpha_i^(a_i + 1) for every i)."""
+    if not F.is_monomial:
+        raise PreconditionError("apolar_of_monomial needs a monomial tensor")
+    a = F.support_exponents()
+    gens = []
+    for j, block in enumerate(a.exponents):
+        for i, e in enumerate(block):
+            exps = [[0] * len(b) for b in a.exponents]
+            exps[j][i] = e + 1
+            gens.append(Monomial(exps))
+    return MonomialIdeal(F.shape, gens)
+
+
+def tensor_to_json(F: Tensor) -> dict:
+    terms = []
+    for mon, coeff in F.terms():
+        terms.append(
+            {
+                "exp": monomial_to_json(mon)["exponents"],
+                "num": str(coeff.numerator),
+                "den": str(coeff.denominator),
+            }
+        )
+    return {
+        "shape": list(F.shape.factors),
+        "degree": list(F.degree),
+        "convention": "divided",
+        "terms": terms,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Ideals
+# ---------------------------------------------------------------------------
+
+def graded_ideal_to_json(I: GradedIdeal) -> dict:
+    gens = []
+    for degree, poly in I.generators:
+        terms = [
+            {
+                "exp": monomial_to_json(m)["exponents"],
+                "num": str(c.numerator),
+                "den": str(c.denominator),
+            }
+            for m, c in sorted(poly.items(), key=lambda mc: mc[0].grevlex_key())
+        ]
+        gens.append({"degree": list(degree), "terms": terms})
+    return {"shape": list(I.shape.factors), "generators": gens}
+
+
+def minimal_generator_count(I, D) -> int:
+    """Number of minimal generators of I in degree D:
+    dim I_D - dim(sum over variables of I_{D - deg var} * var).
+
+    I is a MonomialIdeal or a GradedIdeal; for an ideal known by its pieces,
+    such as an apolar ideal, use piece_generator_count."""
+    shape = I.shape
+    D = shape.check_degree(D)
+    if isinstance(I, GradedIdeal):
+        return piece_generator_count(
+            shape, D, lambda E: linalg.row_echelon(I.piece_rows(E))[0]
+        )
+    if not isinstance(I, MonomialIdeal):
+        raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
+    dim_piece = len(monomial_piece(I, D))
+    products = set()
+    for j in range(shape.num_factors):
+        unit = shape.unit_degree(j)
+        lower = degree_sub(D, unit)
+        if not degree_is_effective(lower):
+            continue
+        pos = positions(shape, lower)
+        lower_positions = [pos[m.flat()] for m in monomial_piece(I, lower)]
+        for shifted in product_table(shape, lower, unit):
+            products.update(shifted[p] for p in lower_positions)
+    return dim_piece - len(products)
+
+
+# ---------------------------------------------------------------------------
+# Macaulay
+# ---------------------------------------------------------------------------
+
+def lex_segment(n: int, d: int, r: int) -> tuple:
+    """The grevlex lex-segment of codimension r in S_d on P^n.
+
+    Returns the last dim S_d - r monomials of S_d in descending grevlex
+    order, i.e. the full list with the first r monomials removed.
+    """
+    shape = FactorShape((n,)) if n >= 1 else FactorShape.with_point_factors((0,))
+    mons = enumerate_monomials(shape, (d,))
+    if r < 0 or r > len(mons):
+        raise PreconditionError(
+            f"codimension r={r} out of range 0..{len(mons)} for n={n}, d={d}"
+        )
+    return mons[r:]

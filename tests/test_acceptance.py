@@ -33,8 +33,9 @@ from borderrank.movefit import (
     search,
     verify_candidate,
 )
-from borderrank.ring import FactorShape, Monomial, enumerate_monomials, piece_dimension
+from borderrank.ring import FactorShape, enumerate_monomials, piece_dimension
 
+from oracles import variable
 from test_movefit import _corpus_json, _oracle_exists
 
 
@@ -200,7 +201,7 @@ def test_criterion_8_property_suites():
             best = 0
             for kept in combinations(mons, dim - c):
                 prods = {
-                    m * Monomial.variable(shape, 0, i)
+                    m * variable(shape, 0, i)
                     for m in kept
                     for i in range(3)
                 }

@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 from borderrank import linalg
 from borderrank.apolarity import (
     Tensor,
-    apolar_of_monomial,
     apolar_piece,
     apolar_piece_dimension,
     catalecticant,
     catalecticant_lower_bound,
-    hook,
-    hook_tensor,
     is_concise,
     monomial_catalecticant_rank,
     tensor_from_json,
-    tensor_to_json,
 )
 from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
 from borderrank.ring import (
@@ -31,6 +27,7 @@ from borderrank.ring import (
     enumerate_monomials,
     piece_dimension,
 )
+from oracles import apolar_of_monomial, hook, hook_tensor, tensor_to_json
 
 
 # ---------------------------------------------------------------------------

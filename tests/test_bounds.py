@@ -15,7 +15,6 @@ from borderrank.bounds import (
     almost_unbalanced_check,
     bounds_report,
     closed_form_border_rank,
-    disjoint_module_lower_bound,
     disjoint_module_obstruction,
     minimal_border_rank_generator_test,
     minimal_border_rank_quotient_test,
@@ -32,6 +31,12 @@ from borderrank.ring import FactorShape, Monomial, enumerate_monomials
 
 def single(*exps):
     return Tensor.monomial(FactorShape([len(exps) - 1]), [exps])
+
+
+def disjoint_module(F):
+    """(value, witness) of the disjoint-module bound in the report of F."""
+    component = bounds_report(F).components["disjoint_module"]
+    return component["value"], component["witness"]
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +68,7 @@ def test_chart_upper_bound():
 
 def test_disjoint_module_flagship_witness():
     F = single(4, 4, 4, 3)
-    value, witness = disjoint_module_lower_bound(F)
+    value, witness = disjoint_module(F)
     assert value == 86
     assert witness["ruled_out_r"] == 85
     assert witness["degree"] == 8
@@ -90,7 +95,7 @@ def test_disjoint_module_matches_closed_form_on_p2():
                 if a + b + c > 9:
                     continue
                 F = single(a, b, c)
-                value, _ = disjoint_module_lower_bound(F)
+                value, _ = disjoint_module(F)
                 assert value == closed_form_border_rank(F)
                 count += 1
     assert count == 23
@@ -101,15 +106,14 @@ def test_disjoint_module_never_exceeds_chart():
         if sum(exps) == 0:
             continue
         F = single(*exps)
-        value, _ = disjoint_module_lower_bound(F)
+        value, _ = disjoint_module(F)
         upper, _ = upper_bound_monomial(F)
         assert catalecticant_lower_bound(F) <= value <= upper
 
 
 def test_disjoint_module_requires_single_factor():
     F = Tensor.monomial(FactorShape([1, 1]), [(1, 0), (1, 0)])
-    with pytest.raises(PreconditionError):
-        disjoint_module_lower_bound(F)
+    assert "disjoint_module" not in bounds_report(F).components
     with pytest.raises(PreconditionError):
         disjoint_module_obstruction(F, 2, 2)
 

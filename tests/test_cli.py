@@ -5,7 +5,7 @@ import json
 import jsonschema
 import pytest
 
-from borderrank.apolarity import tensor_from_json, tensor_to_json
+from borderrank.apolarity import tensor_from_json
 from borderrank.cli import (
     JOBS_ENV_VAR,
     _corpus_path,
@@ -20,7 +20,8 @@ from borderrank.errors import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
 )
-from borderrank.ideals import ideal_from_json, ideal_to_json
+from borderrank.ideals import GradedIdeal, ideal_from_json, ideal_to_json
+from oracles import graded_ideal_to_json, tensor_to_json
 
 REPORT_SCHEMA = _load_schema("report.schema.json")
 
@@ -254,6 +255,24 @@ def test_corpus_run_single(capsys):
     assert code == EXIT_PARSE
 
 
+def test_corpus_run_named_slow_case(capsys, monkeypatch):
+    # a slow case named on its own runs; only "all" leaves it out without --slow
+    catalog = [
+        {**case, "class": "slow"} if case["name"] == "search-21-r2" else case
+        for case in corpus_catalog()
+    ]
+    monkeypatch.setattr("borderrank.cli.corpus_catalog", lambda: catalog)
+    code, out, _ = run_cli(capsys, "corpus", "run", "search-21-r2")
+    assert code == EXIT_OK
+    document = parse_and_check(out)
+    assert document["summary"] == {"total": 1, "passed": 1, "failed": 0, "skipped": 0}
+    assert document["cases"][0]["class"] == "slow"
+    code, out, _ = run_cli(capsys, "corpus", "run", "all")
+    assert code == EXIT_OK
+    skipped = [c["name"] for c in parse_and_check(out)["cases"] if c.get("skipped")]
+    assert skipped == ["search-21-r2", "search-33111-r31"]
+
+
 def test_corpus_files_round_trip():
     for case in corpus_catalog():
         for key in ("tensor", "ideal"):
@@ -264,7 +283,11 @@ def test_corpus_files_round_trip():
             if key == "tensor":
                 assert tensor_to_json(tensor_from_json(data)) == data
             else:
-                assert ideal_to_json(ideal_from_json(data)) == data
+                ideal = ideal_from_json(data)
+                if isinstance(ideal, GradedIdeal):
+                    assert graded_ideal_to_json(ideal) == data
+                else:
+                    assert ideal_to_json(ideal) == data
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from borderrank.apolarity import (
     Tensor,
-    apolar_of_monomial,
     apolar_piece,
     apolar_piece_dimension,
     tensor_from_json,
@@ -26,13 +25,13 @@ from borderrank.ideals import (
     intersect,
     is_saturated,
     iterated_colon_piece,
-    minimal_generator_count,
     monomial_piece,
     piece_generator_count,
     saturate,
     saturation_defect,
 )
 from borderrank.ring import FactorShape, Monomial, enumerate_monomials, piece_dimension
+from oracles import apolar_of_monomial, graded_ideal_to_json, minimal_generator_count
 
 
 P2 = FactorShape([2])
@@ -314,10 +313,13 @@ def test_graded_ideal_json_round_trip():
             {Monomial([(2, 0)]): Fraction(1), Monomial([(0, 2)]): Fraction(-1, 3)},
         ],
     )
-    data = ideal_to_json(J)
+    data = graded_ideal_to_json(J)
     K = ideal_from_json(data)
     assert isinstance(K, GradedIdeal)
     assert K.generators == J.generators
+    # the package writes only the monomial form, the one search candidates take
+    with pytest.raises(PreconditionError):
+        ideal_to_json(J)
 
 
 def test_ideal_json_errors():

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from borderrank.errors import PreconditionError
 from borderrank.macaulay import (
     LexBarProfile,
-    lex_segment,
     lexbar_growth,
     lexbar_profile,
     macaulay_coefficients,
     macaulay_exponent,
 )
-from borderrank.ring import FactorShape, Monomial, enumerate_monomials, piece_dimension
+from borderrank.ring import FactorShape, enumerate_monomials, piece_dimension
+from oracles import lex_segment, variable
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def _monomial_growth(kept, n, d):
     prods = set()
     for m in kept:
         for i in range(n + 1):
-            prods.add(m * Monomial.variable(shape, 0, i))
+            prods.add(m * variable(shape, 0, i))
     return piece_dimension(shape, (d + 1,)) - len(prods)
 
 

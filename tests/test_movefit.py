@@ -30,6 +30,7 @@ from borderrank.ring import (
     piece_dimension,
     product_table,
 )
+from oracles import variable
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +72,7 @@ def _oracle_exists(blocks, shape, r, horizon):
                 continue
             for m in chosen[lk]:
                 for v in range(shape.factors[j] + 1):
-                    out.add(m * Monomial.variable(shape, j, v))
+                    out.add(m * variable(shape, j, v))
         return out
 
     def walk(chosen, k):
@@ -298,7 +299,7 @@ def _reference_tables(F, horizon):
             for m in mons_by_degree[src_k]:
                 bits = 0
                 for v in range(nj + 1):
-                    bits |= 1 << index_by_degree[tk][m * Monomial.variable(shape, j, v)]
+                    bits |= 1 << index_by_degree[tk][m * variable(shape, j, v)]
                 table.append(bits)
             targets[src_k].append((tk, table, reqs[tk]))
     sym_tables = [

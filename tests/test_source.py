@@ -32,3 +32,56 @@ def test_linalg_has_no_float_or_true_division():
         elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"float literal at line {node.lineno}")
     assert found == []
+
+
+# names the README's Library example calls, or an error message tells users
+# to call, without any caller inside the package
+_PUBLIC_WITHOUT_CALLERS = {"Tensor.monomial", "Tensor.zero"}
+
+
+def _definitions(tree):
+    """(qualified name, node) for every top-level function and class and
+    every method of a top-level class, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(node, enclosing=()):
+    """(name, enclosing definitions) for every Name, Attribute and imported
+    name below node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing + (node,)
+    if isinstance(node, ast.Name):
+        yield node.id, enclosing
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, enclosing
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        for alias in node.names:
+            yield alias.name.rsplit(".", 1)[-1], enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, enclosing)
+
+
+def test_package_names_have_package_callers():
+    # src/ carries what the commands run: a name used only by the tests
+    # belongs in tests/, one used by nothing belongs nowhere.  A reference
+    # from inside the definition itself (recursion) does not count.
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))]
+    references = [ref for tree in trees for ref in _references(tree)]
+    unreached = sorted(
+        qualname
+        for tree in trees
+        for qualname, node in _definitions(tree)
+        if qualname not in _PUBLIC_WITHOUT_CALLERS
+        and not any(
+            name == node.name and node not in enclosing for name, enclosing in references
+        )
+    )
+    assert not unreached, "no caller in src/: " + ", ".join(unreached)

@@ -13,12 +13,11 @@ import argparse
 import importlib.resources
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-
-import jsonschema
 
 from .apolarity import Tensor, tensor_from_json
 from .bounds import bounds_report, closed_form_border_rank
@@ -71,14 +70,82 @@ def _load_json_file(path: str) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}")
 
 
+# The shipped schemas are the single source of truth for input documents.  Their
+# keywords keep their draft 2020-12 meaning and `jsonschema`'s visiting order;
+# any other keyword, or other form of one, is refused, so no edit goes unseen.
+_KEYWORDS = frozenset(
+    "$schema $id title $defs $ref oneOf type enum minimum minItems pattern required"
+    " properties additionalProperties items".split()
+)
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float)}
+
+
+def _is_type(value, name: str) -> bool:
+    """A bool is not a number, and an integral float is an integer."""
+    if name == "integer":
+        return _is_type(value, "number") and (isinstance(value, int) or value.is_integer())
+    return isinstance(value, _TYPES[name]) and not isinstance(value, bool)
+
+
+def _schema_errors(value, schema: dict, root: dict, path: tuple):
+    """Yield (path, message) for every way value fails schema."""
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    for key, arg in schema.items():
+        if (
+            key not in _KEYWORDS
+            or key == "additionalProperties" and arg is not False
+            or key == "$ref" and not arg.startswith("#/$defs/")
+            or key == "type" and arg not in ("integer", *_TYPES)
+            # against strings only, == is JSON equality
+            or key == "enum" and not all(isinstance(option, str) for option in arg)
+        ):
+            raise BorderRankError(f"schema keyword {key}: {arg!r} is not supported")
+        if key == "$ref":
+            target = root["$defs"][arg.removeprefix("#/$defs/")]
+            yield from _schema_errors(value, target, root, path)
+        elif key == "oneOf":
+            valid = [s for s in arg if not any(_schema_errors(value, s, root, path))]
+            if not valid:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{value!r} is valid under each of {reprs}"
+        elif key == "type" and not _is_type(value, arg):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "minimum" and _is_type(value, "number") and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "minItems" and is_array and len(value) < arg:
+            short = "should be non-empty" if arg == 1 else "is too short"
+            yield path, f"{value!r} {short}"
+        elif key == "pattern" and isinstance(value, str) and not re.search(arg, value):
+            yield path, f"{value!r} does not match {arg!r}"
+        elif key == "required" and is_object:
+            missing = [name for name in arg if name not in value]
+            yield from ((path, f"{name!r} is a required property") for name in missing)
+        elif key == "properties" and is_object:
+            for name, subschema in arg.items():
+                if name in value:
+                    yield from _schema_errors(value[name], subschema, root, path + (name,))
+        elif key == "additionalProperties" and is_object:
+            known = schema.get("properties", {})
+            extras = [repr(name) for name in sorted(value) if name not in known]
+            if extras:
+                were = f"{', '.join(extras)} {'was' if len(extras) == 1 else 'were'}"
+                yield path, f"Additional properties are not allowed ({were} unexpected)"
+        elif key == "items" and is_array:
+            for index, item in enumerate(value):
+                yield from _schema_errors(item, arg, root, path + (index,))
+
+
 def _validate(data: dict, schema_name: str, path: str) -> None:
     schema = _load_schema(schema_name)
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "(root)"
-        raise ParseError(f"{path} fails {schema_name} at {where}: {first.message}")
+    # the first error by path, ties in visiting order, as `jsonschema` sorts
+    first = min(_schema_errors(data, schema, schema, ()), key=lambda e: e[0], default=None)
+    if first is not None:
+        where = "/".join(str(p) for p in first[0]) or "(root)"
+        raise ParseError(f"{path} fails {schema_name} at {where}: {first[1]}")
 
 
 def load_tensor(path: str) -> Tensor:

@@ -35,7 +35,6 @@ import itertools
 import math
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .apolarity import Tensor
@@ -498,7 +497,8 @@ def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
     init_args = (plan, chosen, carried, k, config.node_budget)
     pool = None
     if len(head) > 1:
-        pool = ProcessPoolExecutor(
+        import concurrent.futures  # loads the process pool module on first use
+        pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=len(head), initializer=_init_worker, initargs=init_args
         )
     else:

@@ -1,6 +1,5 @@
 """Hook action, catalecticants, apolar pieces, conciseness, JSON format."""
 
-import math
 from fractions import Fraction
 
 import pytest

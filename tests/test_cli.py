@@ -1,24 +1,30 @@
 """End-to-end CLI tests: exit codes, document shapes, schema conformance."""
 
+import copy
+import itertools
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borderrank.apolarity import tensor_from_json
 from borderrank.cli import (
     JOBS_ENV_VAR,
     _corpus_path,
     _load_schema,
+    _validate,
     corpus_catalog,
     main,
 )
 from borderrank.errors import (
     EXIT_BUDGET,
-    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    BorderRankError,
+    ParseError,
 )
 from borderrank.ideals import GradedIdeal, ideal_from_json, ideal_to_json
 from oracles import graded_ideal_to_json, tensor_to_json
@@ -317,6 +323,233 @@ def test_schema_violation_is_parse_error(tmp_path, capsys):
     assert code == EXIT_PARSE
     message = json.loads(err)["error"]["message"]
     assert "tensor.schema.json" in message
+
+
+# ---------------------------------------------------------------------------
+# In-tree input validation, against jsonschema
+# ---------------------------------------------------------------------------
+
+_TENSOR = {
+    "shape": [1],
+    "degree": [2],
+    "convention": "divided",
+    "terms": [{"exp": [[1, 1]], "num": "1", "den": "1"}],
+}
+
+
+def _tensor_with(**fields):
+    return {**copy.deepcopy(_TENSOR), **fields}
+
+
+# one bad document per keyword, with the message the CLI gave when it
+# validated through jsonschema; in the ideal schema a failure behind oneOf
+# (and so behind every $ref) is reported at the root
+_BAD_DOCUMENTS = {
+    "type": (
+        _tensor_with(shape=[True]),
+        "tensor.schema.json at shape/0: True is not of type 'integer'",
+    ),
+    "type-root": ([], "tensor.schema.json at (root): [] is not of type 'object'"),
+    "type-float": (
+        _tensor_with(degree=[1.5]),
+        "tensor.schema.json at degree/0: 1.5 is not of type 'integer'",
+    ),
+    "type-before-minimum": (
+        _tensor_with(degree=[-1.5]),
+        "tensor.schema.json at degree/0: -1.5 is not of type 'integer'",
+    ),
+    "properties": (
+        _tensor_with(shape="1"),
+        "tensor.schema.json at shape: '1' is not of type 'array'",
+    ),
+    "required": (
+        {k: v for k, v in _TENSOR.items() if k != "convention"},
+        "tensor.schema.json at (root): 'convention' is a required property",
+    ),
+    "additionalProperties": (
+        _tensor_with(extra=1),
+        "tensor.schema.json at (root): Additional properties are not allowed "
+        "('extra' was unexpected)",
+    ),
+    "additionalProperties-two": (
+        _tensor_with(zeta=1, alpha=2),
+        "tensor.schema.json at (root): Additional properties are not allowed "
+        "('alpha', 'zeta' were unexpected)",
+    ),
+    "items": (
+        _tensor_with(degree=[2, "2"]),
+        "tensor.schema.json at degree/1: '2' is not of type 'integer'",
+    ),
+    "minItems": (
+        _tensor_with(shape=[]),
+        "tensor.schema.json at shape: [] should be non-empty",
+    ),
+    "minimum": (
+        _tensor_with(terms=[{"exp": [[1, -1]], "num": "1", "den": "1"}]),
+        "tensor.schema.json at terms/0/exp/0/1: -1 is less than the minimum of 0",
+    ),
+    "enum": (
+        _tensor_with(convention="cubic"),
+        "tensor.schema.json at convention: 'cubic' is not one of ['divided', 'plain']",
+    ),
+    "pattern": (
+        _tensor_with(terms=[{"exp": [[1, 1]], "num": "1.5", "den": "1"}]),
+        "tensor.schema.json at terms/0/num: '1.5' does not match '^-?[0-9]+$'",
+    ),
+    "oneOf": (
+        {"shape": [1]},
+        "ideal.schema.json at (root): {'shape': [1]} is not valid under any of "
+        "the given schemas",
+    ),
+    "$ref": (
+        {"shape": [-1], "monomial_generators": []},
+        "ideal.schema.json at (root): {'shape': [-1], 'monomial_generators': []} "
+        "is not valid under any of the given schemas",
+    ),
+}
+
+
+@pytest.mark.parametrize("keyword", list(_BAD_DOCUMENTS))
+def test_schema_violation_message_per_keyword(tmp_path, capsys, keyword):
+    document, failure = _BAD_DOCUMENTS[keyword]
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    if failure.startswith("ideal"):
+        argv = ["verify", str(path), corpus("mono-21.json"), "--r", "1"]
+    else:
+        argv = ["bounds", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == (
+        '{"error": {"type": "ParseError", "message": "'
+        + f'{path} fails {failure}"}}, "exit_code": 2}}\n'
+    )
+
+
+def test_validator_accepts_integral_floats():
+    _validate(_tensor_with(shape=[1.0], degree=[2.0]), "tensor.schema.json", "t")
+
+
+def test_validator_refuses_unknown_keywords(monkeypatch):
+    # a schema edit the in-tree validator does not implement fails loudly
+    schema = copy.deepcopy(_load_schema("tensor.schema.json"))
+    schema["properties"]["shape"]["maxItems"] = 3
+    monkeypatch.setattr("borderrank.cli._load_schema", lambda name: schema)
+    with pytest.raises(BorderRankError, match="maxItems"):
+        _validate(_TENSOR, "tensor.schema.json", "t")
+
+
+def _dense_tensor(shape, degree, coefficients):
+    """Every monomial of the multidegree, with cycling coefficients, in the
+    form of the benchmark's dense tensors."""
+    blocks = []
+    for a, d in zip(shape, degree):
+        block = []
+        for combo in itertools.combinations_with_replacement(range(a + 1), d):
+            block.append([combo.count(i) for i in range(a + 1)])
+        blocks.append(block)
+    terms = [
+        {"exp": list(exp), "num": str(c), "den": "1"}
+        for exp, c in zip(itertools.product(*blocks), itertools.cycle(coefficients))
+    ]
+    return {"shape": shape, "degree": degree, "convention": "divided", "terms": terms}
+
+
+def _valid_documents():
+    documents = []
+    for case in corpus_catalog():
+        for key in ("tensor", "ideal"):
+            if key in case:
+                with open(corpus(case[key])) as fh:
+                    documents.append((f"{key}.schema.json", json.load(fh)))
+    for shape, degree in [([2], [3]), ([1, 1], [2, 1]), ([1, 1, 1], [1, 1, 1])]:
+        documents.append(("tensor.schema.json", _dense_tensor(shape, degree, [-7, 3, 1, 9])))
+    return documents
+
+
+_VALID_DOCUMENTS = _valid_documents()
+_KEYS = ["shape", "degree", "convention", "terms", "exp", "num", "den", "extra",
+         "generators", "monomial_generators"]
+_STRINGS = ["", "x", "7", "-3", "1.5", "0", "01", "-", "1\n", " 1", "divided", "plain",
+            "cubic"]
+_VALUES = [True, False, None, 0, 1, -1, 2.0, -2.0, 1.5, *_STRINGS, [], [0], [[1]],
+           [True], {}, {"exp": [[1]], "num": "1", "den": "1"}]
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+_EDITS = {
+    "replace": lambda node: True,
+    "replace-string": lambda node: isinstance(node, str),
+    "drop": lambda node: isinstance(node, (dict, list)) and bool(node),
+    "empty": lambda node: isinstance(node, (dict, list)) and bool(node),
+    "add-key": lambda node: isinstance(node, dict),
+    "append": lambda node: isinstance(node, list),
+}
+
+
+def _mutate(document, data):
+    """One random edit of a random node the edit applies to."""
+    edit = data.draw(st.sampled_from(list(_EDITS)))
+    eligible = [(path, node) for path, node in _nodes(document) if _EDITS[edit](node)]
+    if not eligible:
+        return document
+    path, node = data.draw(st.sampled_from(eligible))
+    value = data.draw(st.sampled_from(_STRINGS if edit == "replace-string" else _VALUES))
+    value = copy.deepcopy(value)
+    if edit.startswith("replace"):
+        if not path:
+            return value
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    elif edit == "drop":
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        del node[data.draw(st.sampled_from(keys))]
+    elif edit == "empty":
+        node.clear()
+    elif edit == "add-key":
+        node[data.draw(st.sampled_from(_KEYS))] = value
+    else:
+        node.append(value)
+    return document
+
+
+def _jsonschema_failure(document, schema_name):
+    """The message the CLI gave for a document when it used jsonschema."""
+    validator = jsonschema.Draft202012Validator(_load_schema(schema_name))
+    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    where = "/".join(str(p) for p in errors[0].absolute_path) or "(root)"
+    return f"doc fails {schema_name} at {where}: {errors[0].message}"
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_validator_agrees_with_jsonschema(data):
+    schema_name = data.draw(st.sampled_from(["tensor.schema.json", "ideal.schema.json"]))
+    candidates = [doc for name, doc in _VALID_DOCUMENTS if name == schema_name]
+    document = data.draw(st.sampled_from(candidates))
+    document = copy.deepcopy(document)
+    for _ in range(data.draw(st.integers(0, 3))):
+        document = _mutate(document, data)
+    try:
+        _validate(document, schema_name, "doc")
+        failure = None
+    except ParseError as exc:
+        failure = str(exc)
+    assert failure == _jsonschema_failure(document, schema_name)
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

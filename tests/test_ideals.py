@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from borderrank.apolarity import (
     Tensor,
     apolar_piece,
-    apolar_piece_dimension,
     tensor_from_json,
 )
 from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
@@ -17,7 +16,6 @@ from borderrank.ideals import (
     GradedIdeal,
     MonomialIdeal,
     colon,
-    colon_irrelevant,
     contained_in_apolar,
     hilbert_function,
     ideal_from_json,

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from borderrank.errors import PreconditionError
 from borderrank.macaulay import (
-    LexBarProfile,
     lexbar_growth,
     lexbar_profile,
     macaulay_coefficients,

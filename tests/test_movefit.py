@@ -1,6 +1,7 @@
 """Move-fit search: oracle equivalence, pruning soundness, determinism,
 budget semantics, and candidate verification."""
 
+import concurrent.futures
 import json
 import math
 import random
@@ -431,6 +432,17 @@ def test_status_survives_options_and_relabelling():
                 # an exhausted run visits one piece sequence per orbit,
                 # whatever the variable order
                 assert outcome.statistics.nodes == base.statistics.nodes
+        # the same monomial read with either coefficient convention: plain
+        # scales the coefficient by the factorials, which moves no status
+        document = {
+            "shape": list(shape.factors),
+            "degree": [sum(block) for block in blocks],
+            "terms": [{"exp": [list(b) for b in blocks], "num": "1", "den": "1"}],
+        }
+        for convention in ("plain", "divided"):
+            F = tensor_from_json({**document, "convention": convention})
+            outcome = search(F, SearchConfig(r=r))
+            assert outcome.status == base.status, (blocks, r, convention)
     assert statuses.count(EXHAUSTED) >= 5 and statuses.count(FOUND) >= 5
 
 
@@ -443,12 +455,13 @@ def test_status_survives_parallel_width(monkeypatch, factors, blocks, r, status)
     serial = search(F, SearchConfig(r=r))
     submitted = []
 
-    class CountingPool(movefit.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args):
             submitted.append(args)
             return super().submit(fn, *args)
 
-    monkeypatch.setattr(movefit, "ProcessPoolExecutor", CountingPool)
+    # movefit reads the pool class from concurrent.futures when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     pooled = search(F, SearchConfig(r=r, parallel_width=2))
     assert len(submitted) >= 2
     assert pooled.status == serial.status == status
@@ -653,12 +666,13 @@ def test_pool_merges_like_serial(monkeypatch, n, exps, kwargs, status):
     serial = search(F, SearchConfig(**kwargs))
     submitted = []
 
-    class CountingPool(movefit.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args):
             submitted.append(args)
             return super().submit(fn, *args)
 
-    monkeypatch.setattr(movefit, "ProcessPoolExecutor", CountingPool)
+    # movefit reads the pool class from concurrent.futures when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     pooled = search(F, SearchConfig(parallel_width=2, **kwargs))
     assert len(submitted) >= 2
     assert pooled.status == serial.status == status

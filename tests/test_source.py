@@ -1,6 +1,9 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "borderrank"
@@ -85,3 +88,40 @@ def test_package_names_have_package_callers():
         )
     )
     assert not unreached, "no caller in src/: " + ", ".join(unreached)
+
+
+def test_package_imports_only_the_standard_library():
+    # the CLI installs with no runtime dependency: `jsonschema` belongs to
+    # the test extra, and the package validates its inputs itself
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {module}"
+                for module in modules
+                if module.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert found == []
+
+
+def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
+    # a short command is mostly start-up, so importing the CLI loads only
+    # what every command runs; the pool module loads when a pool starts
+    heavy = ["jsonschema", "concurrent.futures.process"]
+    code = f"import sys, borderrank.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    pythonpath = os.pathsep.join(filter(None, paths))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -6,8 +6,9 @@ monomial subtracts exponents with coefficient exactly 1 (never a multinomial
 factor).  Inputs in the ordinary polynomial convention are converted on parse
 by multiplying each coefficient with the factorial product of its exponents.
 
-All kernels and ranks are exact: rational Gaussian elimination with the
-pivot always the first non-zero entry in grevlex column order.
+All kernels and ranks are exact: the tensor's coefficients are scaled once
+to coprime integers, and the rows are reduced fraction-free with the pivot
+always the first non-zero entry in grevlex column order.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ def catalecticant(F: Tensor, D) -> list:
     """Rows of the matrix of S_D -> dual_{L-D}, theta |-> theta ⌟ F.
 
     Row basis: monomials of S_D; column basis: divided-power monomials of
-    degree L - D; both in descending grevlex.  entry(e, m) = F[e + m].
+    degree L - D; both in descending grevlex.  entry(e, m) = c * F[e + m],
+    an int, for the one positive rational c that makes F's coefficients
+    coprime integers.
     """
     D = F.shape.check_degree(D)
     if not degree_is_effective(D):
@@ -128,12 +131,14 @@ def catalecticant(F: Tensor, D) -> list:
     comp = degree_sub(F.degree, D)
     if not degree_is_effective(comp):
         return [[] for _ in range(piece_dimension(F.shape, D))]
-    values = [F.coefficient(m) for m in enumerate_monomials(F.shape, F.degree)]
+    values = linalg.integral(
+        [F.coefficient(m) for m in enumerate_monomials(F.shape, F.degree)]
+    )
     return [[values[i] for i in row] for row in product_table(F.shape, comp, D)]
 
 
 def apolar_piece(F: Tensor, D) -> list:
-    """Exact-rational basis of F^⊥_D = ker(catalecticant at D), as rows over
+    """Basis of F^⊥_D = ker(catalecticant at D), as primitive int rows over
     the grevlex basis of S_D, by the deterministic RREF construction.
 
     For effective D not <= L componentwise the piece is all of S_D (nothing

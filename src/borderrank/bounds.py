@@ -149,9 +149,10 @@ def closed_form_border_rank(F: Tensor) -> int:
 
     Sort the exponents within every factor descending; the border rank is
     the product of (exponent + 1) over all but the largest exponent in each
-    factor.  Other shapes raise UnsupportedShapeError.
+    factor, which is the chart bound.  Other shapes raise
+    UnsupportedShapeError.
     """
-    a = _monomial_exponents(F)
+    _monomial_exponents(F)
     factors = F.shape.factors
     twos = sum(1 for f in factors if f == 2)
     ones = sum(1 for f in factors if f == 1)
@@ -162,32 +163,23 @@ def closed_form_border_rank(F: Tensor) -> int:
             f"no closed form on {factors}: supported shapes are P^1, P^2 and "
             "P^2 x (P^1)^k"
         )
-    value = 1
-    for block in a.exponents:
-        for e in sorted(block, reverse=True)[1:]:
-            value *= e + 1
-    return value
+    return upper_bound_monomial(F)[0]
 
 
 def almost_unbalanced_check(F: Tensor):
     """Exact value for (almost) unbalanced monomials on one projective space.
 
     After sorting exponents descending, a_0 >= (a_1 + ... + a_n) - 1 gives
-    border rank exactly (a_1+1)...(a_n+1); returns None otherwise.
+    border rank exactly (a_1+1)...(a_n+1), the chart bound; returns None
+    otherwise.
     """
     a = _monomial_exponents(F)
     if F.shape.num_factors != 1:
         raise PreconditionError("almost-unbalanced check applies to a single factor")
-    exps = sorted((e for e in a.exponents[0] if e > 0), reverse=True)
-    if not exps:
-        return 1
-    rest = exps[1:]
-    if exps[0] < sum(rest) - 1:
+    exps = sorted(a.exponents[0], reverse=True)
+    if exps[0] < sum(exps[1:]) - 1:
         return None
-    value = 1
-    for e in rest:
-        value *= e + 1
-    return value
+    return upper_bound_monomial(F)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,10 @@ class MonomialIdeal:
         return not self.generators
 
     def piece_rows(self, D) -> list:
-        """Unit rows spanning I_D over the grevlex basis of S_D."""
+        """Unit int rows spanning I_D over the grevlex basis of S_D."""
         basis = enumerate_monomials(self.shape, D)
         return [
-            [Fraction(int(k == i)) for k in range(len(basis))]
+            [int(k == i) for k in range(len(basis))]
             for i, m in enumerate(basis)
             if self.contains_monomial(m)
         ]
@@ -115,7 +115,8 @@ class GradedIdeal:
         self.generators = tuple(tagged)
 
     def piece_rows(self, D) -> list:
-        """Coefficient rows spanning I_D over the grevlex basis of S_D."""
+        """Int rows spanning I_D over the grevlex basis of S_D: the multiples
+        of each generator, its coefficients scaled to coprime integers."""
         D = self.shape.check_degree(D)
         size = piece_dimension(self.shape, D)
         rows = []
@@ -125,7 +126,7 @@ class GradedIdeal:
                 continue
             terms = _term_positions(self.shape, gen_degree, poly)
             for shifted in product_table(self.shape, gen_degree, shift):
-                row = [Fraction(0)] * size
+                row = [0] * size
                 for p, c in terms:
                     row[shifted[p]] += c
                 rows.append(row)
@@ -139,9 +140,11 @@ class GradedIdeal:
 
 
 def _term_positions(shape: FactorShape, D, poly) -> list:
-    """(position in the grevlex basis of S_D, coefficient) for each term."""
+    """(position in the grevlex basis of S_D, coefficient) for each term, the
+    coefficients scaled by one positive rational to coprime integers."""
     pos = positions(shape, D)
-    return [(pos[m.flat()], c) for m, c in poly.items()]
+    coefficients = linalg.integral(list(poly.values()))
+    return [(pos[m.flat()], c) for m, c in zip(poly, coefficients)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +218,6 @@ def saturate(I: MonomialIdeal) -> MonomialIdeal:
         current = bigger
 
 
-def is_saturated(I: MonomialIdeal) -> bool:
-    return colon_irrelevant(I) == I
-
-
 # ---------------------------------------------------------------------------
 # Containment in an apolar ideal (checked in degree L only)
 # ---------------------------------------------------------------------------
@@ -239,14 +238,16 @@ def contained_in_apolar(I, F: Tensor) -> bool:
     if isinstance(I, GradedIdeal):
         if I.shape != F.shape:
             raise ShapeMismatchError("ideal and tensor shapes differ")
-        values = [F.coefficient(m) for m in enumerate_monomials(F.shape, L)]
+        values = linalg.integral(
+            [F.coefficient(m) for m in enumerate_monomials(F.shape, L)]
+        )
         for gen_degree, poly in I.generators:
             shift = degree_sub(L, gen_degree)
             if not degree_is_effective(shift):
                 continue  # annihilates automatically
             terms = _term_positions(F.shape, gen_degree, poly)
             for shifted in product_table(F.shape, gen_degree, shift):
-                if sum((c * values[shifted[p]] for p, c in terms), Fraction(0)):
+                if sum(c * values[shifted[p]] for p, c in terms):
                     return False
         return True
     raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
@@ -257,15 +258,16 @@ def contained_in_apolar(I, F: Tensor) -> bool:
 # ---------------------------------------------------------------------------
 
 def times_variables(shape: FactorShape, rows, E, j: int) -> list:
-    """Rows spanning V * S_{e_j} in S_{E + e_j}, where V is spanned by rows
-    over the grevlex basis of S_E: every row times every variable of factor j."""
+    """Int rows spanning V * S_{e_j} in S_{E + e_j}, where V is spanned by int
+    rows over the grevlex basis of S_E: every row times every variable of
+    factor j."""
     unit = shape.unit_degree(j)
     size = piece_dimension(shape, degree_add(E, unit))
     shifts = product_table(shape, E, unit)
     products = []
     for row in rows:
         for shifted in shifts:
-            prod = [Fraction(0)] * size
+            prod = [0] * size
             for col, c in enumerate(row):
                 if c:
                     prod[shifted[col]] = c
@@ -292,7 +294,8 @@ def piece_generator_count(shape: FactorShape, D, piece_rows) -> int:
 # ---------------------------------------------------------------------------
 
 def iterated_colon_piece(I, D, steps: int, _memo=None):
-    """Echelon basis of (I : B^steps)_D, by the degreewise recursion
+    """A basis of (I : B^steps)_D, as int rows over the grevlex basis of S_D,
+    by the degreewise recursion
     V_k(D) = {f in S_D : f * b in V_{k-1}(D + (1,...,1)) for all B-generators b}."""
     shape = I.shape
     D = shape.check_degree(D)
@@ -318,8 +321,7 @@ def iterated_colon_piece(I, D, steps: int, _memo=None):
     for shifted in product_table(shape, D, ones):
         for normal in normals:
             constraints.append([normal[s] for s in shifted])
-    vectors = linalg.kernel_basis(constraints, piece_dimension(shape, D))
-    rows, _ = linalg.row_echelon(vectors)
+    rows = linalg.kernel_basis(constraints, piece_dimension(shape, D))
     _memo[key] = rows
     return rows
 

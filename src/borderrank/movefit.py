@@ -44,7 +44,6 @@ from .ideals import (
     MonomialIdeal,
     contained_in_apolar,
     hilbert_function,
-    is_saturated,
     saturate,
     saturation_defect,
 )
@@ -606,7 +605,7 @@ def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
     containment = contained_in_apolar(I, F)
 
     if isinstance(I, MonomialIdeal):
-        saturation = {"kind": "exact", "saturated": is_saturated(I)}
+        saturation = {"kind": "exact", "saturated": sat_I == I}
     else:
         defect = saturation_defect(I, max_total_degree=horizon)
         saturation = {

@@ -3,8 +3,9 @@
 None of these is reached by the CLI or by the library example in the
 README, so they live with the tests: the hook action on tensors, the
 apolar ideal of a monomial by its generators, the tensor and graded-ideal
-JSON writers, minimal generator counts of presented ideals, grevlex
-lex-segments, the text parser for monomials, and single variables.
+JSON writers, minimal generator counts of presented ideals, the
+saturation test of a monomial ideal, grevlex lex-segments, the text parser
+for monomials, and single variables.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
 from borderrank.ideals import (
     GradedIdeal,
     MonomialIdeal,
+    colon_irrelevant,
     monomial_piece,
     piece_generator_count,
 )
@@ -197,6 +199,11 @@ def minimal_generator_count(I, D) -> int:
         for shifted in product_table(shape, lower, unit):
             products.update(shifted[p] for p in lower_positions)
     return dim_piece - len(products)
+
+
+def is_saturated(I: MonomialIdeal) -> bool:
+    """I == (I : B), the condition at which saturate stops."""
+    return colon_irrelevant(I) == I
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from borderrank.bounds import (
 from borderrank.ideals import (
     MonomialIdeal,
     ideal_from_json,
-    is_saturated,
     saturate,
 )
 from borderrank.macaulay import lexbar_growth, macaulay_exponent
@@ -35,7 +34,7 @@ from borderrank.movefit import (
 )
 from borderrank.ring import FactorShape, enumerate_monomials, piece_dimension
 
-from oracles import variable
+from oracles import is_saturated, variable
 from test_movefit import _corpus_json, _oracle_exists
 
 

@@ -344,6 +344,30 @@ def test_report_non_monomial():
     assert report.components["minimal_quotient_test"]["verdict"] == HOLDS
 
 
+def rational_cubic():
+    """A concise plane cubic whose coefficients have denominators 3 and 7."""
+    shape = FactorShape([2])
+    coeffs = {
+        m: Fraction(k + 1, 3) if k % 2 == 0 else Fraction(-(k + 2), 7)
+        for k, m in enumerate(enumerate_monomials(shape, (3,)))
+    }
+    return Tensor(shape, (3,), coeffs)
+
+
+@pytest.mark.parametrize("scale", [Fraction(2, 3), Fraction(-5, 7)])
+@pytest.mark.parametrize(
+    "make",
+    [rational_cubic, _mn_matrix_multiplication_like, lambda: single(3, 2, 1)],
+    ids=["rational-cubic", "trilinear", "monomial-321"],
+)
+def test_report_survives_scaling_the_tensor(make, scale):
+    # the bounds belong to the point [F]: a non-zero rescaling of F moves
+    # none of them, and the catalecticant clears whatever denominators it has
+    F = make()
+    scaled = Tensor(F.shape, F.degree, {m: scale * c for m, c in F.terms()})
+    assert bounds_report(scaled).to_json() == bounds_report(F).to_json()
+
+
 def test_report_monotone_under_exponent_growth():
     # growing one exponent never lowers either side of the sandwich
     prev = bounds_report(single(2, 2, 2))

@@ -21,7 +21,6 @@ from borderrank.ideals import (
     ideal_from_json,
     ideal_to_json,
     intersect,
-    is_saturated,
     iterated_colon_piece,
     monomial_piece,
     piece_generator_count,
@@ -29,7 +28,12 @@ from borderrank.ideals import (
     saturation_defect,
 )
 from borderrank.ring import FactorShape, Monomial, enumerate_monomials, piece_dimension
-from oracles import apolar_of_monomial, graded_ideal_to_json, minimal_generator_count
+from oracles import (
+    apolar_of_monomial,
+    graded_ideal_to_json,
+    is_saturated,
+    minimal_generator_count,
+)
 
 
 P2 = FactorShape([2])

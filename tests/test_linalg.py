@@ -1,40 +1,74 @@
-"""Exact linear algebra sanity checks."""
+"""Exact linear algebra sanity checks.
+
+The package hands linalg int rows, each producer clearing its denominators
+once with integral(); these tests feed it the same way."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borderrank.linalg import kernel_basis, rank, row_echelon
+from borderrank import linalg
+from borderrank.apolarity import tensor_from_json
+from borderrank.bounds import bounds_report
+from borderrank.ideals import ideal_from_json
+from borderrank.linalg import integral, kernel_basis, rank, row_echelon
+from borderrank.movefit import verify_candidate
+from test_bounds import rational_cubic
+from test_movefit import _corpus_json
 
 
 def F(x):
     return Fraction(x)
 
 
+def ints(rows):
+    """The rows as a producer hands them over: each cleared to coprime ints."""
+    return [integral(row) for row in rows]
+
+
+def assert_primitive_ints(vectors):
+    for vec in vectors:
+        assert all(type(x) is int for x in vec)
+        assert gcd(*vec) == 1
+
+
+def test_integral_scales_by_one_positive_rational():
+    assert integral([F(1) / 2, F(-2) / 3, F(0)]) == [3, -4, 0]
+    assert integral([4, -6, 0]) == [2, -3, 0]
+    assert integral([F(-5) / 7]) == [-1]
+    assert integral([0, 0]) == [0, 0]
+    assert integral([]) == []
+    assert all(type(x) is int for x in integral([F(1) / 2, F(3)]))
+
+
 def test_rank_simple():
     assert rank([]) == 0
-    assert rank([[F(0), F(0)]]) == 0
-    assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert rank([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]) == 2
+    assert rank(ints([[F(0), F(0)]])) == 0
+    assert rank(ints([[F(1), F(2)], [F(2), F(4)]])) == 1
+    assert rank(ints([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]])) == 2
 
 
 def test_row_echelon_pivots_increase():
-    rows = [[F(0), F(2), F(1)], [F(3), F(0), F(0)], [F(3), F(2), F(1)]]
+    rows = ints([[F(0), F(2), F(1)], [F(3), F(0), F(0)], [F(3), F(2), F(1)]])
     echelon, pivots = row_echelon(rows)
     assert pivots == sorted(pivots)
+    assert_primitive_ints(echelon)
     for erow, col in zip(echelon, pivots):
-        assert erow[col] == 1
+        assert erow[col] != 0
         assert all(erow[k] == 0 for k in range(col))
 
 
 def test_kernel_basis_known():
     # x + y + z = 0 over three columns: kernel has dimension 2
-    rows = [[F(1), F(1), F(1)]]
+    rows = ints([[F(1), F(1), F(1)]])
     basis = kernel_basis(rows, 3)
     assert len(basis) == 2
-    for vec in basis:
+    assert_primitive_ints(basis)
+    for vec, free in zip(basis, [1, 2]):
         assert sum(vec) == 0
+        assert vec[free] > 0
 
 
 def _in_span(rows, vector) -> bool:
@@ -42,10 +76,10 @@ def _in_span(rows, vector) -> bool:
 
 
 def test_in_row_span():
-    rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    assert _in_span(rows, [F(1), F(1), F(2)])
-    assert _in_span(rows, [F(0), F(0), F(0)])
-    assert not _in_span(rows, [F(0), F(0), F(1)])
+    rows = ints([[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
+    assert _in_span(rows, integral([F(1), F(1), F(2)]))
+    assert _in_span(rows, integral([F(0), F(0), F(0)]))
+    assert not _in_span(rows, integral([F(0), F(0), F(1)]))
 
 
 small_matrix = st.lists(
@@ -58,13 +92,13 @@ small_matrix = st.lists(
 @given(small_matrix)
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(rows):
-    assert rank(rows) + len(kernel_basis(rows, 4)) == 4
+    assert rank(ints(rows)) + len(kernel_basis(ints(rows), 4)) == 4
 
 
 @given(small_matrix)
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(rows):
-    for vec in kernel_basis(rows, 4):
+    for vec in kernel_basis(ints(rows), 4):
         for row in rows:
             assert sum(r * v for r, v in zip(row, vec)) == 0
 
@@ -76,12 +110,13 @@ def test_span_membership_consistent_with_rank(rows, coeffs):
     combo = [
         sum(F(c) * row[k] for c, row in zip(coeffs, rows)) for k in range(4)
     ]
-    assert _in_span(rows, combo)
+    assert _in_span(ints(rows), integral(combo))
 
 
 # ---------------------------------------------------------------------------
 # Oracle: schoolbook elimination over Fraction, the reference that the
-# integer elimination in row_echelon must reproduce exactly
+# integer elimination must reproduce exactly, once each echelon row is divided
+# by its pivot entry and each kernel vector by its free-column entry
 # ---------------------------------------------------------------------------
 
 def fraction_row_echelon(rows):
@@ -165,10 +200,20 @@ def rational_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_row_echelon_and_kernel_match_fraction_oracle(matrix):
     rows, ncols = matrix
-    snapshot = [list(r) for r in rows]
-    assert row_echelon(rows) == fraction_row_echelon(rows)
-    assert kernel_basis(rows, ncols) == fraction_kernel_basis(rows, ncols)
-    assert rows == snapshot  # the input rows are left as they were
+    int_rows = ints(rows)
+    snapshot = [list(r) for r in int_rows]
+    echelon, pivots = row_echelon(int_rows)
+    assert_primitive_ints(echelon)
+    monic = [[Fraction(x, row[col]) for x in row] for row, col in zip(echelon, pivots)]
+    assert (monic, pivots) == fraction_row_echelon(rows)
+    basis = kernel_basis(int_rows, ncols)
+    assert_primitive_ints(basis)
+    free = [col for col in range(ncols) if col not in pivots]
+    assert len(basis) == len(free)
+    assert all(vec[col] > 0 for vec, col in zip(basis, free))
+    unit = [[Fraction(x, vec[col]) for x in vec] for vec, col in zip(basis, free)]
+    assert unit == fraction_kernel_basis(rows, ncols)
+    assert int_rows == snapshot  # the input rows are left as they were
 
 
 def test_row_echelon_edge_shapes():
@@ -177,8 +222,29 @@ def test_row_echelon_edge_shapes():
     # rows of length 0: no pivot, and an empty kernel over no columns
     assert row_echelon([[], []]) == ([], [])
     assert kernel_basis([[], []], 0) == []
-    # integer entries come back as exact monic Fraction rows
+    # each echelon row comes back primitive, not monic
     echelon, pivots = row_echelon([[0, 4, 6], [2, 0, 3]])
     assert pivots == [0, 1]
-    assert echelon == [[1, 0, Fraction(3, 2)], [0, 1, Fraction(3, 2)]]
-    assert all(type(x) is Fraction for row in echelon for x in row)
+    assert echelon == [[2, 0, 3], [0, 2, 3]]
+    assert all(type(x) is int for row in echelon for x in row)
+    # its kernel: the RREF vector (-3/2, -3/2, 1), scaled to primitive ints
+    assert kernel_basis([[0, 4, 6], [2, 0, 3]], 3) == [[-3, -3, 2]]
+
+
+def test_row_echelon_receives_only_int_rows(monkeypatch):
+    # every producer clears its denominators before its rows reach linalg:
+    # the bounds report of a tensor with denominators 3 and 7, and the verify
+    # replay of a corpus witness whose generators carry halves
+    F = tensor_from_json(_corpus_json("cubic-p4.json"))
+    I = ideal_from_json(_corpus_json("ideal-cubic-p4.json"))
+    types, calls = set(), []
+
+    def checked(rows):
+        calls.append(len(rows))
+        types.update(type(x) for row in rows for x in row)
+        return row_echelon(rows)
+
+    monkeypatch.setattr(linalg, "row_echelon", checked)
+    bounds_report(rational_cubic())
+    verify_candidate(I, F, 5, horizon=5)
+    assert calls and types == {int}

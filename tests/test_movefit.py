@@ -5,6 +5,7 @@ import concurrent.futures
 import json
 import math
 import random
+from fractions import Fraction
 from importlib import resources
 from itertools import combinations, permutations, product as iter_product
 
@@ -13,7 +14,7 @@ import pytest
 from borderrank import movefit
 from borderrank.apolarity import Tensor, catalecticant_lower_bound, tensor_from_json
 from borderrank.errors import PreconditionError
-from borderrank.ideals import MonomialIdeal, ideal_from_json
+from borderrank.ideals import GradedIdeal, MonomialIdeal, ideal_from_json
 from borderrank.movefit import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
@@ -758,6 +759,31 @@ def test_verify_corpus_tangent_line_witness():
     report = verify_candidate(I, F, 2)
     assert report.passed
     assert report.saturation == {"kind": "exact", "saturated": True}
+
+
+@pytest.mark.parametrize(
+    "ideal, tensor, r, horizon",
+    [
+        ("ideal-minrank-3x3x3.json", "minrank-3x3x3.json", 3, None),
+        ("ideal-cubic-p4.json", "cubic-p4.json", 5, 5),
+    ],
+)
+def test_verify_report_survives_scaling_each_generator(ideal, tensor, r, horizon):
+    # a generator scaled by a non-zero rational spans the same line, so the
+    # ideal and its report stay; each generator's denominators are cleared
+    # on their own
+    F = tensor_from_json(_corpus_json(tensor))
+    I = ideal_from_json(_corpus_json(ideal))
+    scales = [Fraction(2, 3), Fraction(-5, 7), Fraction(7), Fraction(-1, 12)]
+    scaled = GradedIdeal(
+        I.shape,
+        [
+            (degree, {m: scales[k % len(scales)] * c for m, c in poly.items()})
+            for k, (degree, poly) in enumerate(I.generators)
+        ],
+    )
+    expected = verify_candidate(I, F, r, horizon).to_json()
+    assert verify_candidate(scaled, F, r, horizon).to_json() == expected
 
 
 # ---------------------------------------------------------------------------

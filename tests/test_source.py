@@ -24,14 +24,21 @@ def test_no_assert_statements_in_package():
 
 def test_linalg_has_no_float_or_true_division():
     # certificates rest on exact ranks: an int `/` would silently make the
-    # elimination a float computation, so linalg.py uses no `/` at all
+    # elimination a float computation, so linalg.py uses no `/` at all; and
+    # rows are ints, so linalg.py needs no Fraction either
     path = PACKAGE / "linalg.py"
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             found.append(f"true division at line {node.lineno}")
-        elif isinstance(node, ast.Name) and node.id == "float":
-            found.append(f"float at line {node.lineno}")
+        elif isinstance(node, ast.Name) and node.id in ("float", "Fraction"):
+            found.append(f"{node.id} at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            found.append(f"Fraction at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(f"fractions import at line {node.lineno}")
+        elif isinstance(node, ast.Import) and "fractions" in (a.name for a in node.names):
+            found.append(f"fractions import at line {node.lineno}")
         elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"float literal at line {node.lineno}")
     assert found == []

@@ -20,8 +20,16 @@ also looks ahead: a piece is built bit by bit in increasing position, and a
 bit is cut as soon as the image of the piece would give some higher level
 more monomials than that level's piece may have.  Images only grow as bits
 are added, so the cut loses no piece that fits, and the pieces still come in
-lexicographic order.  A node is a complete piece that fits every level it
-maps into, counted before the symmetry test.  Symmetry pruning quotients
+lexicographic order.  It also counts ahead: while a piece still has to take
+all but s of the free bits left, a monomial of a higher level that more than
+s of those bits map to is hit by one the piece takes (pigeonhole), so it lies
+in the image of every completion, and the partial piece is cut when those
+monomials already overflow the level.  At s = 0 the one completion takes
+every bit left, so the count is exact and the completion is emitted whole.
+Both cuts drop only partial pieces with no fitting completion, so the pieces
+and their order stay those of the plain bit-by-bit walk.  A node is a
+complete piece that fits every level it maps into, counted before the
+symmetry test.  Symmetry pruning quotients
 by variable permutations fixing the exponent vector; a state is discarded if
 relabelling makes its piece sequence strictly smaller in the prefix order, which
 keeps the lexicographically least member of every orbit and hence preserves
@@ -70,6 +78,9 @@ FOUND_NOTE = (
 )
 
 _SYMMETRY_GROUP_CAP = 720
+
+# refuse a search whose plan tables are estimated above this many bytes
+_PLAN_BYTES_LIMIT = 1 << 30
 
 # how many spans of the branching level a process pool may have submitted
 # ahead of the result being merged
@@ -200,8 +211,32 @@ def _build_plan(F: Tensor, config: SearchConfig):
     # degree 0 is left out: I_0 = 0 for every r >= 1
     degrees = degrees_up_to(shape.num_factors, horizon)[1:]
     deg_index = {d: k for k, d in enumerate(degrees)}
-    pos_by_degree = [positions(shape, d) for d in degrees]
+    # per degree: (variable factor, index of the degree one higher in it)
+    higher = [
+        [
+            (j, deg_index[up])
+            for j in range(shape.num_factors)
+            if (up := degree_add(d, shape.unit_degree(j))) in deg_index
+        ]
+        for d in degrees
+    ]
+    group = _variable_permutations(a) if config.symmetry_pruning else []
 
+    # a table entry is an int as wide as the degree it points into: dim_t bits
+    # for each target t, dim_k bits for each group element
+    dims = [piece_dimension(shape, d) for d in degrees]
+    table_bytes = sum(
+        dim * (sum(dims[t] for _, t in higher[k]) + len(group) * dim)
+        for k, dim in enumerate(dims)
+    ) // 8
+    if table_bytes > _PLAN_BYTES_LIMIT:
+        raise PreconditionError(
+            f"the search tables would take about {table_bytes >> 20:,} MiB, "
+            f"over the limit of {_PLAN_BYTES_LIMIT >> 20:,} MiB; "
+            "lower the horizon"
+        )
+
+    pos_by_degree = [positions(shape, d) for d in degrees]
     reqs, apolar_masks = [], []
     for d, pos in zip(degrees, pos_by_degree):
         reqs.append(len(pos) - generic_hilbert(config.r, shape, d))
@@ -213,24 +248,19 @@ def _build_plan(F: Tensor, config: SearchConfig):
 
     targets = [[] for _ in degrees]
     for src_k, d in enumerate(degrees):
-        for j in range(shape.num_factors):
-            unit = shape.unit_degree(j)
-            tk = deg_index.get(degree_add(d, unit))
-            if tk is None:
-                continue
+        for j, tk in higher[src_k]:
             # the shifts of a monomial by distinct variables are distinct
             # monomials, so the sum of their bits is their union
-            products = product_table(shape, d, unit)
+            products = product_table(shape, d, shape.unit_degree(j))
             table = [sum(1 << t for t in shifts) for shifts in zip(*products)]
             targets[src_k].append((tk, table, reqs[tk]))
 
     sym_tables = []
-    if config.symmetry_pruning:
-        for g in _variable_permutations(a):
-            permute = operator.itemgetter(*g)  # f -> tuple(f[x] for x in g)
-            sym_tables.append(
-                [[1 << pos[permute(f)] for f in pos] for pos in pos_by_degree]
-            )
+    for g in group:
+        permute = operator.itemgetter(*g)  # f -> tuple(f[x] for x in g)
+        sym_tables.append(
+            [[1 << pos[permute(f)] for f in pos] for pos in pos_by_degree]
+        )
 
     growth_kill = None
     if config.growth_pruning:
@@ -279,6 +309,42 @@ def _image_smaller(img: int, cur: int) -> int:
     return -1 if (x & -x) & img else 1
 
 
+def _look_ahead(targets, free, need):
+    """(forced, rest) for a piece that takes need of the bits free.
+
+    forced[j][i] holds, per target, the target monomials hit by more than j
+    of the bits free[i:], where a bit hits the monomials of its table entry;
+    rest[i] is the mask of free[i:].  A monomial is hit by more than j bits
+    of free[i:] when it is hit by more than j of free[i + 1:], or by free[i]
+    and more than j - 1 of free[i + 1:], so each layer is one suffix pass
+    over the one below it.  fitting reads layer j only where j free bits
+    remain to be skipped, i >= n - need - j, so that is all that is built.
+    forced[j][i] only shrinks as i grows, and forced[j + 1][i] lies inside
+    forced[j][i + 1], so an empty forced[j][n - need - j] makes layer j and
+    every layer above it empty: the layers stop there, past layer 0."""
+    n = len(free)
+    rest = [0] * (n + 1)
+    for i in range(n - 1, n - need - 1, -1):
+        rest[i] = rest[i + 1] | 1 << free[i]
+    pick = operator.itemgetter(*free)
+    hits = [pick(table) for _, table, _ in targets]
+    above = [[-1] * (n + 1)] * len(targets)  # every monomial is hit > -1 times
+    forced = []
+    for j in range(n):
+        lo = max(0, n - need - j)
+        layer = []
+        for h, g in zip(hits, above):
+            f = [0] * (n + 1)
+            for i in range(n - 1 - j, lo - 1, -1):
+                f[i] = f[i + 1] | h[i] & g[i + 1]
+            layer.append(f)
+        if j and not any(f[lo] for f in layer):
+            break
+        forced.append(list(zip(*layer)) if layer else [()] * (n + 1))
+        above = layer
+    return forced, rest
+
+
 class _BudgetHit(Exception):
     pass
 
@@ -311,13 +377,28 @@ class _Searcher:
         """Every piece at level k that fits, with its images in the target
         levels, in lexicographic order of the added bits.
 
-        A piece is the mandatory set M = carried[k] plus req_k - |M| free
-        bits of the apolar mask, and fits when its image in every target t,
-        joined to carried[t], has at most req_t bits.  The bits are chosen
-        one at a time in increasing position, and a bit is cut as soon as a
-        target would overflow: adding bits only grows an image, so no
-        fitting piece is lost.  M stays inside the apolar mask: a multiple
-        of a monomial outside the divisor set of a is outside it too."""
+        A piece is the mandatory set M = carried[k] plus need = req_k - |M|
+        of the n free bits of the apolar mask, and fits when its image in
+        every target t, joined to carried[t], has at most req_t bits.  The
+        bits are chosen one at a time in increasing position, and a bit is
+        cut as soon as a target would overflow: adding bits only grows an
+        image, so no fitting piece is lost.  M stays inside the apolar mask:
+        a multiple of a monomial outside the divisor set of a is outside it
+        too.
+
+        Look-ahead: with d bits taken below free[i], every completion takes
+        need - d of the n - i bits free[i:] and skips the other
+        skips = n - i - (need - d).  A target monomial hit by more than
+        skips of them is hit by a taken bit, so the image of every
+        completion contains forced[skips][i] (see _look_ahead), and the
+        entry is cut when that already overflows a target.  At skips = 0
+        the one completion is piece | rest[i], its image is exactly the
+        image so far joined to forced[0][i], and it is yielded at once: it
+        is the one piece the take-chain below the entry would yield, at the
+        same point of the walk.  A monomial of degree D + e_j is the shift
+        of at most one monomial of degree D per variable of factor j, so it
+        is hit that many times at most, and there are no more layers than
+        variables in a factor."""
         plan = self.plan
         M = carried[k]
         targets = plan.targets[k]
@@ -330,6 +411,10 @@ class _Searcher:
             images.append(img)
         free = list(_bits(plan.apolar_masks[k] & ~M))
         need = plan.reqs[k] - M.bit_count()
+        n = len(free)
+        forced, rest = _look_ahead(targets, free, need) if 1 < need <= n else ((), ())
+        depth = len(forced)
+        caps = [cap for _, _, cap in targets]
         # the entry at depth d is (i, piece, images) with d bits chosen, all
         # below free[i]; the branch that skips free[i] waits below the one
         # that takes it
@@ -340,8 +425,19 @@ class _Searcher:
             if d == need:
                 yield piece, images
                 continue
-            if i > len(free) - need + d:
+            skips = n - need + d - i  # free bits of free[i:] left out
+            if skips < 0:
                 continue  # too few free bits left
+            if skips < depth:
+                # every completion hits forced[skips][i]; with no skips left
+                # the one completion takes all of free[i:]
+                grown = list(map(operator.or_, images, forced[skips][i]))
+                if any(map(operator.gt, map(int.bit_count, grown), caps)):
+                    self._prune("mandatory_overflow")
+                    continue
+                if not skips:
+                    yield piece | rest[i], grown
+                    continue
             stack.append((i + 1, piece, images))
             p = free[i]
             grown = []

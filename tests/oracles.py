@@ -5,7 +5,8 @@ README, so they live with the tests: the hook action on tensors, the
 apolar ideal of a monomial by its generators, the tensor and graded-ideal
 JSON writers, minimal generator counts of presented ideals, the
 saturation test of a monomial ideal, grevlex lex-segments, the text parser
-for monomials, and single variables.
+for monomials, single variables, and the move-fit piece enumerator without
+look-ahead.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from borderrank.ideals import (
     monomial_piece,
     piece_generator_count,
 )
+from borderrank.movefit import _bits, _image
 from borderrank.ring import (
     _BLOCK_LETTERS,
     FactorShape,
@@ -223,3 +225,45 @@ def lex_segment(n: int, d: int, r: int) -> tuple:
             f"codimension r={r} out of range 0..{len(mons)} for n={n}, d={d}"
         )
     return mons[r:]
+
+
+# ---------------------------------------------------------------------------
+# Move-fit
+# ---------------------------------------------------------------------------
+
+def take_skip_fitting(plan, carried, k):
+    """The pieces of movefit's _Searcher.fitting, with their images, found
+    by the plain take/skip walk: the only cut is a target that already
+    overflows with the bits taken so far.  Cuts are not counted."""
+    M = carried[k]
+    targets = plan.targets[k]
+    images = []
+    for t, table, cap in targets:
+        img = carried[t] | _image(M, table)
+        if img.bit_count() > cap:
+            return
+        images.append(img)
+    free = list(_bits(plan.apolar_masks[k] & ~M))
+    need = plan.reqs[k] - M.bit_count()
+    # the entry at depth d is (i, piece, images) with d bits chosen, all
+    # below free[i]; the branch that skips free[i] waits below the one
+    # that takes it
+    stack = [(0, M, images)]
+    while stack:
+        i, piece, images = stack.pop()
+        d = len(stack)
+        if d == need:
+            yield piece, images
+            continue
+        if i > len(free) - need + d:
+            continue  # too few free bits left
+        stack.append((i + 1, piece, images))
+        p = free[i]
+        grown = []
+        for (t, table, cap), img in zip(targets, images):
+            img |= table[p]
+            if img.bit_count() > cap:
+                break
+            grown.append(img)
+        else:
+            stack.append((i + 1, piece | 1 << p, grown))

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import time
 
 import jsonschema
 import pytest
@@ -146,6 +147,26 @@ def test_search_vacuous_r_is_precondition(capsys):
     error = parse_and_check(err)
     assert error["error"]["type"] == "PreconditionError"
     assert "vacuous" in error["error"]["message"]
+
+
+def test_search_oversized_plan_is_precondition(tmp_path, capsys):
+    # (3,...,3) on P^6: the plan tables would take about 1.7e5 MB, so the
+    # search refuses before it builds any of them
+    tensor = tmp_path / "cube-p6.json"
+    tensor.write_text(json.dumps({
+        "shape": [6],
+        "degree": [21],
+        "convention": "divided",
+        "terms": [{"exp": [[3] * 7], "num": "1", "den": "1"}],
+    }))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", str(tensor), "--r", "100", "--budget", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    error = parse_and_check(err)
+    assert error["error"]["type"] == "PreconditionError"
+    assert "search tables" in error["error"]["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -395,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--jobs", type=int, help=f"worker count (default ${JOBS_ENV_VAR} or 1)"
     )
-    p_search.add_argument("--budget", type=int, help="node budget per subtree")
+    p_search.add_argument("--budget", type=int, help="node budget of the whole run")
     p_search.add_argument("--output", help="write the report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="replay move-fit conditions on an ideal")

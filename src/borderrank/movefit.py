@@ -94,7 +94,7 @@ class SearchConfig:
     symmetry_pruning: bool = True
     growth_pruning: bool = False
     parallel_width: int = 1
-    node_budget: int | None = None  # per top-level subtree
+    node_budget: int | None = None  # nodes of the whole run
 
 
 @dataclass
@@ -155,7 +155,6 @@ class _Plan:
     targets: list  # per degree: (target index, table, target req), with
     # table[p] the mask of the shifts of monomial p into the target degree
     sym_tables: list  # per group element: per degree, table[p] = image bit
-    growth_kill: dict | None  # witness when the disjoint-module rule rules out r
 
 
 def _variable_permutations(a: Monomial):
@@ -262,17 +261,12 @@ def _build_plan(F: Tensor, config: SearchConfig):
             [[1 << pos[permute(f)] for f in pos] for pos in pos_by_degree]
         )
 
-    growth_kill = None
-    if config.growth_pruning:
-        growth_kill = disjoint_module_obstruction(F, config.r, horizon - 1)
-
     return _Plan(
         degrees=degrees,
         reqs=reqs,
         apolar_masks=apolar_masks,
         targets=targets,
         sym_tables=sym_tables,
-        growth_kill=growth_kill,
     )
 
 
@@ -350,25 +344,27 @@ class _BudgetHit(Exception):
 
 
 class _Searcher:
-    """Depth-first search below a fixed prefix, with its own node budget.
+    """Depth-first search with a node budget, in this process or, from the
+    first level with two fitting pieces, on a pool of `workers` processes.
 
     `carried[t]` is the image in level t of the pieces chosen so far, so at
     level k it is the mandatory set.  Each assignment extends a copy of it,
     and `chosen` needs no reset when a branch fails: every later level
     overwrites its entry."""
 
-    def __init__(self, plan: _Plan, budget, prunings: dict):
+    def __init__(self, plan: _Plan, budget, workers=None):
         self.plan = plan
-        self.budget = budget  # remaining nodes, or None
+        self.budget = budget  # most nodes to count, or None
+        self.workers = workers  # pool width, or None to search in-process
         self.nodes = 0
-        self.prunings = prunings
+        self.prunings = {}
 
-    def _spend(self):
-        self.nodes += 1
-        if self.budget is not None:
-            self.budget -= 1
-            if self.budget < 0:
-                raise _BudgetHit()
+    def _charge(self, n):
+        """Count n nodes; past the budget, count budget + 1 and stop."""
+        self.nodes += n
+        if self.budget is not None and self.nodes > self.budget:
+            self.nodes = self.budget + 1
+            raise _BudgetHit()
 
     def _prune(self, cause):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
@@ -452,7 +448,7 @@ class _Searcher:
 
     def assign(self, chosen, carried, active, k, piece: int, images):
         """Set piece at level k (counts a node), apply symmetry, descend."""
-        self._spend()
+        self._charge(1)
         if active:
             next_active = []
             for g in active:
@@ -464,25 +460,67 @@ class _Searcher:
                     next_active.append(g)
             active = next_active
         chosen[k] = piece
-        return self.descend(chosen, _carry(self.plan, carried, k, images), active, k + 1)
+        carried = list(carried)
+        for (t, _, _), img in zip(self.plan.targets[k], images):
+            carried[t] = img
+        return self.descend(chosen, carried, active, k + 1)
 
     def descend(self, chosen, carried, active, k):
-        """Explore level k onward; returns chosen pieces on success else None."""
+        """Explore level k onward; returns chosen pieces on success else None.
+
+        With a pool, the pieces of a level are read two ahead, and the first
+        level that has two is explored by split; the levels above it, with
+        one fitting piece each, are walked here.  Such a level costs what a
+        plain walk of it costs: every active element fixes the pieces chosen
+        so far and the apolar masks, so it fixes the carried images and maps
+        the fitting pieces of the level onto themselves.  The one fitting
+        piece is then its own image, so assign counts it as one node,
+        rejects nothing by symmetry and keeps every active element."""
         if k == len(self.plan.degrees):
             return list(chosen)
-        for piece, images in self.fitting(carried, k):
+        pieces = self.fitting(carried, k)
+        if self.workers is not None:
+            head = list(itertools.islice(pieces, 2))
+            pieces = itertools.chain(head, pieces)
+            if len(head) == 2:
+                return self.split(chosen, carried, active, k, pieces)
+        for piece, images in pieces:
             result = self.assign(chosen, carried, active, k, piece, images)
             if result is not None:
                 return result
         return None
 
+    def split(self, chosen, carried, active, k, pieces):
+        """Explore the pieces of level k on a process pool, in spans, and
+        charge the span results in span order.
 
-def _carry(plan: _Plan, carried, k, images):
-    """carried with the images of the piece at level k in its targets."""
-    carried = list(carried)
-    for (t, _, _), img in zip(plan.targets[k], images):
-        carried[t] = img
-    return carried
+        Each span runs one searcher with the budget left when the pool
+        starts.  A span that passes it reports that budget + 1 nodes, so
+        the charge stops the run on the node where a serial walk would stop,
+        and the status, nodes and first Found equal the serial run's."""
+        import concurrent.futures  # loads the process pool module on first use
+
+        # the stream is read lazily: a level can have more fitting pieces than
+        # could ever be listed, and a Found run needs only the first few
+        pieces = (piece for piece, _ in pieces)
+        head = list(itertools.islice(pieces, self.workers))
+        left = None if self.budget is None else self.budget - self.nodes
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=len(head),
+            initializer=_init_worker,
+            initargs=(self.plan, chosen, carried, active, k, left),
+        )
+        try:
+            spans = _spans(itertools.chain(head, pieces), len(head))
+            for found, nodes, prunings in _in_order(pool, spans):
+                self._charge(nodes)
+                for cause, count in prunings.items():
+                    self.prunings[cause] = self.prunings.get(cause, 0) + count
+                if found is not None:
+                    return found
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return None
 
 
 # worker-side state, installed once per process
@@ -495,32 +533,25 @@ def _init_worker(*state):
 
 
 def _run_chunk(pieces):
-    """Explore the given pieces of the branching level in order.
+    """Explore the given pieces of the branching level in order, with one
+    searcher and the budget the pool started with.
 
-    Each piece's subtree gets a fresh node budget.  Returns the pieces of
-    the first Found (or None), whether any subtree hit the budget, and the
-    nodes and prunings spent."""
-    plan, chosen, carried, k, budget = _WORKER_STATE
+    Returns the pieces of the first Found (or None), and the nodes and
+    prunings spent; past the budget the nodes read budget + 1."""
+    plan, chosen, carried, active, k, budget = _WORKER_STATE
+    searcher = _Searcher(plan, budget)
     chosen = list(chosen)
-    # the forced prefix is fixed by every symmetry, so all of them are active
-    active = list(range(len(plan.sym_tables)))
-    prunings = {}
-    nodes = 0
-    budget_hit = False
-    for piece in pieces:
-        searcher = _Searcher(plan, budget, prunings)
-        images = [
-            carried[t] | _image(piece, table) for t, table, _ in plan.targets[k]
-        ]
-        try:
+    try:
+        for piece in pieces:
+            images = [
+                carried[t] | _image(piece, table) for t, table, _ in plan.targets[k]
+            ]
             result = searcher.assign(chosen, carried, active, k, piece, images)
-        except _BudgetHit:
-            budget_hit = True
-            result = None
-        nodes += searcher.nodes
-        if result is not None:
-            return result, budget_hit, nodes, prunings
-    return None, budget_hit, nodes, prunings
+            if result is not None:
+                return result, searcher.nodes, searcher.prunings
+    except _BudgetHit:
+        pass
+    return None, searcher.nodes, searcher.prunings
 
 
 def _spans(pieces, workers):
@@ -547,108 +578,6 @@ def _in_order(pool, spans):
         for span in itertools.islice(spans, 1):
             pending.append(pool.submit(_run_chunk, span))
         yield result
-
-
-def _drive(plan: _Plan, config: SearchConfig, stats: SearchStatistics):
-    """Walk the levels with a single fitting piece, then split the fitting
-    pieces of the first level with more than one into spans and merge the
-    span results in order.
-
-    Returns (status, pieces).  Both paths read the spans lazily and stop at
-    the first span that finds a candidate."""
-    global _WORKER_STATE
-    # every piece lies inside its apolar mask: a level whose mask is smaller
-    # than its req rules out every ideal before any piece is chosen
-    if any(m.bit_count() < req for m, req in zip(plan.apolar_masks, plan.reqs)):
-        stats.prunings["insufficient_candidates"] = 1
-        return EXHAUSTED, None
-    searcher = _Searcher(plan, config.node_budget, stats.prunings)
-    chosen = [0] * len(plan.degrees)
-    carried = [0] * len(plan.degrees)
-    try:
-        for k in range(len(plan.degrees)):
-            stream = searcher.fitting(carried, k)
-            first = next(stream, None)
-            second = next(stream, None)
-            if first is None:
-                return EXHAUSTED, None
-            if second is not None:
-                break
-            searcher._spend()
-            chosen[k] = first[0]
-            carried = _carry(plan, carried, k, first[1])
-        else:
-            return FOUND, chosen
-    except _BudgetHit:
-        return BUDGET_EXCEEDED, None
-    finally:
-        stats.nodes = searcher.nodes
-
-    # the stream is read lazily: a level can have more fitting pieces than
-    # could ever be listed, and a Found run needs only the first few
-    pieces = itertools.chain((first[0], second[0]), (piece for piece, _ in stream))
-    head = list(itertools.islice(pieces, config.parallel_width))
-    spans = _spans(itertools.chain(head, pieces), len(head))
-    init_args = (plan, chosen, carried, k, config.node_budget)
-    pool = None
-    if len(head) > 1:
-        import concurrent.futures  # loads the process pool module on first use
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=len(head), initializer=_init_worker, initargs=init_args
-        )
-    else:
-        _init_worker(*init_args)
-    budget_hit = False
-    try:
-        results = map(_run_chunk, spans) if pool is None else _in_order(pool, spans)
-        for found, hit, nodes, prunings in results:
-            stats.nodes += nodes
-            budget_hit = budget_hit or hit
-            for cause, count in prunings.items():
-                stats.prunings[cause] = stats.prunings.get(cause, 0) + count
-            if found is not None:
-                return FOUND, found
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        else:
-            _WORKER_STATE = None  # the serial path installed the plan here
-    return (BUDGET_EXCEEDED if budget_hit else EXHAUSTED), None
-
-
-def _finish(plan, F, config, horizon, status, pieces, stats, t0):
-    stats.wall_time_seconds = time.perf_counter() - t0
-    candidate = None
-    candidate_pieces = None
-    note = ""
-    if status == FOUND:
-        candidate_pieces = {}
-        monomials = []
-        for k, degree in enumerate(plan.degrees):
-            mons = enumerate_monomials(F.shape, degree)
-            chosen = [mons[p] for p in _bits(pieces[k])]
-            chosen.sort(key=Monomial.grevlex_key)
-            candidate_pieces[degree] = tuple(chosen)
-            monomials.extend(chosen)
-        candidate = MonomialIdeal(F.shape, monomials)
-        note = FOUND_NOTE
-    elif status == EXHAUSTED:
-        note = (
-            f"no ideal with the generic Hilbert function for r = {config.r} "
-            f"exists inside the apolar ideal up to total degree {horizon}; "
-            f"hence the border rank exceeds {config.r}"
-        )
-    else:
-        note = "node budget exhausted before the search space was covered"
-    return SearchOutcome(
-        status=status,
-        r=config.r,
-        horizon=horizon,
-        candidate=candidate,
-        candidate_pieces=candidate_pieces,
-        note=note,
-        statistics=stats,
-    )
 
 
 @dataclass
@@ -726,22 +655,66 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
 
     The outcome status is Exhausted (certificate: br > r up to the horizon
     constraints), Found (candidate ideal, nothing certified), or
-    BudgetExceeded.  Given the same config the status, the candidate and the
-    node count are deterministic, independent of parallel_width; the pruning
-    counts of a Found run are not.
+    BudgetExceeded, once the whole run has counted more than node_budget
+    nodes.  Given the same config the status, the candidate and the node
+    count are deterministic, independent of parallel_width; the pruning
+    counts of a Found or BudgetExceeded run are not.
     """
     t0 = time.perf_counter()
     plan = _build_plan(F, config)
     horizon = config.horizon if config.horizon is not None else sum(F.degree)
-    stats = SearchStatistics()
+    workers = config.parallel_width if config.parallel_width > 1 else None
+    searcher = _Searcher(plan, config.node_budget, workers)
+    growth_kill = None
+    if config.growth_pruning:
+        growth_kill = disjoint_module_obstruction(F, config.r, horizon - 1)
+    status, pieces = EXHAUSTED, None
+    if growth_kill is not None:
+        searcher.prunings["growth"] = 1
+    # every piece lies inside its apolar mask: a level whose mask is smaller
+    # than its req rules out every ideal before any piece is chosen
+    elif any(m.bit_count() < req for m, req in zip(plan.apolar_masks, plan.reqs)):
+        searcher.prunings["insufficient_candidates"] = 1
+    else:
+        empty = [0] * len(plan.degrees)
+        active = list(range(len(plan.sym_tables)))
+        try:
+            pieces = searcher.descend(list(empty), empty, active, 0)
+            status = EXHAUSTED if pieces is None else FOUND
+        except _BudgetHit:
+            status = BUDGET_EXCEEDED
+    stats = SearchStatistics(
+        searcher.nodes, searcher.prunings, time.perf_counter() - t0
+    )
 
-    if plan.growth_kill is not None:
-        stats.prunings["growth"] = 1
-        outcome = _finish(plan, F, config, horizon, EXHAUSTED, None, stats, t0)
-        outcome.note += (
-            f" (settled by the growth cap at degree {plan.growth_kill['degree']})"
+    candidate = candidate_pieces = None
+    if status == FOUND:
+        candidate_pieces = {}
+        monomials = []
+        for k, degree in enumerate(plan.degrees):
+            mons = enumerate_monomials(F.shape, degree)
+            chosen = [mons[p] for p in _bits(pieces[k])]
+            chosen.sort(key=Monomial.grevlex_key)
+            candidate_pieces[degree] = tuple(chosen)
+            monomials.extend(chosen)
+        candidate = MonomialIdeal(F.shape, monomials)
+        note = FOUND_NOTE
+    elif status == EXHAUSTED:
+        note = (
+            f"no ideal with the generic Hilbert function for r = {config.r} "
+            f"exists inside the apolar ideal up to total degree {horizon}; "
+            f"hence the border rank exceeds {config.r}"
         )
-        return outcome
-
-    status, pieces = _drive(plan, config, stats)
-    return _finish(plan, F, config, horizon, status, pieces, stats, t0)
+        if growth_kill is not None:
+            note += f" (settled by the growth cap at degree {growth_kill['degree']})"
+    else:
+        note = "node budget exhausted before the search space was covered"
+    return SearchOutcome(
+        status=status,
+        r=config.r,
+        horizon=horizon,
+        candidate=candidate,
+        candidate_pieces=candidate_pieces,
+        note=note,
+        statistics=stats,
+    )

@@ -26,7 +26,7 @@ from borderrank.errors import (
     UnsupportedShapeError,
 )
 from borderrank.movefit import EXHAUSTED, FOUND, SearchConfig, search
-from borderrank.ring import FactorShape, Monomial, enumerate_monomials
+from borderrank.ring import FactorShape, Monomial, enumerate_monomials, piece_dimension
 
 
 def single(*exps):
@@ -417,3 +417,29 @@ def test_bounds_agree_with_search():
             assert outcome.status == FOUND, (shape.factors, blocks, report.lower)
             found += 1
     assert (len(cases), exhausted, found) == (189, 150, 178)
+
+
+def test_zero_exponent_variable_changes_nothing():
+    # x^a on P^n and x^a * x_{n+1}^0 on P^{n+1} are one tensor in two
+    # spaces, and its border rank does not depend on the space around it,
+    # so the search status at every r and the bounds must agree
+    differ = {}
+    pairs = 0
+    for n, max_total in [(1, 8), (2, 6), (3, 4)]:
+        for e in _descending(n + 1, max_total):
+            F, G = single(*e), single(*e, 0)
+            for r in range(1, piece_dimension(F.shape, F.degree) + 1):
+                assert (
+                    search(F, SearchConfig(r=r)).status
+                    == search(G, SearchConfig(r=r)).status
+                ), (e, r)
+            a, b = bounds_report(F), bounds_report(G)
+            if (a.lower, a.upper) != (b.lower, b.upper):
+                differ[e] = (a.lower, a.upper), (b.lower, b.upper)
+            pairs += 1
+    assert pairs == 57
+    # the closed form reads the shape, not the variables that occur in the
+    # monomial, so it settles (2,2,2) on P^2 but not (2,2,2,0) on P^3,
+    # where the disjoint-module bound gives 8; ROADMAP item 2 restricts a
+    # monomial to its variables before bounding it
+    assert differ == {(2, 2, 2): ((9, 9), (8, 9))}

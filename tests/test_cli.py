@@ -140,6 +140,22 @@ def test_search_budget_exit_code(capsys):
     assert error["error"]["type"] == "BudgetExceededError"
 
 
+def test_search_budget_bounds_the_run(capsys):
+    # the branching level of 4443 r86 has subtrees far larger than the
+    # budget; the budget counts the whole run, so the search stops at once
+    args = ("search", corpus("mono-4443.json"), "--r", "86", "--budget", "50")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *args, "--jobs", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BUDGET
+    serial = parse_and_check(out)["outcome"]
+    assert serial["status"] == "BudgetExceeded"
+    assert serial["statistics"]["nodes"] == 51
+    code, out, _ = run_cli(capsys, *args, "--jobs", "2")
+    assert code == EXIT_BUDGET
+    assert parse_and_check(out)["outcome"]["statistics"]["nodes"] == 51
+
+
 def test_search_vacuous_r_is_precondition(capsys):
     code, out, err = run_cli(capsys, "search", corpus("mono-21.json"), "--r", "5")
     assert code == EXIT_PRECONDITION

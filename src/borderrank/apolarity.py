@@ -109,6 +109,9 @@ class Tensor:
             and self._coeffs == other._coeffs
         )
 
+    def __hash__(self):
+        return hash((self.shape, self.degree, frozenset(self._coeffs.items())))
+
     def __repr__(self):
         return f"Tensor(shape={self.shape.factors}, degree={self.degree}, terms={len(self._coeffs)})"
 

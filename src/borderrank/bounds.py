@@ -18,6 +18,7 @@ would overreach on monomials with one exponent equal to the probe degree.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from . import linalg
 from .apolarity import (
@@ -28,7 +29,7 @@ from .apolarity import (
     is_concise,
 )
 from .errors import BorderRankError, PreconditionError, UnsupportedShapeError
-from .ideals import piece_generator_count, times_variables
+from .ideals import times_variables
 from .macaulay import lexbar_growth
 from .ring import Monomial, degree_sub, generic_hilbert, piece_dimension
 
@@ -194,71 +195,50 @@ def minimal_border_rank_generator_test(F: Tensor):
     """On (P^a)^w: minimal border rank forces >= a minimal generators of the
     apolar ideal in degree L.  Returns (count, verdict); a verdict of
     NOT_MINIMAL certifies that F is not of minimal border rank, while HOLDS
-    decides nothing."""
-    factors = set(F.shape.factors)
-    if len(factors) != 1:
+    decides nothing.  The count is dim F^⊥_L minus the rank of the sum of
+    the products P_j over the factors j."""
+    if len(set(F.shape.factors)) != 1:
         raise PreconditionError(
             f"generator test needs a power of a single P^a, got {F.shape.factors}"
         )
     if not is_concise(F):
         raise PreconditionError("generator test needs a concise tensor")
-    count = piece_generator_count(F.shape, F.degree, lambda E: apolar_piece(F, E))
-    return _generator_verdict(F, count)
-
-
-def minimal_border_rank_quotient_test(F: Tensor, i: int = None):
-    """dim(S_L / (F^⊥_{L - deg alpha_i} * S_{deg alpha_i})) for a factor i of
-    maximal dimension; below dim S_{deg alpha_i} certifies not minimal border
-    rank.  Returns (dimension, verdict)."""
-    if not is_concise(F):
-        raise PreconditionError("quotient test needs a concise tensor")
-    max_dim = max(F.shape.factors)
-    if i is None:
-        i = F.shape.factors.index(max_dim)
-    elif F.shape.factors[i] != max_dim:
-        raise PreconditionError(
-            f"factor {i} has dimension {F.shape.factors[i]}, not the maximal {max_dim}"
-        )
-    return _quotient_verdict(F, i, _products_rank(F, i))
-
-
-def _products_rank(F: Tensor, i: int) -> int:
-    """rank of F^⊥_{L - e_i} * S_{e_i} inside S_L, for a concise F."""
-    # a concise tensor has L >= e_i, so the lower degree is effective
-    lower_degree = degree_sub(F.degree, F.shape.unit_degree(i))
-    products = times_variables(F.shape, apolar_piece(F, lower_degree), lower_degree, i)
-    return linalg.rank(products)
-
-
-def _generator_verdict(F: Tensor, count: int):
+    i, reduced = _reduced_products(F)
+    others = [
+        row for j in range(F.shape.num_factors) if j != i for row in _products(F, j)
+    ]
+    count = apolar_piece_dimension(F, F.degree) - linalg.rank(reduced + others)
     return count, (HOLDS if count >= F.shape.factors[0] else NOT_MINIMAL)
 
 
-def _quotient_verdict(F: Tensor, i: int, products_rank: int):
-    quotient_dim = piece_dimension(F.shape, F.degree) - products_rank
-    threshold = F.shape.factors[i] + 1  # dim S_{deg alpha_i}
+def minimal_border_rank_quotient_test(F: Tensor):
+    """dim(S_L / P_i) for the first factor i of maximal dimension; below
+    dim S_{e_i} certifies not minimal border rank.  Returns (dimension,
+    verdict)."""
+    if not is_concise(F):
+        raise PreconditionError("quotient test needs a concise tensor")
+    i, reduced = _reduced_products(F)
+    quotient_dim = piece_dimension(F.shape, F.degree) - len(reduced)
+    threshold = F.shape.factors[i] + 1  # dim S_{e_i}
     return quotient_dim, (HOLDS if quotient_dim >= threshold else NOT_MINIMAL)
 
 
-def _minimal_tests(F: Tensor):
-    """(generator test, quotient test) of F as the public functions return
-    them, None for a test whose precondition F fails.
+def _products(F: Tensor, j: int) -> list:
+    """Int rows spanning P_j = F^⊥_{L - e_j} * S_{e_j} inside S_L."""
+    # a concise tensor has L >= e_j, so the lower degree is effective
+    lower = degree_sub(F.degree, F.shape.unit_degree(j))
+    return times_variables(F.shape, apolar_piece(F, lower), lower, j)
 
-    On one factor both tests reduce the same matrix F^⊥_{L-1} * S_1, so its
-    rank is computed once and handed to both verdicts."""
-    if F.shape.num_factors == 1:
-        if not is_concise(F):
-            return None, None
-        products_rank = _products_rank(F, 0)
-        count = apolar_piece_dimension(F, F.degree) - products_rank
-        return _generator_verdict(F, count), _quotient_verdict(F, 0, products_rank)
-    results = []
-    for test in (minimal_border_rank_generator_test, minimal_border_rank_quotient_test):
-        try:
-            results.append(test(F))
-        except PreconditionError:
-            results.append(None)
-    return tuple(results)
+
+@lru_cache(maxsize=1)
+def _reduced_products(F: Tensor):
+    """(i, echelon rows of P_i) for the first factor i of maximal dimension.
+
+    Both tests read P_i, and a report runs them one after the other on the
+    same tensor, so keeping the last tensor's rows reduces P_i once per
+    report."""
+    i = F.shape.factors.index(max(F.shape.factors))
+    return i, linalg.row_echelon(_products(F, i))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +254,17 @@ def bounds_report(F: Tensor) -> BoundReport:
     if not F.is_monomial:
         # general tensors get the catalecticant floor and, where defined,
         # the two necessary minimal-border-rank tests
-        generator, quotient = _minimal_tests(F)
-        if generator is not None:
-            count, verdict = generator
-            components["minimal_generator_test"] = {
-                "count": count,
-                "threshold": F.shape.factors[0],
-                "verdict": verdict,
-            }
-        if quotient is not None:
-            qdim, verdict = quotient
-            components["minimal_quotient_test"] = {
-                "dimension": qdim,
-                "threshold": max(F.shape.factors) + 1,
-                "verdict": verdict,
-            }
+        for name, key, threshold, test in (
+            ("minimal_generator_test", "count", F.shape.factors[0],
+             minimal_border_rank_generator_test),
+            ("minimal_quotient_test", "dimension", max(F.shape.factors) + 1,
+             minimal_border_rank_quotient_test),
+        ):
+            try:
+                value, verdict = test(F)
+            except PreconditionError:
+                continue
+            components[name] = {key: value, "threshold": threshold, "verdict": verdict}
         return BoundReport(
             lower=cat,
             lower_provenance="catalecticant",
@@ -303,6 +279,7 @@ def bounds_report(F: Tensor) -> BoundReport:
     components["chart_upper"] = {"value": upper, **upper_witness}
 
     lower, lower_provenance, lower_witness = cat, "catalecticant", {}
+    method = None  # names the exact value's witness, once one is known
     if F.shape.num_factors == 1:
         dm, dm_witness = _disjoint_module_scan(F, cat, upper)
         components["disjoint_module"] = {"value": dm, "witness": dm_witness}
@@ -312,26 +289,21 @@ def bounds_report(F: Tensor) -> BoundReport:
         exact_unbalanced = almost_unbalanced_check(F)
         if exact_unbalanced is not None:
             components["almost_unbalanced"] = {"value": exact_unbalanced}
+            method = "almost-unbalanced"
 
     try:
-        closed = closed_form_border_rank(F)
-        components["closed_form"] = {"value": closed}
+        components["closed_form"] = {"value": closed_form_border_rank(F)}
+        method = "sorted-exponent product"
     except UnsupportedShapeError:
-        closed = None
+        pass
 
-    if closed is not None:
-        lower, lower_provenance = closed, "closed-form"
-        lower_witness = {"method": "sorted-exponent product"}
-        upper, upper_provenance = closed, "closed-form"
-        upper_witness = {"method": "sorted-exponent product"}
-    elif F.shape.num_factors == 1 and components.get("almost_unbalanced"):
-        value = components["almost_unbalanced"]["value"]
-        lower, lower_provenance = value, "closed-form"
-        lower_witness = {"method": "almost-unbalanced"}
-        upper, upper_provenance = value, "closed-form"
-        upper_witness = {"method": "almost-unbalanced"}
-    else:
-        upper_provenance = "chart"
+    upper_provenance = "chart"
+    if method is not None:
+        # the closed form and the almost-unbalanced value are both the chart
+        # bound, so the sandwich closes at upper
+        lower, lower_witness = upper, {"method": method}
+        lower_provenance = upper_provenance = "closed-form"
+        upper_witness = {"method": method}
 
     return BoundReport(
         lower=lower,

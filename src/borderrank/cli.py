@@ -214,12 +214,13 @@ def cmd_search(args: argparse.Namespace) -> int:
         "tensor": _tensor_text(F),
         "shape": list(F.shape.factors),
         "config": {**asdict(config), "horizon": outcome.horizon},
-        "outcome": outcome.to_json(),
+        "outcome": {
+            **outcome.to_json(),
+            "candidate_ideal": None
+            if outcome.candidate is None
+            else ideal_to_json(outcome.candidate),
+        },
     }
-    if outcome.candidate is not None:
-        document["outcome"]["candidate_ideal"] = ideal_to_json(outcome.candidate)
-    else:
-        document["outcome"]["candidate_ideal"] = None
     _emit(document, args.output)
     if outcome.status == BUDGET_EXCEEDED:
         _print_error(

@@ -254,7 +254,7 @@ def contained_in_apolar(I, F: Tensor) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Minimal generator counts
+# Products with the variables of a factor
 # ---------------------------------------------------------------------------
 
 def times_variables(shape: FactorShape, rows, E, j: int) -> list:
@@ -273,20 +273,6 @@ def times_variables(shape: FactorShape, rows, E, j: int) -> list:
                     prod[shifted[col]] = c
             products.append(prod)
     return products
-
-
-def piece_generator_count(shape: FactorShape, D, piece_rows) -> int:
-    """Number of minimal generators in degree D of the ideal whose piece in
-    each degree E is spanned by the linearly independent rows piece_rows(E),
-    coefficient vectors over the grevlex basis of S_E."""
-    D = shape.check_degree(D)
-    dim_piece = len(piece_rows(D))
-    product_rows = []
-    for j in range(shape.num_factors):
-        lower = degree_sub(D, shape.unit_degree(j))
-        if degree_is_effective(lower):
-            product_rows += times_variables(shape, piece_rows(lower), lower, j)
-    return dim_piece - linalg.rank(product_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -186,16 +186,21 @@ def _variable_permutations(a: Monomial):
     return [g for g in elements if g != identity]
 
 
+def _check_r_and_horizon(r: int, horizon: int) -> None:
+    """Refuse an r or a horizon below 1, where a run would decide nothing."""
+    if horizon < 1:
+        raise PreconditionError(f"horizon must be >= 1, got {horizon}")
+    if r < 1:
+        raise PreconditionError(f"r must be >= 1, got {r}")
+
+
 def _build_plan(F: Tensor, config: SearchConfig):
     if not F.is_monomial:
         raise PreconditionError("move-fit search needs a monomial tensor")
     a = F.support_exponents()
     shape = F.shape
     horizon = config.horizon if config.horizon is not None else sum(F.degree)
-    if horizon < 1:
-        raise PreconditionError(f"horizon must be >= 1, got {horizon}")
-    if config.r < 1:
-        raise PreconditionError(f"r must be >= 1, got {config.r}")
+    _check_r_and_horizon(config.r, horizon)
     dim_L = piece_dimension(shape, F.degree)
     if config.r > dim_L:
         raise PreconditionError(
@@ -349,8 +354,8 @@ class _Searcher:
 
     `carried[t]` is the image in level t of the pieces chosen so far, so at
     level k it is the mandatory set.  Each assignment extends a copy of it,
-    and `chosen` needs no reset when a branch fails: every later level
-    overwrites its entry."""
+    so a failed branch leaves nothing to reset, and the pieces of a Found
+    come back up the return path."""
 
     def __init__(self, plan: _Plan, budget, workers=None):
         self.plan = plan
@@ -446,8 +451,9 @@ class _Searcher:
             else:
                 stack.append((i + 1, piece | 1 << p, grown))
 
-    def assign(self, chosen, carried, active, k, piece: int, images):
-        """Set piece at level k (counts a node), apply symmetry, descend."""
+    def assign(self, carried, active, k, piece: int, images):
+        """Set piece at level k (counts a node), apply symmetry, descend;
+        returns the pieces from level k on of a Found, else None."""
         self._charge(1)
         if active:
             next_active = []
@@ -459,14 +465,15 @@ class _Searcher:
                 if cmp == 0:
                     next_active.append(g)
             active = next_active
-        chosen[k] = piece
         carried = list(carried)
         for (t, _, _), img in zip(self.plan.targets[k], images):
             carried[t] = img
-        return self.descend(chosen, carried, active, k + 1)
+        rest = self.descend(carried, active, k + 1)
+        return None if rest is None else [piece, *rest]
 
-    def descend(self, chosen, carried, active, k):
-        """Explore level k onward; returns chosen pieces on success else None.
+    def descend(self, carried, active, k):
+        """Explore level k onward; returns the pieces from level k on of the
+        first Found, else None.
 
         With a pool, the pieces of a level are read two ahead, and the first
         level that has two is explored by split; the levels above it, with
@@ -477,20 +484,20 @@ class _Searcher:
         piece is then its own image, so assign counts it as one node,
         rejects nothing by symmetry and keeps every active element."""
         if k == len(self.plan.degrees):
-            return list(chosen)
+            return []
         pieces = self.fitting(carried, k)
         if self.workers is not None:
             head = list(itertools.islice(pieces, 2))
             pieces = itertools.chain(head, pieces)
             if len(head) == 2:
-                return self.split(chosen, carried, active, k, pieces)
+                return self.split(carried, active, k, pieces)
         for piece, images in pieces:
-            result = self.assign(chosen, carried, active, k, piece, images)
+            result = self.assign(carried, active, k, piece, images)
             if result is not None:
                 return result
         return None
 
-    def split(self, chosen, carried, active, k, pieces):
+    def split(self, carried, active, k, pieces):
         """Explore the pieces of level k on a process pool, in spans, and
         charge the span results in span order.
 
@@ -508,7 +515,7 @@ class _Searcher:
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=len(head),
             initializer=_init_worker,
-            initargs=(self.plan, chosen, carried, active, k, left),
+            initargs=(self.plan, carried, active, k, left),
         )
         try:
             spans = _spans(itertools.chain(head, pieces), len(head))
@@ -536,17 +543,16 @@ def _run_chunk(pieces):
     """Explore the given pieces of the branching level in order, with one
     searcher and the budget the pool started with.
 
-    Returns the pieces of the first Found (or None), and the nodes and
-    prunings spent; past the budget the nodes read budget + 1."""
-    plan, chosen, carried, active, k, budget = _WORKER_STATE
+    Returns the pieces from level k on of the first Found (or None), and
+    the nodes and prunings spent; past the budget the nodes read budget + 1."""
+    plan, carried, active, k, budget = _WORKER_STATE
     searcher = _Searcher(plan, budget)
-    chosen = list(chosen)
     try:
         for piece in pieces:
             images = [
                 carried[t] | _image(piece, table) for t, table, _ in plan.targets[k]
             ]
-            result = searcher.assign(chosen, carried, active, k, piece, images)
+            result = searcher.assign(carried, active, k, piece, images)
             if result is not None:
                 return result, searcher.nodes, searcher.prunings
     except _BudgetHit:
@@ -601,10 +607,12 @@ def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
     dim(S/I)_D = min(r, dim S_D), and that I sits inside the apolar ideal of
     F.  A candidate passes on these two; saturation is reported alongside
     (exactly for monomial ideals, by the degreewise colon probe otherwise)
-    but a candidate need not be saturated.
+    but a candidate need not be saturated.  An r or a horizon below 1 is
+    refused, as search refuses it.
     """
     if horizon is None:
         horizon = sum(F.degree)
+    _check_r_and_horizon(r, horizon)
 
     rows = []
     hilbert_ok = True
@@ -676,10 +684,9 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     elif any(m.bit_count() < req for m, req in zip(plan.apolar_masks, plan.reqs)):
         searcher.prunings["insufficient_candidates"] = 1
     else:
-        empty = [0] * len(plan.degrees)
         active = list(range(len(plan.sym_tables)))
         try:
-            pieces = searcher.descend(list(empty), empty, active, 0)
+            pieces = searcher.descend([0] * len(plan.degrees), active, 0)
             status = EXHAUSTED if pieces is None else FOUND
         except _BudgetHit:
             status = BUDGET_EXCEEDED
@@ -690,13 +697,11 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     candidate = candidate_pieces = None
     if status == FOUND:
         candidate_pieces = {}
-        monomials = []
-        for k, degree in enumerate(plan.degrees):
+        for degree, piece in zip(plan.degrees, pieces):
             mons = enumerate_monomials(F.shape, degree)
-            chosen = [mons[p] for p in _bits(pieces[k])]
-            chosen.sort(key=Monomial.grevlex_key)
-            candidate_pieces[degree] = tuple(chosen)
-            monomials.extend(chosen)
+            # _bits yields ascending positions, so the monomials come in grevlex order
+            candidate_pieces[degree] = tuple(mons[p] for p in _bits(piece))
+        monomials = [m for piece in candidate_pieces.values() for m in piece]
         candidate = MonomialIdeal(F.shape, monomials)
         note = FOUND_NOTE
     elif status == EXHAUSTED:

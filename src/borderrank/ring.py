@@ -38,9 +38,7 @@ _BLOCK_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 class FactorShape:
     """The product P^{a_1} x ... x P^{a_w}, recorded as (a_1, ..., a_w).
 
-    Factor dimensions must be >= 1.  Point factors (a_j = 0) are only
-    allowed through :meth:`with_point_factors`, which exists for degenerate
-    test cases.
+    Factor dimensions must be >= 0; a point factor P^0 has one variable.
     """
 
     factors: tuple
@@ -49,23 +47,9 @@ class FactorShape:
         factors = tuple(int(a) for a in factors)
         if len(factors) == 0:
             raise ValueError("a product of projective spaces needs at least one factor")
-        if any(a < 1 for a in factors):
-            raise ValueError(
-                "factor dimensions must be >= 1; use with_point_factors for P^0 factors"
-            )
-        object.__setattr__(self, "factors", factors)
-
-    @classmethod
-    def with_point_factors(cls, factors: Sequence[int]) -> "FactorShape":
-        """Construct a shape allowing a_j = 0 factors (degenerate tests only)."""
-        factors = tuple(int(a) for a in factors)
-        if len(factors) == 0:
-            raise ValueError("a product of projective spaces needs at least one factor")
         if any(a < 0 for a in factors):
             raise ValueError("factor dimensions must be >= 0")
-        shape = object.__new__(cls)
-        object.__setattr__(shape, "factors", factors)
-        return shape
+        object.__setattr__(self, "factors", factors)
 
     @property
     def num_factors(self) -> int:
@@ -310,4 +294,4 @@ def shape_from_json(data) -> FactorShape:
         type(a) in (int, float) and a >= 0 and a % 1 == 0 for a in data
     ):
         raise ParseError(f"shape must be a non-empty list of integers >= 0: {data!r}")
-    return FactorShape.with_point_factors(data)
+    return FactorShape(data)

@@ -3,10 +3,10 @@
 None of these is reached by the CLI or by the library example in the
 README, so they live with the tests: the hook action on tensors, the
 apolar ideal of a monomial by its generators, the tensor and graded-ideal
-JSON writers, minimal generator counts of presented ideals, the
-saturation test of a monomial ideal, grevlex lex-segments, the text parser
-for monomials, single variables, and the move-fit piece enumerator without
-look-ahead.
+JSON writers, minimal generator counts of presented ideals and of ideals
+known by their pieces, the saturation test of a monomial ideal, grevlex
+lex-segments, the text parser for monomials, single variables, and the
+move-fit piece enumerator without look-ahead.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from borderrank.ideals import (
     MonomialIdeal,
     colon_irrelevant,
     monomial_piece,
-    piece_generator_count,
+    times_variables,
 )
 from borderrank.movefit import _bits, _image
 from borderrank.ring import (
@@ -175,6 +175,21 @@ def graded_ideal_to_json(I: GradedIdeal) -> dict:
     return {"shape": list(I.shape.factors), "generators": gens}
 
 
+def piece_generator_count(shape: FactorShape, D, piece_rows) -> int:
+    """Number of minimal generators in degree D of the ideal whose piece in
+    each degree E is spanned by the linearly independent rows piece_rows(E),
+    coefficient vectors over the grevlex basis of S_E: the reference for the
+    generator count of bounds.minimal_border_rank_generator_test."""
+    D = shape.check_degree(D)
+    dim_piece = len(piece_rows(D))
+    product_rows = []
+    for j in range(shape.num_factors):
+        lower = degree_sub(D, shape.unit_degree(j))
+        if degree_is_effective(lower):
+            product_rows += times_variables(shape, piece_rows(lower), lower, j)
+    return dim_piece - linalg.rank(product_rows)
+
+
 def minimal_generator_count(I, D) -> int:
     """Number of minimal generators of I in degree D:
     dim I_D - dim(sum over variables of I_{D - deg var} * var).
@@ -218,7 +233,7 @@ def lex_segment(n: int, d: int, r: int) -> tuple:
     Returns the last dim S_d - r monomials of S_d in descending grevlex
     order, i.e. the full list with the first r monomials removed.
     """
-    shape = FactorShape((n,)) if n >= 1 else FactorShape.with_point_factors((0,))
+    shape = FactorShape((n,))
     mons = enumerate_monomials(shape, (d,))
     if r < 0 or r > len(mons):
         raise PreconditionError(

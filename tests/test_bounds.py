@@ -7,7 +7,13 @@ from itertools import product as iter_product
 
 import pytest
 
-from borderrank.apolarity import Tensor, catalecticant_lower_bound, is_concise
+from borderrank import linalg
+from borderrank.apolarity import (
+    Tensor,
+    apolar_piece,
+    catalecticant_lower_bound,
+    is_concise,
+)
 from borderrank.bounds import (
     HOLDS,
     NOT_MINIMAL,
@@ -25,8 +31,16 @@ from borderrank.errors import (
     PreconditionError,
     UnsupportedShapeError,
 )
+from borderrank.ideals import times_variables
 from borderrank.movefit import EXHAUSTED, FOUND, SearchConfig, search
-from borderrank.ring import FactorShape, Monomial, enumerate_monomials, piece_dimension
+from borderrank.ring import (
+    FactorShape,
+    Monomial,
+    degree_sub,
+    enumerate_monomials,
+    piece_dimension,
+)
+from oracles import piece_generator_count
 
 
 def single(*exps):
@@ -194,10 +208,6 @@ def test_quotient_test_values():
     qdim, verdict = minimal_border_rank_quotient_test(F)
     assert verdict == HOLDS
     assert qdim >= 3
-    # explicit non-maximal factor is rejected
-    G = Tensor.monomial(FactorShape([2, 1]), [(1, 1, 1), (1, 1)])
-    with pytest.raises(PreconditionError):
-        minimal_border_rank_quotient_test(G, i=1)
 
 
 def test_quotient_test_flags_high_rank_tensor():
@@ -245,6 +255,47 @@ def test_generator_count_is_quotient_dimension_minus_one():
     assert checked >= 200
 
 
+@pytest.mark.parametrize(
+    "factors, L",
+    [
+        ([1], (4,)),
+        ([2], (3,)),
+        ([3], (3,)),
+        ([1, 1], (2, 2)),
+        ([2, 2], (2, 1)),
+        ([1, 1, 1], (2, 1, 1)),
+        ([2, 1], (2, 1)),
+        ([1, 2], (2, 1)),
+    ],
+)
+def test_minimal_tests_match_direct_computations(factors, L):
+    # the generator count against the oracle that builds every product from
+    # the apolar pieces, and the quotient against a rank of P_i computed
+    # here, i the first factor of maximal dimension; on seeded dense tensors
+    # and on sparse ones, whose counts are not all 0
+    shape = FactorShape(factors)
+    i = factors.index(max(factors))
+    lower = degree_sub(L, shape.unit_degree(i))
+    rng = random.Random(f"{factors}{L}")
+    checked = 0
+    for values in [[-2, -1, 1, 2], [-1, 0, 0, 0, 1, 2]] * 4:
+        coeffs = {m: rng.choice(values) for m in enumerate_monomials(shape, L)}
+        F = Tensor(shape, L, {m: c for m, c in coeffs.items() if c}, allow_zero=True)
+        if F.is_zero() or not is_concise(F):
+            continue
+        products = times_variables(shape, apolar_piece(F, lower), lower, i)
+        qdim, _ = minimal_border_rank_quotient_test(F)
+        assert qdim == piece_dimension(shape, L) - linalg.rank(products)
+        if len(set(factors)) > 1:
+            with pytest.raises(PreconditionError):
+                minimal_border_rank_generator_test(F)
+        else:
+            count, _ = minimal_border_rank_generator_test(F)
+            assert count == piece_generator_count(shape, L, lambda E: apolar_piece(F, E))
+        checked += 1
+    assert checked >= 5
+
+
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
@@ -288,9 +339,11 @@ def test_report_computes_catalecticant_once(monkeypatch):
 
 def test_report_reduces_shared_product_matrix_once(monkeypatch):
     # on one factor the generator and quotient tests both need the rank of
-    # F^perp_3 * S_1 (30 * 5 = 150 rows over S_4); the report reduces it once
-    from borderrank import linalg
+    # P_0 = F^perp_3 * S_1 (30 * 5 = 150 rows over S_4); the report reduces
+    # it once, and the generator test re-ranks its 69 echelon rows
+    from borderrank import bounds
 
+    bounds._reduced_products.cache_clear()  # count from an empty cache
     shape = FactorShape([4])
     rng = random.Random(4)
     coeffs = {m: rng.choice([-2, -1, 1, 2]) for m in enumerate_monomials(shape, (4,))}
@@ -307,11 +360,34 @@ def test_report_reduces_shared_product_matrix_once(monkeypatch):
     assert report.components["minimal_generator_test"]["count"] == 0
     assert report.components["minimal_quotient_test"]["dimension"] == 1
     assert heights.count(150) == 1
-    # 5 catalecticants, conciseness, F^perp_3, the product matrix, dim F^perp_4
-    assert len(heights) == 9
+    # 5 catalecticants, conciseness for each test, F^perp_3, P_0, dim F^perp_4
+    # and the re-rank of P_0's echelon rows
+    assert len(heights) == 11
+    assert heights.count(69) == 1
     monkeypatch.undo()
     assert minimal_border_rank_generator_test(F) == (0, NOT_MINIMAL)
     assert minimal_border_rank_quotient_test(F) == (1, NOT_MINIMAL)
+
+
+def test_report_calls_the_public_minimal_tests_on_one_factor(monkeypatch):
+    # a report reaches the two tests only through the public functions, on
+    # one factor as on every other shape, so wrapping them sees every call
+    from borderrank import bounds
+
+    names = ["minimal_border_rank_generator_test", "minimal_border_rank_quotient_test"]
+    entered = []
+    for name in names:
+        original = getattr(bounds, name)
+
+        def wrapped(F, name=name, original=original):
+            entered.append(name)
+            return original(F)
+
+        monkeypatch.setattr(bounds, name, wrapped)
+    report = bounds_report(rational_cubic())
+    assert entered == names
+    assert report.components["minimal_generator_test"]["threshold"] == 2
+    assert report.components["minimal_quotient_test"]["threshold"] == 3
 
 
 def test_report_rejects_inverted_sandwich():

@@ -218,6 +218,26 @@ def test_verify_shape_mismatch_is_precondition(capsys):
     assert error["error"]["type"] == "ShapeMismatchError"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--r", "3", "--horizon", "-1"], "horizon must be >= 1, got -1"),
+        (["--r", "3", "--horizon", "0"], "horizon must be >= 1, got 0"),
+        (["--r", "0"], "r must be >= 1, got 0"),
+    ],
+)
+def test_verify_refuses_empty_runs(capsys, flags, message):
+    # a horizon below 1 leaves no degree to check, so every candidate would
+    # pass; verify refuses it, and an r below 1, as search does
+    ideal, tensor = corpus("ideal-tangent-p3.json"), corpus("mono-31-p3.json")
+    code, out, err = run_cli(capsys, "verify", ideal, tensor, *flags)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    error = parse_and_check(err)
+    assert error["error"]["type"] == "PreconditionError"
+    assert error["error"]["message"] == message
+
+
 # ---------------------------------------------------------------------------
 # macaulay
 # ---------------------------------------------------------------------------

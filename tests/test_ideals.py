@@ -23,7 +23,6 @@ from borderrank.ideals import (
     intersect,
     iterated_colon_piece,
     monomial_piece,
-    piece_generator_count,
     saturate,
     saturation_defect,
 )
@@ -33,6 +32,7 @@ from oracles import (
     graded_ideal_to_json,
     is_saturated,
     minimal_generator_count,
+    piece_generator_count,
 )
 
 

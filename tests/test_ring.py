@@ -41,12 +41,12 @@ def test_shape_basic():
 def test_shape_rejects_empty_and_nonpositive():
     with pytest.raises(ValueError):
         FactorShape([])
+    # point factors P^0 are allowed, negative dimensions are not
+    assert FactorShape([2, 0]).factors == (2, 0)
     with pytest.raises(ValueError):
-        FactorShape([2, 0])
-    # the escape hatch allows points but still not negatives
-    assert FactorShape.with_point_factors([2, 0]).factors == (2, 0)
+        FactorShape([-1])
     with pytest.raises(ValueError):
-        FactorShape.with_point_factors([-1])
+        FactorShape([2, -1])
 
 
 def test_check_degree_length():

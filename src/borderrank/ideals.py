@@ -3,8 +3,8 @@
 MonomialIdeal keeps a minimal generating set and supports the exact
 combinatorial operations (pieces, colon, saturation against the irrelevant
 ideal).  GradedIdeal is a list of homogeneous generators with degree tags;
-its graded pieces are computed freshly per degree by exact row reduction,
-with no Gröbner machinery.
+its graded pieces are computed per degree by exact row reduction, with no
+Gröbner machinery, and each reduced piece is kept on the ideal.
 
 Saturation is exact for monomial ideals.  For graded ideals only a
 degreewise defect probe is available: the subspaces (I : B^k)_D grow toward
@@ -74,6 +74,10 @@ class MonomialIdeal:
             if self.contains_monomial(m)
         ]
 
+    def piece_basis(self, D) -> list:
+        """Echelon int rows spanning I_D: the unit rows of piece_rows are."""
+        return self.piece_rows(D)
+
     def piece_dimension(self, D) -> int:
         return len(monomial_piece(self, D))
 
@@ -113,6 +117,7 @@ class GradedIdeal:
                     raise ShapeMismatchError(f"term {m} does not fit {shape.factors}")
             tagged.append((actual, poly))
         self.generators = tuple(tagged)
+        self._bases = {}  # degree -> echelon rows of the piece
 
     def piece_rows(self, D) -> list:
         """Int rows spanning I_D over the grevlex basis of S_D: the multiples
@@ -132,8 +137,16 @@ class GradedIdeal:
                 rows.append(row)
         return rows
 
+    def piece_basis(self, D) -> list:
+        """Echelon int rows spanning I_D, reduced once per degree and kept,
+        so the Hilbert function and the saturation probe share them."""
+        D = self.shape.check_degree(D)
+        if D not in self._bases:
+            self._bases[D] = linalg.row_echelon(self.piece_rows(D))[0]
+        return self._bases[D]
+
     def piece_dimension(self, D) -> int:
-        return linalg.rank(self.piece_rows(D))
+        return len(self.piece_basis(D))
 
     def __repr__(self):
         return f"GradedIdeal({self.shape.factors}, {len(self.generators)} gens)"
@@ -292,9 +305,7 @@ def iterated_colon_piece(I, D, steps: int, _memo=None):
         return _memo[key]
 
     if steps == 0:
-        rows, _ = linalg.row_echelon(I.piece_rows(D))
-        _memo[key] = rows
-        return rows
+        return I.piece_basis(D)
 
     ones = (1,) * shape.num_factors
     up = degree_add(D, ones)

@@ -86,6 +86,11 @@ _PLAN_BYTES_LIMIT = 1 << 30
 # ahead of the result being merged
 _SPANS_AHEAD = 64
 
+# a process's failure memo is emptied when it holds this many states: a state
+# took 415-460 bytes on 22111 r23, 32211 r33, 22221 r39, 3331 r31 and 33111
+# r31 (each active symmetry element adds 8), so the memo stays near 60 MB
+_MEMO_ENTRIES = 1 << 17
+
 
 @dataclass
 class SearchConfig:
@@ -102,11 +107,17 @@ class SearchStatistics:
     nodes: int = 0
     prunings: dict = field(default_factory=dict)
     wall_time_seconds: float = 0.0
+    memo_hits: int = 0  # subtrees charged from the failure memo, not walked
+    symmetry_elements: int = 0  # group elements the symmetry test used
+    symmetry_fallback: bool = False  # neighbour transpositions, not the group
 
     def to_json(self) -> dict:
         return {
             "nodes": self.nodes,
             "prunings": dict(self.prunings),
+            "memo_hits": self.memo_hits,
+            "symmetry_elements": self.symmetry_elements,
+            "symmetry_fallback": self.symmetry_fallback,
             "wall_time_seconds": round(self.wall_time_seconds, 6),
         }
 
@@ -155,6 +166,18 @@ class _Plan:
     targets: list  # per degree: (target index, table, target req), with
     # table[p] the mask of the shifts of monomial p into the target degree
     sym_tables: list  # per group element: per degree, table[p] = image bit
+    symmetry_fallback: bool  # sym_tables are transpositions, not the group
+
+
+def _group_too_large(a: Monomial) -> bool:
+    """Whether the permutations of the variables fixing the exponent vector
+    of a, factor by factor, number over _SYMMETRY_GROUP_CAP."""
+    order = math.prod(
+        math.factorial(count)
+        for block in a.exponents
+        for count in collections.Counter(block).values()
+    )
+    return order > _SYMMETRY_GROUP_CAP
 
 
 def _variable_permutations(a: Monomial):
@@ -177,7 +200,7 @@ def _variable_permutations(a: Monomial):
             g[src] = dst
         return tuple(g)
 
-    if math.prod(math.factorial(len(c)) for c in classes) > _SYMMETRY_GROUP_CAP:
+    if _group_too_large(a):
         return [moved([(s, t), (t, s)]) for c in classes for s, t in zip(c, c[1:])]
     elements = (
         moved(pair for c, image in zip(classes, images) for pair in zip(c, image))
@@ -272,6 +295,7 @@ def _build_plan(F: Tensor, config: SearchConfig):
         apolar_masks=apolar_masks,
         targets=targets,
         sym_tables=sym_tables,
+        symmetry_fallback=config.symmetry_pruning and _group_too_large(a),
     )
 
 
@@ -355,14 +379,18 @@ class _Searcher:
     `carried[t]` is the image in level t of the pieces chosen so far, so at
     level k it is the mandatory set.  Each assignment extends a copy of it,
     so a failed branch leaves nothing to reset, and the pieces of a Found
-    come back up the return path."""
+    come back up the return path.  `memo` maps the state of each failed
+    subtree to what walking it cost (see descend); a pool worker passes
+    the one it keeps across its spans."""
 
-    def __init__(self, plan: _Plan, budget, workers=None):
+    def __init__(self, plan: _Plan, budget, workers=None, memo=None):
         self.plan = plan
         self.budget = budget  # most nodes to count, or None
         self.workers = workers  # pool width, or None to search in-process
+        self.memo = {} if memo is None else memo
         self.nodes = 0
         self.prunings = {}
+        self.memo_hits = 0
 
     def _charge(self, n):
         """Count n nodes; past the budget, count budget + 1 and stop."""
@@ -475,6 +503,22 @@ class _Searcher:
         """Explore level k onward; returns the pieces from level k on of the
         first Found, else None.
 
+        A subtree that fails is recorded in the memo under its state
+        (k, carried[k:], active), with the nodes and prunings it spent, and
+        a later entry into the same state charges those and fails at once
+        (nogood recording).  This is sound because the walk below level k
+        reads nothing else.  fitting(carried, k) reads carried[k] and the
+        carried images of its targets, which lie above k, and the plan.
+        assign tests the piece at its own level against the active
+        elements, and hands the next level a copy of carried that differs
+        only at those targets.  Found pieces travel back up the return
+        path, so no level reads the pieces chosen below k.  The subtree
+        therefore repeats the same walk: the same pieces, nodes, prunings
+        and failure.  Only failures are stored, so the first Found stays
+        the leftmost one.  Charging the stored nodes at once stops a budget
+        on the node where the walk would stop, since _charge clamps to
+        budget + 1; only the prunings of that last, partial subtree differ.
+
         With a pool, the pieces of a level are read two ahead, and the first
         level that has two is explored by split; the levels above it, with
         one fitting piece each, are walked here.  Such a level costs what a
@@ -485,6 +529,32 @@ class _Searcher:
         rejects nothing by symmetry and keeps every active element."""
         if k == len(self.plan.degrees):
             return []
+        key = (k, tuple(carried[k:]), tuple(active))
+        spent = self.memo.get(key)
+        if spent is not None:
+            nodes, prunings = spent
+            self.memo_hits += 1
+            for cause, count in prunings:
+                self.prunings[cause] = self.prunings.get(cause, 0) + count
+            self._charge(nodes)
+            return None
+        nodes, prunings = self.nodes, dict(self.prunings)
+        result = self._walk(carried, active, k)
+        if result is None:
+            if len(self.memo) >= _MEMO_ENTRIES:
+                self.memo.clear()
+            self.memo[key] = (
+                self.nodes - nodes,
+                [
+                    (cause, count - prunings.get(cause, 0))
+                    for cause, count in self.prunings.items()
+                    if count != prunings.get(cause, 0)
+                ],
+            )
+        return result
+
+    def _walk(self, carried, active, k):
+        """descend without the memo."""
         pieces = self.fitting(carried, k)
         if self.workers is not None:
             head = list(itertools.islice(pieces, 2))
@@ -519,7 +589,8 @@ class _Searcher:
         )
         try:
             spans = _spans(itertools.chain(head, pieces), len(head))
-            for found, nodes, prunings in _in_order(pool, spans):
+            for found, nodes, prunings, memo_hits in _in_order(pool, spans):
+                self.memo_hits += memo_hits
                 self._charge(nodes)
                 for cause, count in prunings.items():
                     self.prunings[cause] = self.prunings.get(cause, 0) + count
@@ -530,23 +601,26 @@ class _Searcher:
         return None
 
 
-# worker-side state, installed once per process
+# worker-side state, installed once per process: the pool's arguments and
+# the failure memo the worker's spans share
 _WORKER_STATE = None
 
 
 def _init_worker(*state):
     global _WORKER_STATE
-    _WORKER_STATE = state
+    _WORKER_STATE = (*state, {})
 
 
 def _run_chunk(pieces):
     """Explore the given pieces of the branching level in order, with one
-    searcher and the budget the pool started with.
+    searcher, the budget the pool started with and the worker's memo.
 
     Returns the pieces from level k on of the first Found (or None), and
-    the nodes and prunings spent; past the budget the nodes read budget + 1."""
-    plan, carried, active, k, budget = _WORKER_STATE
-    searcher = _Searcher(plan, budget)
+    the nodes, prunings and memo hits spent; past the budget the nodes read
+    budget + 1."""
+    plan, carried, active, k, budget, memo = _WORKER_STATE
+    searcher = _Searcher(plan, budget, memo=memo)
+    result = None
     try:
         for piece in pieces:
             images = [
@@ -554,10 +628,10 @@ def _run_chunk(pieces):
             ]
             result = searcher.assign(carried, active, k, piece, images)
             if result is not None:
-                return result, searcher.nodes, searcher.prunings
+                break
     except _BudgetHit:
         pass
-    return None, searcher.nodes, searcher.prunings
+    return result, searcher.nodes, searcher.prunings, searcher.memo_hits
 
 
 def _spans(pieces, workers):
@@ -691,7 +765,12 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
         except _BudgetHit:
             status = BUDGET_EXCEEDED
     stats = SearchStatistics(
-        searcher.nodes, searcher.prunings, time.perf_counter() - t0
+        searcher.nodes,
+        searcher.prunings,
+        time.perf_counter() - t0,
+        memo_hits=searcher.memo_hits,
+        symmetry_elements=len(plan.sym_tables),
+        symmetry_fallback=plan.symmetry_fallback,
     )
 
     candidate = candidate_pieces = None

@@ -116,6 +116,18 @@ def test_criterion_5_slow_exhaustions():
     print(f"criterion 5: PASS — borders 16/24/32 confirmed, {elapsed:.1f} s")
 
 
+@pytest.mark.slow
+def test_exhaustion_settles_3331_on_p3():
+    # bounds gives 27..32 for x0^(3) x1^(3) x2^(3) x3 on P^3; Exhausted at
+    # r = 31 settles the border rank at 32
+    F = Tensor.monomial(FactorShape([3]), [(3, 3, 3, 1)])
+    report = bounds_report(F)
+    assert (report.lower, report.upper) == (27, 32)
+    outcome = search(F, SearchConfig(r=31))
+    assert outcome.status == EXHAUSTED
+    assert outcome.statistics.nodes == 579268
+
+
 def test_criterion_6_verify_witness_ideals():
     t0 = time.perf_counter()
 

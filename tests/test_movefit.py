@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product as iter_product
 
 import pytest
 
-from borderrank import movefit
+from borderrank import linalg, movefit
 from borderrank.apolarity import Tensor, catalecticant_lower_bound, tensor_from_json
 from borderrank.errors import PreconditionError
 from borderrank.ideals import GradedIdeal, MonomialIdeal, ideal_from_json
@@ -211,6 +211,16 @@ def test_symmetry_pruning_keeps_first_candidate():
         (
             [(2, 2, 2)], {"r": 9, "node_budget": 6}, FOUND,
             ["a0*a1^3", "a1^4", "a1^3*a2", "a0^3"], 6, {},
+        ),
+        # two exhaustions that re-enter failed states, so the failure memo
+        # charges part of their nodes and prunings instead of walking them
+        (
+            [(2, 2, 1, 1, 1)], {"r": 23}, EXHAUSTED, None, 6349,
+            {"mandatory_overflow": 18491, "symmetry": 5436},
+        ),
+        (
+            [(3, 2, 2, 1, 1)], {"r": 33}, EXHAUSTED, None, 18373,
+            {"mandatory_overflow": 73046, "symmetry": 5436},
         ),
     ],
 )
@@ -625,7 +635,92 @@ def test_budget_exceeded_and_statistics():
     data = outcome.to_json()
     assert data["status"] == BUDGET_EXCEEDED
     assert data["candidate_generators"] is None
-    assert set(data["statistics"]) == {"nodes", "prunings", "wall_time_seconds"}
+    assert set(data["statistics"]) == {
+        "nodes",
+        "prunings",
+        "memo_hits",
+        "symmetry_elements",
+        "symmetry_fallback",
+        "wall_time_seconds",
+    }
+
+
+# ---------------------------------------------------------------------------
+# Failure memo
+# ---------------------------------------------------------------------------
+
+_MEMO_CASE = Tensor.monomial(FactorShape([4]), [(3, 2, 2, 1, 1)])
+
+
+def test_memo_charges_repeated_failures(monkeypatch):
+    # 32211 r33 re-enters failed states thousands of times; each entry is
+    # charged from the memo, and the pinned counts above stay those of a
+    # full walk.  A memo emptied every few states charges fewer subtrees and
+    # walks the rest, to the same counts
+    full = search(_MEMO_CASE, SearchConfig(r=33)).statistics
+    assert full.memo_hits > 0
+    monkeypatch.setattr(movefit, "_MEMO_ENTRIES", 8)
+    capped = search(_MEMO_CASE, SearchConfig(r=33)).statistics
+    assert 0 < capped.memo_hits < full.memo_hits
+    assert (capped.nodes, capped.prunings) == (full.nodes, full.prunings)
+
+
+def test_memo_key_is_the_whole_state():
+    # the walk below level k reads carried[k:] and the active elements.  The
+    # same carried images with and without active elements are different
+    # subtrees (the README example prunes by symmetry in one and not in the
+    # other), so walking both with one memo must charge each its own counts
+    F = Tensor.monomial(FactorShape([2]), [(2, 2, 2)])
+    plan = _build_plan(F, SearchConfig(r=8, horizon=5))
+    zeros = [0] * len(plan.degrees)
+    shared = movefit._Searcher(plan, None)
+    for active in (list(range(len(plan.sym_tables))), []):
+        alone = movefit._Searcher(plan, None)
+        assert alone.descend(zeros, active, 0) is None
+        nodes, prunings = shared.nodes, dict(shared.prunings)
+        assert shared.descend(zeros, active, 0) is None
+        spent = {
+            cause: count - prunings.get(cause, 0)
+            for cause, count in shared.prunings.items()
+            if count != prunings.get(cause, 0)
+        }
+        assert (shared.nodes - nodes, spent) == (alone.nodes, alone.prunings)
+    # and every failed state is recorded under its level, each carried image
+    # from that level on, and the active elements
+    assert shared.memo
+    for k, images, active in shared.memo:
+        assert len(images) == len(plan.degrees) - k
+        assert set(active) <= set(range(len(plan.sym_tables)))
+
+
+@pytest.mark.parametrize("budget", [1, 97, 1000, 5003, 12345, 18372])
+def test_memo_stops_budget_on_the_walks_node(budget):
+    # a charged subtree larger than the budget left stops the run where the
+    # walk would have stopped: one node past the budget
+    outcome = search(_MEMO_CASE, SearchConfig(r=33, node_budget=budget))
+    assert outcome.status == BUDGET_EXCEEDED
+    assert outcome.statistics.nodes == budget + 1
+
+
+# ---------------------------------------------------------------------------
+# Symmetry group reporting
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "n, elements, fallback",
+    [
+        (5, 719, False),  # 6! = 720 permutations: the whole group, identity aside
+        (6, 6, True),  # 7! = 5040 > 720: neighbour transpositions
+    ],
+)
+def test_statistics_report_symmetry_group(n, elements, fallback):
+    F = Tensor.monomial(FactorShape([n]), [(1,) * (n + 1)])
+    statistics = search(F, SearchConfig(r=3, horizon=2)).to_json()["statistics"]
+    assert statistics["symmetry_elements"] == elements
+    assert statistics["symmetry_fallback"] is fallback
+    plain = search(F, SearchConfig(r=3, horizon=2, symmetry_pruning=False))
+    assert plain.statistics.symmetry_elements == 0
+    assert plain.statistics.symmetry_fallback is False
 
 
 @pytest.mark.parametrize(
@@ -842,6 +937,27 @@ def test_verify_report_survives_scaling_each_generator(ideal, tensor, r, horizon
     )
     expected = verify_candidate(I, F, r, horizon).to_json()
     assert verify_candidate(scaled, F, r, horizon).to_json() == expected
+
+
+def test_verify_reduces_each_piece_once(monkeypatch):
+    # the Hilbert function and the saturation probe read the same low-degree
+    # pieces of a graded ideal; each is row-reduced once and kept
+    F = tensor_from_json(_corpus_json("cubic-p4.json"))
+    I = ideal_from_json(_corpus_json("ideal-cubic-p4.json"))
+    reduced = []
+    row_echelon = linalg.row_echelon
+
+    def counting(rows):
+        reduced.append(repr(rows))
+        return row_echelon(rows)
+
+    monkeypatch.setattr(linalg, "row_echelon", counting)
+    assert verify_candidate(I, F, 5, horizon=6).passed
+    # an empty row list stands for zero-row matrices of different widths
+    # (the pieces of degree 0 and 1, and an empty constraint set)
+    matrices = [rows for rows in reduced if rows != "[]"]
+    assert len(matrices) >= 10
+    assert len(matrices) == len(set(matrices))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .apolarity import (
 from .errors import BorderRankError, PreconditionError, UnsupportedShapeError
 from .ideals import times_variables
 from .macaulay import lexbar_growth
-from .ring import Monomial, degree_sub, generic_hilbert, piece_dimension
+from .ring import FactorShape, Monomial, degree_sub, generic_hilbert, piece_dimension
 
 
 @dataclass(frozen=True)
@@ -245,9 +245,34 @@ def _reduced_products(F: Tensor):
 # Report assembly
 # ---------------------------------------------------------------------------
 
+def _occurring_variables(F: Tensor):
+    """(the monomial F on the variables that occur in it, and the indices of
+    those variables in each factor), or None when every variable occurs.  A
+    factor of degree 0 keeps its first variable, as a point factor."""
+    a = F.support_exponents()
+    kept = [[i for i, e in enumerate(block) if e] or [0] for block in a.exponents]
+    if all(len(k) == len(block) for k, block in zip(kept, a.exponents)):
+        return None
+    restricted = Tensor.monomial(
+        FactorShape([len(k) - 1 for k in kept]),
+        [tuple(block[i] for i in k) for k, block in zip(kept, a.exponents)],
+        F.coefficient(a),
+    )
+    return restricted, kept
+
+
 def bounds_report(F: Tensor) -> BoundReport:
-    """Compute every applicable bound for F and assemble the best sandwich."""
+    """Compute every applicable bound for F and assemble the best sandwich.
+
+    A monomial is bounded on the variables that occur in it, since its
+    border rank does not depend on the space around it.
+    components["restriction"] then names the variables kept in each factor,
+    and the indices in the other components count among those."""
     components = {}
+    whole = F
+    if F.is_monomial and (restricted := _occurring_variables(F)) is not None:
+        F, kept = restricted
+        components["restriction"] = {"shape": list(F.shape.factors), "variables": kept}
     cat = catalecticant_lower_bound(F)
     components["catalecticant"] = {"value": cat}
 
@@ -291,11 +316,15 @@ def bounds_report(F: Tensor) -> BoundReport:
             components["almost_unbalanced"] = {"value": exact_unbalanced}
             method = "almost-unbalanced"
 
-    try:
-        components["closed_form"] = {"value": closed_form_border_rank(F)}
-        method = "sorted-exponent product"
-    except UnsupportedShapeError:
-        pass
+    # the closed form holds in the space of the variables that occur, and in
+    # the whole space (P^2 x P^1 restricts to P^1 x P^1, which has none)
+    for space in (F, whole):
+        try:
+            components["closed_form"] = {"value": closed_form_border_rank(space)}
+            method = "sorted-exponent product"
+            break
+        except UnsupportedShapeError:
+            pass
 
     upper_provenance = "chart"
     if method is not None:

@@ -396,7 +396,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--jobs", type=int, help=f"worker count (default ${JOBS_ENV_VAR} or 1)"
     )
-    p_search.add_argument("--budget", type=int, help="node budget of the whole run")
+    p_search.add_argument(
+        "--budget",
+        type=int,
+        help="node budget of the whole run; a node is a piece that fits and "
+        "passes the symmetry test",
+    )
     p_search.add_argument("--output", help="write the report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="replay move-fit conditions on an ideal")

@@ -27,13 +27,17 @@ in the image of every completion, and the partial piece is cut when those
 monomials already overflow the level.  At s = 0 the one completion takes
 every bit left, so the count is exact and the completion is emitted whole.
 Both cuts drop only partial pieces with no fitting completion, so the pieces
-and their order stay those of the plain bit-by-bit walk.  A node is a
-complete piece that fits every level it maps into, counted before the
-symmetry test.  Symmetry pruning quotients
-by variable permutations fixing the exponent vector; a state is discarded if
-relabelling makes its piece sequence strictly smaller in the prefix order, which
-keeps the lexicographically least member of every orbit and hence preserves
-both the Exhausted status and the first candidate found.
+and their order stay those of the plain bit-by-bit walk.  Symmetry pruning
+quotients by variable permutations fixing the exponent vector; a state is
+discarded if relabelling makes its piece sequence strictly smaller in the
+prefix order, which keeps the lexicographically least member of every orbit
+and hence preserves both the Exhausted status and the first candidate found.
+The test runs while a piece is built, on all active permutations at once in
+one packed int, and cuts a partial piece as soon as every completion of it
+would be discarded.  A node is a complete piece that fits every level it maps
+into and passes the symmetry test, so an Exhausted run counts one node per
+orbit of fitting prefixes, whatever the order of the variables; the node
+budget counts these nodes.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ class SearchConfig:
     symmetry_pruning: bool = True
     growth_pruning: bool = False
     parallel_width: int = 1
-    node_budget: int | None = None  # nodes of the whole run
+    node_budget: int | None = None  # nodes of the whole run: canonical pieces
 
 
 @dataclass
@@ -165,7 +169,10 @@ class _Plan:
     apolar_masks: list  # bitmask of monomials outside the divisor set of a
     targets: list  # per degree: (target index, table, target req), with
     # table[p] the mask of the shifts of monomial p into the target degree
-    sym_tables: list  # per group element: per degree, table[p] = image bit
+    sym_tables: list  # per degree: (table, rep, guard), or [] with no group
+    # element g owns bits g*W to g*W + W - 1, W = dim + 1: table[p] holds
+    # the bit g(p) of every segment, rep the lowest bit of each and guard
+    # the top one
     symmetry_fallback: bool  # sym_tables are transpositions, not the group
 
 
@@ -250,10 +257,10 @@ def _build_plan(F: Tensor, config: SearchConfig):
     group = _variable_permutations(a) if config.symmetry_pruning else []
 
     # a table entry is an int as wide as the degree it points into: dim_t bits
-    # for each target t, dim_k bits for each group element
+    # for each target t, and a segment of dim_k + 1 bits per group element
     dims = [piece_dimension(shape, d) for d in degrees]
     table_bytes = sum(
-        dim * (sum(dims[t] for _, t in higher[k]) + len(group) * dim)
+        dim * (sum(dims[t] for _, t in higher[k]) + len(group) * (dim + 1))
         for k, dim in enumerate(dims)
     ) // 8
     if table_bytes > _PLAN_BYTES_LIMIT:
@@ -283,11 +290,22 @@ def _build_plan(F: Tensor, config: SearchConfig):
             targets[src_k].append((tk, table, reqs[tk]))
 
     sym_tables = []
-    for g in group:
-        permute = operator.itemgetter(*g)  # f -> tuple(f[x] for x in g)
-        sym_tables.append(
-            [[1 << pos[permute(f)] for f in pos] for pos in pos_by_degree]
-        )
+    permutes = [operator.itemgetter(*g) for g in group]  # f -> f[g[x]]
+    for pos in pos_by_degree if group else ():
+        # segment g of table[p] holds the one bit g(p), under a guard bit;
+        # each entry is set bit by bit in a buffer, since OR-ing bits into
+        # an int copies it once per bit
+        width = len(pos) + 1
+        starts = range(0, len(group) * width, width)
+        table = []
+        for f in pos:
+            buf = bytearray((len(group) * width + 7) >> 3)
+            for start, permute in zip(starts, permutes):
+                b = start + pos[permute(f)]
+                buf[b >> 3] |= 1 << (b & 7)
+            table.append(int.from_bytes(buf, "little"))
+        rep = sum(1 << start for start in starts)
+        sym_tables.append((table, rep, rep << len(pos)))
 
     return _Plan(
         degrees=degrees,
@@ -323,13 +341,16 @@ def _image(mask: int, table: list) -> int:
     return img
 
 
-def _image_smaller(img: int, cur: int) -> int:
-    """-1 if img < cur in the set order matching ascending position tuples,
-    0 if equal, +1 if greater."""
-    x = img ^ cur
-    if not x:
-        return 0
-    return -1 if (x & -x) & img else 1
+def _group_order(plan: _Plan) -> int:
+    """The number of group elements the symmetry test uses."""
+    return plan.sym_tables[0][1].bit_count() if plan.sym_tables else 0
+
+
+def _segments(plan: _Plan, k: int, active) -> int:
+    """act: the lowest bit of the segment of each active group element at
+    level k."""
+    width = len(plan.sym_tables[k][0]) + 1
+    return sum(1 << g * width for g in active)
 
 
 def _look_ahead(targets, free, need):
@@ -402,9 +423,13 @@ class _Searcher:
     def _prune(self, cause):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
 
-    def fitting(self, carried, k):
-        """Every piece at level k that fits, with its images in the target
-        levels, in lexicographic order of the added bits.
+    def fitting(self, carried, k, act):
+        """Every piece at level k that fits and that the symmetry cut keeps,
+        with its images in the target levels, in lexicographic order of the
+        added bits.  act marks the active group elements (see _segments);
+        while one is, G, the packed images of the piece under the group
+        (see _Plan.sym_tables), rides after the target images as one more
+        image, under a cap it never reaches.
 
         A piece is the mandatory set M = carried[k] plus need = req_k - |M|
         of the n free bits of the apolar mask, and fits when its image in
@@ -427,7 +452,27 @@ class _Searcher:
         same point of the walk.  A monomial of degree D + e_j is the shift
         of at most one monomial of degree D per variable of factor j, so it
         is hit that many times at most, and there are no more layers than
-        variables in a factor."""
+        variables in a factor.
+
+        Symmetry: pieces are ordered as sets by their lowest differing bit,
+        the set that holds it being the smaller, and assign rejects a piece
+        Q with g(Q) < Q for an active g.  Every active g fixes M (see
+        descend), so segment g of G starts as M and gains g(p) with each
+        bit p taken: it is g(piece).  With A the bits taken, g(piece) ^ piece
+        is g(A) ^ A, and as many bits of A leave as g(A) brings in, so its
+        lowest bit x, if any, lies below c = free[i], under which every bit
+        is decided.  Every completion Q has the bits of the piece below c,
+        and g(Q) contains g(piece).  So when x lies in g(piece), it lies in
+        g(Q) and not in Q, and a bit y < x of g(Q) ^ Q would lie in the
+        piece and g(piece) alike or in neither, hence in g(Q) and not in Q.
+        Either way the lowest bit of g(Q) ^ Q lies in g(Q): g(Q) < Q, and
+        assign would reject every completion, so the entry is cut.  Skipping
+        a bit changes neither the piece nor G, so the test runs when a bit
+        is taken.  One test covers every segment: Y = (G ^ piece * act) |
+        guard has a set bit in each segment, Y & ~(Y - act) holds the lowest
+        one of each active segment and nothing else, and one of those that
+        lies in G cuts the entry.  The cut drops only pieces that assign
+        rejects, so the pieces it keeps come in the same order."""
         plan = self.plan
         M = carried[k]
         targets = plan.targets[k]
@@ -444,6 +489,10 @@ class _Searcher:
         forced, rest = _look_ahead(targets, free, need) if 1 < need <= n else ((), ())
         depth = len(forced)
         caps = [cap for _, _, cap in targets]
+        if act:
+            sym, _, guard = plan.sym_tables[k]
+            targets = [*targets, (None, sym, guard.bit_length())]
+            images.append(M * act)
         # the entry at depth d is (i, piece, images) with d bits chosen, all
         # below free[i]; the branch that skips free[i] waits below the one
         # that takes it
@@ -465,6 +514,8 @@ class _Searcher:
                     self._prune("mandatory_overflow")
                     continue
                 if not skips:
+                    if act:
+                        grown.append(images[-1] | _image(rest[i], sym))
                     yield piece | rest[i], grown
                     continue
             stack.append((i + 1, piece, images))
@@ -477,22 +528,36 @@ class _Searcher:
                     break
                 grown.append(img)
             else:
-                stack.append((i + 1, piece | 1 << p, grown))
+                taken = piece | 1 << p
+                if act:
+                    G = grown[-1]
+                    Y = G ^ taken * act | guard
+                    if Y & ~(Y - act) & G:
+                        self._prune("symmetry")
+                        continue
+                stack.append((i + 1, taken, grown))
 
-    def assign(self, carried, active, k, piece: int, images):
-        """Set piece at level k (counts a node), apply symmetry, descend;
-        returns the pieces from level k on of a Found, else None."""
+    def assign(self, carried, act, k, piece: int, images):
+        """Apply the symmetry test to piece at level k, count it as a node,
+        and descend; returns the pieces from level k on of a Found, else
+        None.  The test is fitting's, on G = images[-1]: a segment whose
+        lowest bit of g(piece) ^ piece lies in g(piece) rejects the piece,
+        and the segments that read their guard bit, where g(piece) = piece,
+        are the elements active at the next level."""
+        active = ()
+        if act:
+            sym, _, guard = self.plan.sym_tables[k]
+            G = images[-1]
+            Y = G ^ piece * act | guard
+            low = Y & ~(Y - act)
+            if low & G:
+                self._prune("symmetry")
+                return None
+            # shifted down by dim, a guard bit starts its segment, and no
+            # other bit of low does
+            marks = bin(low >> len(sym))[:1:-1][:: len(sym) + 1]
+            active = [g for g, bit in enumerate(marks) if bit == "1"]
         self._charge(1)
-        if active:
-            next_active = []
-            for g in active:
-                cmp = _image_smaller(_image(piece, self.plan.sym_tables[g][k]), piece)
-                if cmp < 0:
-                    self._prune("symmetry")
-                    return None
-                if cmp == 0:
-                    next_active.append(g)
-            active = next_active
         carried = list(carried)
         for (t, _, _), img in zip(self.plan.targets[k], images):
             carried[t] = img
@@ -507,17 +572,18 @@ class _Searcher:
         (k, carried[k:], active), with the nodes and prunings it spent, and
         a later entry into the same state charges those and fails at once
         (nogood recording).  This is sound because the walk below level k
-        reads nothing else.  fitting(carried, k) reads carried[k] and the
-        carried images of its targets, which lie above k, and the plan.
-        assign tests the piece at its own level against the active
-        elements, and hands the next level a copy of carried that differs
-        only at those targets.  Found pieces travel back up the return
-        path, so no level reads the pieces chosen below k.  The subtree
-        therefore repeats the same walk: the same pieces, nodes, prunings
-        and failure.  Only failures are stored, so the first Found stays
-        the leftmost one.  Charging the stored nodes at once stops a budget
-        on the node where the walk would stop, since _charge clamps to
-        budget + 1; only the prunings of that last, partial subtree differ.
+        reads nothing else.  fitting(carried, k, act) reads carried[k], the
+        carried images of its targets, which lie above k, the active
+        elements and the plan.  assign tests the piece at its own level
+        against the active elements, and hands the next level a copy of
+        carried that differs only at those targets.  Found pieces travel
+        back up the return path, so no level reads the pieces chosen below
+        k.  The subtree therefore repeats the same walk: the same pieces,
+        nodes, prunings and failure.  Only failures are stored, so the first
+        Found stays the leftmost one.  Charging the stored nodes at once
+        stops a budget on the node where the walk would stop, since _charge
+        clamps to budget + 1; only the prunings of that last, partial
+        subtree differ.
 
         With a pool, the pieces of a level are read two ahead, and the first
         level that has two is explored by split; the levels above it, with
@@ -526,7 +592,9 @@ class _Searcher:
         so far and the apolar masks, so it fixes the carried images and maps
         the fitting pieces of the level onto themselves.  The one fitting
         piece is then its own image, so assign counts it as one node,
-        rejects nothing by symmetry and keeps every active element."""
+        rejects nothing by symmetry and keeps every active element.  The
+        same argument gives fitting its start: every active element fixes
+        the mandatory set carried[k]."""
         if k == len(self.plan.degrees):
             return []
         key = (k, tuple(carried[k:]), tuple(active))
@@ -555,14 +623,15 @@ class _Searcher:
 
     def _walk(self, carried, active, k):
         """descend without the memo."""
-        pieces = self.fitting(carried, k)
+        act = _segments(self.plan, k, active) if active else 0
+        pieces = self.fitting(carried, k, act)
         if self.workers is not None:
             head = list(itertools.islice(pieces, 2))
             pieces = itertools.chain(head, pieces)
             if len(head) == 2:
                 return self.split(carried, active, k, pieces)
         for piece, images in pieces:
-            result = self.assign(carried, active, k, piece, images)
+            result = self.assign(carried, act, k, piece, images)
             if result is not None:
                 return result
         return None
@@ -620,13 +689,16 @@ def _run_chunk(pieces):
     budget + 1."""
     plan, carried, active, k, budget, memo = _WORKER_STATE
     searcher = _Searcher(plan, budget, memo=memo)
+    act = _segments(plan, k, active) if active else 0
     result = None
     try:
         for piece in pieces:
             images = [
                 carried[t] | _image(piece, table) for t, table, _ in plan.targets[k]
             ]
-            result = searcher.assign(carried, active, k, piece, images)
+            if act:
+                images.append(_image(piece, plan.sym_tables[k][0]))
+            result = searcher.assign(carried, act, k, piece, images)
             if result is not None:
                 break
     except _BudgetHit:
@@ -758,7 +830,7 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     elif any(m.bit_count() < req for m, req in zip(plan.apolar_masks, plan.reqs)):
         searcher.prunings["insufficient_candidates"] = 1
     else:
-        active = list(range(len(plan.sym_tables)))
+        active = list(range(_group_order(plan)))
         try:
             pieces = searcher.descend([0] * len(plan.degrees), active, 0)
             status = EXHAUSTED if pieces is None else FOUND
@@ -769,7 +841,7 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
         searcher.prunings,
         time.perf_counter() - t0,
         memo_hits=searcher.memo_hits,
-        symmetry_elements=len(plan.sym_tables),
+        symmetry_elements=_group_order(plan),
         symmetry_fallback=plan.symmetry_fallback,
     )
 

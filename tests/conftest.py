@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--run-slow",
         action="store_true",
         default=False,
-        help="run the long exhaustion searches (about 1.5 minutes on 2 cores)",
+        help="run the long exhaustion searches (about 2 minutes on 2 cores)",
     )
 
 

@@ -125,7 +125,18 @@ def test_exhaustion_settles_3331_on_p3():
     assert (report.lower, report.upper) == (27, 32)
     outcome = search(F, SearchConfig(r=31))
     assert outcome.status == EXHAUSTED
-    assert outcome.statistics.nodes == 579268
+    assert outcome.statistics.nodes == 477096
+
+
+@pytest.mark.slow
+def test_exhaustion_settles_22211_on_p4():
+    # the chart bound is 36 for x0^(2) x1^(2) x2^(2) x3 x4 on P^4; Exhausted
+    # at r = 35 settles the border rank at 36
+    F = Tensor.monomial(FactorShape([4]), [(2, 2, 2, 1, 1)])
+    assert bounds_report(F).upper == 36
+    outcome = search(F, SearchConfig(r=35))
+    assert outcome.status == EXHAUSTED
+    assert outcome.statistics.nodes == 102872
 
 
 def test_criterion_6_verify_witness_ideals():

@@ -492,7 +492,9 @@ def test_bounds_agree_with_search():
             outcome = search(F, SearchConfig(r=report.lower))
             assert outcome.status == FOUND, (shape.factors, blocks, report.lower)
             found += 1
-    assert (len(cases), exhausted, found) == (189, 150, 178)
+    # bounds read the variables that occur, so (2,2,2,0), (3,3,2,0) and
+    # (3,3,3,0) on P^3 are settled too, by the closed form on P^2
+    assert (len(cases), exhausted, found) == (189, 150, 181)
 
 
 def test_zero_exponent_variable_changes_nothing():
@@ -514,8 +516,35 @@ def test_zero_exponent_variable_changes_nothing():
                 differ[e] = (a.lower, a.upper), (b.lower, b.upper)
             pairs += 1
     assert pairs == 57
-    # the closed form reads the shape, not the variables that occur in the
-    # monomial, so it settles (2,2,2) on P^2 but not (2,2,2,0) on P^3,
-    # where the disjoint-module bound gives 8; ROADMAP item 2 restricts a
-    # monomial to its variables before bounding it
-    assert differ == {(2, 2, 2): ((9, 9), (8, 9))}
+    # bounds_report restricts G to the variables that occur in it, so the
+    # closed form settles (2,2,2,0) on P^3 as it settles (2,2,2) on P^2
+    assert differ == {}
+
+
+def test_report_restricts_to_occurring_variables():
+    # (2,2,0,2) on P^3 is (2,2,2) on P^2 in a larger space: the report bounds
+    # the smaller monomial and says which variables it kept
+    report = bounds_report(single(2, 2, 0, 2)).to_json()
+    plain = bounds_report(single(2, 2, 2)).to_json()
+    restriction = report["components"].pop("restriction")
+    assert restriction == {"shape": [2], "variables": [[0, 1, 3]]}
+    assert report == plain
+    assert "restriction" not in plain["components"]
+    # P^2 x P^1 restricts to P^1 x P^1, which has no closed form, while the
+    # whole space has one
+    F = Tensor.monomial(FactorShape([2, 1]), [(2, 0, 1), (3, 1)])
+    report = bounds_report(F)
+    assert report.components["restriction"] == {
+        "shape": [1, 1],
+        "variables": [[0, 2], [0, 1]],
+    }
+    assert report.lower == report.upper == upper_bound_monomial(F)[0] == 4
+    assert report.lower_provenance == "closed-form"
+    # a factor of degree 0 keeps one variable, as a point factor
+    G = Tensor.monomial(FactorShape([2, 1]), [(2, 1, 1), (0, 0)])
+    report = bounds_report(G)
+    assert report.components["restriction"] == {
+        "shape": [2, 0],
+        "variables": [[0, 1, 2], [0]],
+    }
+    assert report.lower == report.upper == 4

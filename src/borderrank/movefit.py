@@ -13,7 +13,9 @@ into an actual border-rank-r decomposition is NOT checked here, so Found
 never certifies br(F) <= r.
 
 Pieces are bitmasks over the descending-grevlex monomial list of each
-multidegree, so the hot loop is integer arithmetic.  The search carries, for
+multidegree, so the hot loop is integer arithmetic.  A level's tables are
+built the first time the walk reaches it, so a run that fails low never
+builds the top levels, which are the largest.  The search carries, for
 every level, the image of the pieces chosen so far (their shifts by one
 variable), so the mandatory part of a piece is read off, never rebuilt.  It
 also looks ahead: a piece is built bit by bit in increasing position, and a
@@ -49,7 +51,7 @@ import operator
 import time
 from dataclasses import asdict, dataclass, field
 
-from .apolarity import Tensor
+from .apolarity import Tensor, monomial_catalecticant_rank
 from .bounds import disjoint_module_obstruction
 from .errors import PreconditionError
 from .ideals import (
@@ -60,6 +62,7 @@ from .ideals import (
     saturation_defect,
 )
 from .ring import (
+    FactorShape,
     Monomial,
     degree_add,
     degree_le,
@@ -164,16 +167,72 @@ class SearchOutcome:
 
 @dataclass
 class _Plan:
+    """The fixed data of a search, and each level's tables once built.
+
+    The degrees, reqs, dims and the group are worked out when the plan is
+    made; a level's tables are built the first time the walk reaches it (see
+    level), since an Exhausted run usually fails long before the horizon and
+    the top levels are the largest.  Plain data plus methods, so a pool
+    worker gets a copy by pickling: it holds the levels built before the
+    split, and the worker builds the deeper ones itself."""
+
+    shape: FactorShape
+    a: Monomial  # the monomial whose apolar ideal is searched
     degrees: list  # MultiDegree, ascending (total, lex)
     reqs: list  # dim I_D forced by the Hilbert function
-    apolar_masks: list  # bitmask of monomials outside the divisor set of a
-    targets: list  # per degree: (target index, table, target req), with
-    # table[p] the mask of the shifts of monomial p into the target degree
-    sym_tables: list  # per degree: (table, rep, guard), or [] with no group
-    # element g owns bits g*W to g*W + W - 1, W = dim + 1: table[p] holds
-    # the bit g(p) of every segment, rep the lowest bit of each and guard
-    # the top one
-    symmetry_fallback: bool  # sym_tables are transpositions, not the group
+    dims: list  # dim S_D
+    higher: list  # per degree: (variable factor, index of the degree one higher)
+    apolar_counts: list  # monomials outside the divisor set of a, per degree
+    group: list  # flat index maps of the group elements the symmetry test uses
+    symmetry_fallback: bool  # the group is transpositions, not the whole group
+    levels: list  # per degree: the tables of level(k), or None until then
+
+    def level(self, k):
+        """(mask, targets, symmetry) of level k, built on the first call.
+
+        mask is the bitmask of the monomials outside the divisor set of a.
+        targets holds (target index, table, target req) for each degree one
+        higher, with table[p] the mask of the shifts of monomial p into it.
+        symmetry is (table, rep, guard), or None with no group: element g
+        owns bits g*W to g*W + W - 1, W = dim + 1, table[p] holds the bit
+        g(p) of every segment, rep the lowest bit of each and guard the top
+        one."""
+        tables = self.levels[k]
+        if tables is not None:
+            return tables
+        d = self.degrees[k]
+        pos = positions(self.shape, d)
+        a = self.a.flat()
+        mask = 0
+        for p, f in enumerate(pos):
+            if not degree_le(f, a):
+                mask |= 1 << p
+        targets = []
+        for j, t in self.higher[k]:
+            # the shifts of a monomial by distinct variables are distinct
+            # monomials, so the sum of their bits is their union
+            products = product_table(self.shape, d, self.shape.unit_degree(j))
+            table = [sum(1 << x for x in shifts) for shifts in zip(*products)]
+            targets.append((t, table, self.reqs[t]))
+        symmetry = None
+        if self.group:
+            # segment g of table[p] holds the one bit g(p), under a guard bit;
+            # each entry is set bit by bit in a buffer, since OR-ing bits into
+            # an int copies it once per bit
+            permutes = [operator.itemgetter(*g) for g in self.group]  # f -> f[g[x]]
+            width = len(pos) + 1
+            starts = range(0, len(self.group) * width, width)
+            table = []
+            for f in pos:
+                buf = bytearray((len(self.group) * width + 7) >> 3)
+                for start, permute in zip(starts, permutes):
+                    b = start + pos[permute(f)]
+                    buf[b >> 3] |= 1 << (b & 7)
+                table.append(int.from_bytes(buf, "little"))
+            rep = sum(1 << start for start in starts)
+            symmetry = (table, rep, rep << len(pos))
+        tables = self.levels[k] = (mask, targets, symmetry)
+        return tables
 
 
 def _group_too_large(a: Monomial) -> bool:
@@ -270,50 +329,21 @@ def _build_plan(F: Tensor, config: SearchConfig):
             "lower the horizon"
         )
 
-    pos_by_degree = [positions(shape, d) for d in degrees]
-    reqs, apolar_masks = [], []
-    for d, pos in zip(degrees, pos_by_degree):
-        reqs.append(len(pos) - generic_hilbert(config.r, shape, d))
-        mask = 0
-        for p, f in enumerate(pos):
-            if not degree_le(f, a.flat()):
-                mask |= 1 << p
-        apolar_masks.append(mask)
-
-    targets = [[] for _ in degrees]
-    for src_k, d in enumerate(degrees):
-        for j, tk in higher[src_k]:
-            # the shifts of a monomial by distinct variables are distinct
-            # monomials, so the sum of their bits is their union
-            products = product_table(shape, d, shape.unit_degree(j))
-            table = [sum(1 << t for t in shifts) for shifts in zip(*products)]
-            targets[src_k].append((tk, table, reqs[tk]))
-
-    sym_tables = []
-    permutes = [operator.itemgetter(*g) for g in group]  # f -> f[g[x]]
-    for pos in pos_by_degree if group else ():
-        # segment g of table[p] holds the one bit g(p), under a guard bit;
-        # each entry is set bit by bit in a buffer, since OR-ing bits into
-        # an int copies it once per bit
-        width = len(pos) + 1
-        starts = range(0, len(group) * width, width)
-        table = []
-        for f in pos:
-            buf = bytearray((len(group) * width + 7) >> 3)
-            for start, permute in zip(starts, permutes):
-                b = start + pos[permute(f)]
-                buf[b >> 3] |= 1 << (b & 7)
-            table.append(int.from_bytes(buf, "little"))
-        rep = sum(1 << start for start in starts)
-        sym_tables.append((table, rep, rep << len(pos)))
-
     return _Plan(
+        shape=shape,
+        a=a,
         degrees=degrees,
-        reqs=reqs,
-        apolar_masks=apolar_masks,
-        targets=targets,
-        sym_tables=sym_tables,
+        reqs=[
+            dim - generic_hilbert(config.r, shape, d) for d, dim in zip(degrees, dims)
+        ],
+        dims=dims,
+        higher=higher,
+        apolar_counts=[
+            dim - monomial_catalecticant_rank(a, d) for d, dim in zip(degrees, dims)
+        ],
+        group=group,
         symmetry_fallback=config.symmetry_pruning and _group_too_large(a),
+        levels=[None] * len(degrees),
     )
 
 
@@ -341,15 +371,10 @@ def _image(mask: int, table: list) -> int:
     return img
 
 
-def _group_order(plan: _Plan) -> int:
-    """The number of group elements the symmetry test uses."""
-    return plan.sym_tables[0][1].bit_count() if plan.sym_tables else 0
-
-
 def _segments(plan: _Plan, k: int, active) -> int:
     """act: the lowest bit of the segment of each active group element at
     level k."""
-    width = len(plan.sym_tables[k][0]) + 1
+    width = plan.dims[k] + 1
     return sum(1 << g * width for g in active)
 
 
@@ -428,7 +453,7 @@ class _Searcher:
         with its images in the target levels, in lexicographic order of the
         added bits.  act marks the active group elements (see _segments);
         while one is, G, the packed images of the piece under the group
-        (see _Plan.sym_tables), rides after the target images as one more
+        (see _Plan.level), rides after the target images as one more
         image, under a cap it never reaches.
 
         A piece is the mandatory set M = carried[k] plus need = req_k - |M|
@@ -473,9 +498,8 @@ class _Searcher:
         one of each active segment and nothing else, and one of those that
         lies in G cuts the entry.  The cut drops only pieces that assign
         rejects, so the pieces it keeps come in the same order."""
-        plan = self.plan
+        mask, targets, symmetry = self.plan.level(k)
         M = carried[k]
-        targets = plan.targets[k]
         images = []
         for t, table, cap in targets:
             img = carried[t] | _image(M, table)
@@ -483,14 +507,14 @@ class _Searcher:
                 self._prune("mandatory_overflow")
                 return
             images.append(img)
-        free = list(_bits(plan.apolar_masks[k] & ~M))
-        need = plan.reqs[k] - M.bit_count()
+        free = list(_bits(mask & ~M))
+        need = self.plan.reqs[k] - M.bit_count()
         n = len(free)
         forced, rest = _look_ahead(targets, free, need) if 1 < need <= n else ((), ())
         depth = len(forced)
         caps = [cap for _, _, cap in targets]
         if act:
-            sym, _, guard = plan.sym_tables[k]
+            sym, _, guard = symmetry
             targets = [*targets, (None, sym, guard.bit_length())]
             images.append(M * act)
         # the entry at depth d is (i, piece, images) with d bits chosen, all
@@ -544,9 +568,10 @@ class _Searcher:
         lowest bit of g(piece) ^ piece lies in g(piece) rejects the piece,
         and the segments that read their guard bit, where g(piece) = piece,
         are the elements active at the next level."""
+        _, targets, symmetry = self.plan.level(k)
         active = ()
         if act:
-            sym, _, guard = self.plan.sym_tables[k]
+            sym, _, guard = symmetry
             G = images[-1]
             Y = G ^ piece * act | guard
             low = Y & ~(Y - act)
@@ -559,7 +584,7 @@ class _Searcher:
             active = [g for g, bit in enumerate(marks) if bit == "1"]
         self._charge(1)
         carried = list(carried)
-        for (t, _, _), img in zip(self.plan.targets[k], images):
+        for (t, _, _), img in zip(targets, images):
             carried[t] = img
         rest = self.descend(carried, active, k + 1)
         return None if rest is None else [piece, *rest]
@@ -690,14 +715,13 @@ def _run_chunk(pieces):
     plan, carried, active, k, budget, memo = _WORKER_STATE
     searcher = _Searcher(plan, budget, memo=memo)
     act = _segments(plan, k, active) if active else 0
+    _, targets, symmetry = plan.level(k)
     result = None
     try:
         for piece in pieces:
-            images = [
-                carried[t] | _image(piece, table) for t, table, _ in plan.targets[k]
-            ]
+            images = [carried[t] | _image(piece, table) for t, table, _ in targets]
             if act:
-                images.append(_image(piece, plan.sym_tables[k][0]))
+                images.append(_image(piece, symmetry[0]))
             result = searcher.assign(carried, act, k, piece, images)
             if result is not None:
                 break
@@ -825,12 +849,12 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     status, pieces = EXHAUSTED, None
     if growth_kill is not None:
         searcher.prunings["growth"] = 1
-    # every piece lies inside its apolar mask: a level whose mask is smaller
-    # than its req rules out every ideal before any piece is chosen
-    elif any(m.bit_count() < req for m, req in zip(plan.apolar_masks, plan.reqs)):
+    # every piece lies inside its apolar mask: a level with fewer apolar
+    # monomials than its req rules out every ideal before any piece is chosen
+    elif any(count < req for count, req in zip(plan.apolar_counts, plan.reqs)):
         searcher.prunings["insufficient_candidates"] = 1
     else:
-        active = list(range(_group_order(plan)))
+        active = list(range(len(plan.group)))
         try:
             pieces = searcher.descend([0] * len(plan.degrees), active, 0)
             status = EXHAUSTED if pieces is None else FOUND
@@ -841,7 +865,7 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
         searcher.prunings,
         time.perf_counter() - t0,
         memo_hits=searcher.memo_hits,
-        symmetry_elements=_group_order(plan),
+        symmetry_elements=len(plan.group),
         symmetry_fallback=plan.symmetry_fallback,
     )
 

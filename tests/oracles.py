@@ -250,15 +250,15 @@ def take_skip_fitting(plan, carried, k):
     """The pieces of movefit's _Searcher.fitting, with their images, found
     by the plain take/skip walk: the only cut is a target that already
     overflows with the bits taken so far.  Cuts are not counted."""
+    mask, targets, _ = plan.level(k)
     M = carried[k]
-    targets = plan.targets[k]
     images = []
     for t, table, cap in targets:
         img = carried[t] | _image(M, table)
         if img.bit_count() > cap:
             return
         images.append(img)
-    free = list(_bits(plan.apolar_masks[k] & ~M))
+    free = list(_bits(mask & ~M))
     need = plan.reqs[k] - M.bit_count()
     # the entry at depth d is (i, piece, images) with d bits chosen, all
     # below free[i]; the branch that skips free[i] waits below the one

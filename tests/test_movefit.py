@@ -5,16 +5,21 @@ import collections
 import concurrent.futures
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, permutations, product as iter_product
+from pathlib import Path
 
 import pytest
 
-from borderrank import linalg, movefit
+import borderrank
+from borderrank import cli, linalg, movefit
 from borderrank.apolarity import Tensor, catalecticant_lower_bound, tensor_from_json
-from borderrank.errors import PreconditionError
+from borderrank.errors import EXIT_PRECONDITION, PreconditionError
 from borderrank.ideals import GradedIdeal, MonomialIdeal, ideal_from_json
 from borderrank.movefit import (
     BUDGET_EXCEEDED,
@@ -143,7 +148,7 @@ def test_status_matches_brute_force_oracle():
 def _segment_maps(plan, k, act):
     """{g: [g(p) for every position p]} at level k for each active g, read
     from segment g of the packed symmetry table."""
-    table, rep, _ = plan.sym_tables[k]
+    table, rep, _ = plan.level(k)[2]
     width = len(table) + 1
     mask = (1 << width) - 1
     return {
@@ -172,7 +177,7 @@ def test_fitting_matches_take_skip_oracle(monkeypatch):
             checked[min(len(pieces), 2)] += 1
             return iter(pieces)
         maps = _segment_maps(self.plan, k, act)
-        width = len(self.plan.sym_tables[k][0]) + 1
+        width = self.plan.dims[k] + 1
         for piece, images in pieces:
             for g, image in maps.items():
                 segment = images[-1] >> g * width & (1 << width) - 1
@@ -311,12 +316,12 @@ def test_shifts_of_apolar_monomials_stay_apolar():
     ]:
         F = Tensor.monomial(shape, blocks)
         plan = _build_plan(F, SearchConfig(r=2))
-        masks = plan.apolar_masks
-        for src, targets in enumerate(plan.targets):
+        levels = [plan.level(k) for k in range(len(plan.degrees))]
+        for mask, targets, _ in levels:
             for target, table, _ in targets:
                 for p, bits in enumerate(table):
-                    if masks[src] >> p & 1:
-                        assert bits & ~masks[target] == 0
+                    if mask >> p & 1:
+                        assert bits & ~levels[target][0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +414,12 @@ def _frozen(sym_tables):
 
 
 def _unpacked(plan):
-    """The packed sym_tables of a plan as the reference lays them out: per
-    group element, per degree, table[p] = the bit of g(p).  Segment g of
+    """The packed symmetry tables of a plan as the reference lays them out:
+    per group element, per degree, table[p] = the bit of g(p).  Segment g of
     every entry must hold exactly one bit, below its guard bit."""
-    elements = plan.sym_tables[0][1].bit_count()
+    elements = len(plan.group)
     unpacked = [[] for _ in range(elements)]
-    for table, rep, guard in plan.sym_tables:
+    for table, rep, guard in (plan.level(k)[2] for k in range(len(plan.degrees))):
         width = len(table) + 1
         assert rep == sum(1 << g * width for g in range(elements))
         assert guard == rep << len(table)
@@ -442,9 +447,8 @@ def test_plan_tables_match_monomial_reference(factors, blocks, horizon):
     horizon = horizon or sum(F.degree)
     plan = _build_plan(F, SearchConfig(r=2, horizon=horizon))
     targets, sym_tables = _reference_tables(F, horizon)
-    assert plan.targets == targets
+    assert [plan.level(k)[1] for k in range(len(plan.degrees))] == targets
     # segment g of table[p] at each level is the position map of element g
-    assert len(plan.sym_tables) == len(plan.degrees)
     unpacked = _unpacked(plan)
     assert len(unpacked) == len(sym_tables) > 0
     assert _frozen(unpacked) == _frozen(sym_tables)
@@ -459,6 +463,79 @@ def test_plan_tables_match_monomial_reference(factors, blocks, horizon):
                 tuple(index[m * u] for m in enumerate_monomials(shape, D))
                 for u in enumerate_monomials(shape, E)
             )
+
+
+@pytest.mark.parametrize(
+    "factors, blocks, horizon",
+    [
+        # the shapes of the two plan-table tests above
+        ([2], [(2, 2, 2)], None),
+        ([3], [(2, 1, 1, 0)], None),
+        ([1, 1], [(2, 1), (1, 0)], None),
+        ([2, 1], [(1, 1, 0), (0, 1)], None),
+        ([1], [(2, 2)], None),
+        ([2, 1], [(1, 1, 0), (1, 1)], None),
+        ([1, 1, 1], [(1, 1), (1, 1), (2, 0)], None),
+        ([6], [(1, 1, 1, 1, 1, 1, 1)], 4),
+        # the monomials of the search benchmark's five cases
+        ([4], [(1, 1, 1, 1, 1)], None),
+        ([4], [(2, 2, 1, 1, 1)], None),
+        ([4], [(2, 2, 2, 2, 1)], None),
+        ([4], [(3, 2, 2, 1, 1)], None),
+    ],
+)
+def test_apolar_counts_match_level_masks(factors, blocks, horizon):
+    # the insufficient-candidates check reads the counts before any level is
+    # built; each must be the apolar mask that level(k) builds
+    F = Tensor.monomial(FactorShape(factors), blocks)
+    plan = _build_plan(F, SearchConfig(r=2, horizon=horizon))
+    masks = [plan.level(k)[0] for k in range(len(plan.degrees))]
+    assert plan.apolar_counts == [mask.bit_count() for mask in masks]
+
+
+def test_levels_are_built_on_first_visit(monkeypatch, tmp_path, capsys):
+    # a level's tables are built once, when fitting first reaches it
+    level, fitting = movefit._Plan.level, movefit._Searcher.fitting
+    built, reached, sizes = [], [], set()
+
+    def building(plan, k):
+        if plan.levels[k] is None:
+            built.append(k)
+        sizes.add(len(plan.levels))
+        return level(plan, k)
+
+    def visiting(searcher, carried, k, act):
+        reached.append(k)
+        return fitting(searcher, carried, k, act)
+
+    monkeypatch.setattr(movefit._Plan, "level", building)
+    monkeypatch.setattr(movefit._Searcher, "fitting", visiting)
+
+    def run(F, r):
+        for log in (built, reached, sizes):
+            log.clear()
+        return search(F, SearchConfig(r=r))
+
+    F = Tensor.monomial(FactorShape([4]), [(2, 2, 1, 1, 1)])
+    assert run(F, 23).status == EXHAUSTED
+    assert built == sorted(set(reached)) == [0, 1, 2, 3, 4] and sizes == {7}
+    assert run(F, 24).status == FOUND
+    assert built == sorted(set(reached)) == list(range(7))
+    # ruled out before any piece: the worked example on P^1
+    low = run(Tensor.monomial(FactorShape([1]), [(2, 1)]), 1)
+    assert low.statistics.prunings == {"insufficient_candidates": 1}
+    assert built == reached == []
+    # refused by the plan-size guard: (3,...,3) on P^6
+    tensor = tmp_path / "cube-p6.json"
+    tensor.write_text(json.dumps({
+        "shape": [6],
+        "degree": [21],
+        "convention": "divided",
+        "terms": [{"exp": [[3] * 7], "num": "1", "den": "1"}],
+    }))
+    code = cli.main(["search", str(tensor), "--r", "100", "--budget", "10"])
+    assert "search tables" in capsys.readouterr().err
+    assert code == EXIT_PRECONDITION and built == reached == []
 
 
 @pytest.mark.parametrize(
@@ -740,7 +817,7 @@ def test_memo_key_is_the_whole_state():
     plan = _build_plan(F, SearchConfig(r=8, horizon=5))
     zeros = [0] * len(plan.degrees)
     shared = movefit._Searcher(plan, None)
-    for active in (list(range(movefit._group_order(plan))), []):
+    for active in (list(range(len(plan.group))), []):
         alone = movefit._Searcher(plan, None)
         assert alone.descend(zeros, active, 0) is None
         nodes, prunings = shared.nodes, dict(shared.prunings)
@@ -756,7 +833,7 @@ def test_memo_key_is_the_whole_state():
     assert shared.memo
     for k, images, active in shared.memo:
         assert len(images) == len(plan.degrees) - k
-        assert set(active) <= set(range(movefit._group_order(plan)))
+        assert set(active) <= set(range(len(plan.group)))
 
 
 @pytest.mark.parametrize("budget", [1, 97, 1000, 5003, 12345, 12936])
@@ -855,6 +932,39 @@ def test_parallel_width_two_matches_serial():
     assert serial["status"] == pooled["status"] == FOUND
     assert serial["candidate_generators"] == pooled["candidate_generators"]
     assert serial["statistics"]["nodes"] == pooled["statistics"]["nodes"]
+
+
+_START_METHOD_RUN = """
+import json, multiprocessing, sys
+from borderrank.apolarity import Tensor
+from borderrank.movefit import SearchConfig, search
+from borderrank.ring import FactorShape
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    F = Tensor.monomial(FactorShape([4]), [(2, 2, 1, 1, 1)])
+    print(json.dumps(search(F, SearchConfig(r=24, parallel_width=2)).to_json()))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_matches_serial_under_start_method(tmp_path, method):
+    # spawn and forkserver workers get the plan by pickling, not by fork, so
+    # the plan must be plain data; the pooled outcome is the serial one
+    F = Tensor.monomial(FactorShape([4]), [(2, 2, 1, 1, 1)])
+    serial = search(F, SearchConfig(r=24)).to_json()
+    script = tmp_path / "pooled.py"
+    script.write_text(_START_METHOD_RUN)
+    env = {**os.environ, "PYTHONPATH": str(Path(borderrank.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, str(script), method],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    pooled = json.loads(done.stdout)
+    assert pooled["status"] == serial["status"] == FOUND
+    assert pooled["candidate_pieces"] == serial["candidate_pieces"]
+    assert pooled["statistics"]["nodes"] == serial["statistics"]["nodes"]
 
 
 @pytest.mark.parametrize("width", [1, 2])

@@ -20,8 +20,10 @@ every level, the image of the pieces chosen so far (their shifts by one
 variable), so the mandatory part of a piece is read off, never rebuilt.  It
 also looks ahead: a piece is built bit by bit in increasing position, and a
 bit is cut as soon as the image of the piece would give some higher level
-more monomials than that level's piece may have.  Images only grow as bits
-are added, so the cut loses no piece that fits, and the pieces still come in
+more monomials than that level's piece may have, two degrees up as well as
+one: the products of a piece with the monomials of degree two lie in the
+image that the next degree's entry test reads.  Images only grow as bits are
+added, so the cut loses no piece that fits, and the pieces still come in
 lexicographic order.  It also counts ahead: while a piece still has to take
 all but s of the free bits left, a monomial of a higher level that more than
 s of those bits map to is hit by one the piece takes (pigeonhole), so it lies
@@ -36,10 +38,10 @@ prefix order, which keeps the lexicographically least member of every orbit
 and hence preserves both the Exhausted status and the first candidate found.
 The test runs while a piece is built, on all active permutations at once in
 one packed int, and cuts a partial piece as soon as every completion of it
-would be discarded.  A node is a complete piece that fits every level it maps
-into and passes the symmetry test, so an Exhausted run counts one node per
-orbit of fitting prefixes, whatever the order of the variables; the node
-budget counts these nodes.
+would be discarded.  A node is a complete piece that fits every level one or
+two degrees up and passes the symmetry test, so an Exhausted run counts one
+node per orbit of fitting prefixes, whatever the order of the variables; the
+node budget counts these nodes.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .ring import (
     Monomial,
     degree_add,
     degree_le,
+    degree_sub,
     degrees_up_to,
     enumerate_monomials,
     generic_hilbert,
@@ -172,9 +175,10 @@ class _Plan:
     The degrees, reqs, dims and the group are worked out when the plan is
     made; a level's tables are built the first time the walk reaches it (see
     level), since an Exhausted run usually fails long before the horizon and
-    the top levels are the largest.  Plain data plus methods, so a pool
-    worker gets a copy by pickling: it holds the levels built before the
-    split, and the worker builds the deeper ones itself."""
+    the top levels are the largest; only the shifts of a degree into those
+    one higher are needed, and built, one level earlier.  Plain data plus
+    methods, so a pool worker gets a copy by pickling: it holds the levels
+    built before the split, and the worker builds the deeper ones itself."""
 
     shape: FactorShape
     a: Monomial  # the monomial whose apolar ideal is searched
@@ -186,34 +190,50 @@ class _Plan:
     group: list  # flat index maps of the group elements the symmetry test uses
     symmetry_fallback: bool  # the group is transpositions, not the whole group
     levels: list  # per degree: the tables of level(k), or None until then
+    shifts: dict  # (k, u) -> shift table from degree k into degree u, once built
+
+    def shift_table(self, k, u):
+        """table[p]: the mask of the products of monomial p of degree k with
+        every monomial of degree u - k, built on the first call."""
+        table = self.shifts.get((k, u))
+        if table is None:
+            d = self.degrees[k]
+            products = product_table(self.shape, d, degree_sub(self.degrees[u], d))
+            # distinct monomials of S_{u-k} give distinct products, so the
+            # sum of their bits is their union
+            table = self.shifts[k, u] = [sum(1 << x for x in c) for c in zip(*products)]
+        return table
 
     def level(self, k):
-        """(mask, targets, symmetry) of level k, built on the first call.
+        """(mask, targets, symmetry, feeds) of level k, built on first call.
 
         mask is the bitmask of the monomials outside the divisor set of a.
         targets holds (target index, table, target req) for each degree one
-        higher, with table[p] the mask of the shifts of monomial p into it.
-        symmetry is (table, rep, guard), or None with no group: element g
-        owns bits g*W to g*W + W - 1, W = dim + 1, table[p] holds the bit
-        g(p) of every segment, rep the lowest bit of each and guard the top
-        one."""
+        higher, then for each degree u two higher, with table[p] the mask of
+        the products of monomial p into the target (see shift_table).
+        feeds holds, per degree two higher, (t, table) for each degree t
+        between, with table the shifts from t into it.  symmetry is (table,
+        rep, guard), or None with no group: element g owns bits g*W to
+        g*W + W - 1, W = dim + 1, table[p] holds the bit g(p) of every
+        segment, rep the lowest bit of each and guard the top one."""
         tables = self.levels[k]
         if tables is not None:
             return tables
-        d = self.degrees[k]
-        pos = positions(self.shape, d)
+        pos = positions(self.shape, self.degrees[k])
         a = self.a.flat()
         mask = 0
         for p, f in enumerate(pos):
             if not degree_le(f, a):
                 mask |= 1 << p
-        targets = []
-        for j, t in self.higher[k]:
-            # the shifts of a monomial by distinct variables are distinct
-            # monomials, so the sum of their bits is their union
-            products = product_table(self.shape, d, self.shape.unit_degree(j))
-            table = [sum(1 << x for x in shifts) for shifts in zip(*products)]
-            targets.append((t, table, self.reqs[t]))
+        between = {}  # degree two higher -> the degrees one higher below it
+        for _, t in self.higher[k]:
+            for _, u in self.higher[t]:
+                between.setdefault(u, []).append(t)
+        targets = [
+            (u, self.shift_table(k, u), self.reqs[u])
+            for u in [t for _, t in self.higher[k]] + list(between)
+        ]
+        feeds = [[(t, self.shift_table(t, u)) for t in ts] for u, ts in between.items()]
         symmetry = None
         if self.group:
             # segment g of table[p] holds the one bit g(p), under a guard bit;
@@ -231,8 +251,19 @@ class _Plan:
                 table.append(int.from_bytes(buf, "little"))
             rep = sum(1 << start for start in starts)
             symmetry = (table, rep, rep << len(pos))
-        tables = self.levels[k] = (mask, targets, symmetry)
+        tables = self.levels[k] = (mask, targets, symmetry, feeds)
         return tables
+
+    def images(self, carried, k, piece):
+        """The image of piece at level k in each target, joined to what the
+        pieces chosen so far put there: carried[t], and in a degree two
+        higher also the shifts of carried at each degree between."""
+        _, targets, _, feeds = self.level(k)
+        images = [carried[t] | _image(piece, table) for t, table, _ in targets]
+        for i, feed in enumerate(feeds, len(self.higher[k])):
+            for t, table in feed:
+                images[i] |= _image(carried[t], table)
+        return images
 
 
 def _group_too_large(a: Monomial) -> bool:
@@ -315,14 +346,21 @@ def _build_plan(F: Tensor, config: SearchConfig):
     ]
     group = _variable_permutations(a) if config.symmetry_pruning else []
 
-    # a table entry is an int as wide as the degree it points into: dim_t bits
-    # for each target t, and a segment of dim_k + 1 bits per group element
     dims = [piece_dimension(shape, d) for d in degrees]
+    reqs = [dim - generic_hilbert(config.r, shape, d) for d, dim in zip(degrees, dims)]
+    apolar_counts = [
+        dim - monomial_catalecticant_rank(a, d) for d, dim in zip(degrees, dims)
+    ]
+    # a table entry is an int as wide as the degree it points into: dim_t bits
+    # for each target t, one or two degrees higher, and a segment of dim_k + 1
+    # bits per group element
+    reach = [{t for _, t in h} | {u for _, t in h for _, u in higher[t]} for h in higher]
     table_bytes = sum(
-        dim * (sum(dims[t] for _, t in higher[k]) + len(group) * (dim + 1))
+        dim * (sum(dims[t] for t in reach[k]) + len(group) * (dim + 1))
         for k, dim in enumerate(dims)
     ) // 8
-    if table_bytes > _PLAN_BYTES_LIMIT:
+    # a search the apolar counts settle builds no table (see search)
+    if table_bytes > _PLAN_BYTES_LIMIT and all(map(operator.ge, apolar_counts, reqs)):
         raise PreconditionError(
             f"the search tables would take about {table_bytes >> 20:,} MiB, "
             f"over the limit of {_PLAN_BYTES_LIMIT >> 20:,} MiB; "
@@ -333,17 +371,14 @@ def _build_plan(F: Tensor, config: SearchConfig):
         shape=shape,
         a=a,
         degrees=degrees,
-        reqs=[
-            dim - generic_hilbert(config.r, shape, d) for d, dim in zip(degrees, dims)
-        ],
+        reqs=reqs,
         dims=dims,
         higher=higher,
-        apolar_counts=[
-            dim - monomial_catalecticant_rank(a, d) for d, dim in zip(degrees, dims)
-        ],
+        apolar_counts=apolar_counts,
         group=group,
         symmetry_fallback=config.symmetry_pruning and _group_too_large(a),
         levels=[None] * len(degrees),
+        shifts={},
     )
 
 
@@ -382,7 +417,8 @@ def _look_ahead(targets, free, need):
     """(forced, rest) for a piece that takes need of the bits free.
 
     forced[j][i] holds, per target, the target monomials hit by more than j
-    of the bits free[i:], where a bit hits the monomials of its table entry;
+    of the bits free[i:], where a bit hits the monomials of its table entry,
+    so the count is the same for a target one or two degrees higher;
     rest[i] is the mask of free[i:].  A monomial is hit by more than j bits
     of free[i:] when it is hit by more than j of free[i + 1:], or by free[i]
     and more than j - 1 of free[i + 1:], so each layer is one suffix pass
@@ -458,12 +494,18 @@ class _Searcher:
 
         A piece is the mandatory set M = carried[k] plus need = req_k - |M|
         of the n free bits of the apolar mask, and fits when its image in
-        every target t, joined to carried[t], has at most req_t bits.  The
-        bits are chosen one at a time in increasing position, and a bit is
-        cut as soon as a target would overflow: adding bits only grows an
-        image, so no fitting piece is lost.  M stays inside the apolar mask:
-        a multiple of a monomial outside the divisor set of a is outside it
+        every target has at most req bits (see _Plan.images).  The bits are
+        chosen one at a time in increasing position, and a bit is cut as
+        soon as a target would overflow: adding bits only grows an image,
+        so no fitting piece is lost.  M stays inside the apolar mask: a
+        multiple of a monomial outside the divisor set of a is outside it
         too.
+
+        A target u two degrees higher starts from carried[u] and the shifts
+        of carried[t] for each degree t between.  On entry to the later such
+        t, its mandatory set holds carried[t] and the shifts of the piece,
+        and carried[u] the image of the earlier t, so the entry test of t
+        fails in every completion of a piece that overflows u.
 
         Look-ahead: with d bits taken below free[i], every completion takes
         need - d of the n - i bits free[i:] and skips the other
@@ -474,10 +516,10 @@ class _Searcher:
         the one completion is piece | rest[i], its image is exactly the
         image so far joined to forced[0][i], and it is yielded at once: it
         is the one piece the take-chain below the entry would yield, at the
-        same point of the walk.  A monomial of degree D + e_j is the shift
-        of at most one monomial of degree D per variable of factor j, so it
-        is hit that many times at most, and there are no more layers than
-        variables in a factor.
+        same point of the walk.  A monomial of degree D + E is the product
+        of at most one monomial of degree D with each monomial of degree E,
+        so it is hit at most dim S_E times: by one bit per variable of a
+        factor one degree up, by up to dim S_{u-k} bits two degrees up.
 
         Symmetry: pieces are ordered as sets by their lowest differing bit,
         the set that holds it being the smaller, and assign rejects a piece
@@ -498,21 +540,18 @@ class _Searcher:
         one of each active segment and nothing else, and one of those that
         lies in G cuts the entry.  The cut drops only pieces that assign
         rejects, so the pieces it keeps come in the same order."""
-        mask, targets, symmetry = self.plan.level(k)
+        mask, targets, symmetry, _ = self.plan.level(k)
         M = carried[k]
-        images = []
-        for t, table, cap in targets:
-            img = carried[t] | _image(M, table)
-            if img.bit_count() > cap:
-                self._prune("mandatory_overflow")
-                return
-            images.append(img)
+        images = self.plan.images(carried, k, M)
+        caps = [cap for _, _, cap in targets]
+        if any(map(operator.gt, map(int.bit_count, images), caps)):
+            self._prune("mandatory_overflow")
+            return
         free = list(_bits(mask & ~M))
         need = self.plan.reqs[k] - M.bit_count()
         n = len(free)
         forced, rest = _look_ahead(targets, free, need) if 1 < need <= n else ((), ())
         depth = len(forced)
-        caps = [cap for _, _, cap in targets]
         if act:
             sym, _, guard = symmetry
             targets = [*targets, (None, sym, guard.bit_length())]
@@ -568,7 +607,7 @@ class _Searcher:
         lowest bit of g(piece) ^ piece lies in g(piece) rejects the piece,
         and the segments that read their guard bit, where g(piece) = piece,
         are the elements active at the next level."""
-        _, targets, symmetry = self.plan.level(k)
+        symmetry = self.plan.level(k)[2]
         active = ()
         if act:
             sym, _, guard = symmetry
@@ -584,8 +623,8 @@ class _Searcher:
             active = [g for g, bit in enumerate(marks) if bit == "1"]
         self._charge(1)
         carried = list(carried)
-        for (t, _, _), img in zip(targets, images):
-            carried[t] = img
+        for (_, t), img in zip(self.plan.higher[k], images):
+            carried[t] = img  # the images two degrees up are not carried
         rest = self.descend(carried, active, k + 1)
         return None if rest is None else [piece, *rest]
 
@@ -598,10 +637,11 @@ class _Searcher:
         a later entry into the same state charges those and fails at once
         (nogood recording).  This is sound because the walk below level k
         reads nothing else.  fitting(carried, k, act) reads carried[k], the
-        carried images of its targets, which lie above k, the active
-        elements and the plan.  assign tests the piece at its own level
-        against the active elements, and hands the next level a copy of
-        carried that differs only at those targets.  Found pieces travel
+        carried images of its targets one and two degrees up and of the
+        degrees between, which lie above k, the active elements and the
+        plan.  assign tests the piece at its own level against the active
+        elements, and hands the next level a copy of carried that differs
+        only at the targets one degree up.  Found pieces travel
         back up the return path, so no level reads the pieces chosen below
         k.  The subtree therefore repeats the same walk: the same pieces,
         nodes, prunings and failure.  Only failures are stored, so the first
@@ -682,8 +722,8 @@ class _Searcher:
             initargs=(self.plan, carried, active, k, left),
         )
         try:
-            spans = _spans(itertools.chain(head, pieces), len(head))
-            for found, nodes, prunings, memo_hits in _in_order(pool, spans):
+            spans = _in_order(pool, itertools.chain(head, pieces), len(head))
+            for found, nodes, prunings, memo_hits in spans:
                 self.memo_hits += memo_hits
                 self._charge(nodes)
                 for cause, count in prunings.items():
@@ -715,11 +755,11 @@ def _run_chunk(pieces):
     plan, carried, active, k, budget, memo = _WORKER_STATE
     searcher = _Searcher(plan, budget, memo=memo)
     act = _segments(plan, k, active) if active else 0
-    _, targets, symmetry = plan.level(k)
+    symmetry = plan.level(k)[2]
     result = None
     try:
         for piece in pieces:
-            images = [carried[t] | _image(piece, table) for t, table, _ in targets]
+            images = plan.images(carried, k, piece)
             if act:
                 images.append(_image(piece, symmetry[0]))
             result = searcher.assign(carried, act, k, piece, images)
@@ -730,30 +770,26 @@ def _run_chunk(pieces):
     return result, searcher.nodes, searcher.prunings, searcher.memo_hits
 
 
-def _spans(pieces, workers):
-    """Consecutive runs of pieces, read lazily.  A span holds one piece for
-    every 4 * workers pieces read before it, and at least one: the first
-    spans are single pieces, so a level of two pieces already keeps two
-    workers busy, and a level of N pieces makes O(workers * log N) spans,
-    none much larger than a 1/(4 * workers) share of it."""
-    read = 0
-    while span := list(itertools.islice(pieces, max(1, read // (4 * workers)))):
-        read += len(span)
-        yield span
-
-
-def _in_order(pool, spans):
-    """_run_chunk over spans on the pool, results in span order.  Spans are
-    submitted at most _SPANS_AHEAD ahead of the result being read, so a
-    Found run stops reading the piece stream soon after its span."""
-    pending = collections.deque(
-        pool.submit(_run_chunk, span) for span in itertools.islice(spans, _SPANS_AHEAD)
-    )
-    while pending:
-        result = pending.popleft().result()
-        for span in itertools.islice(spans, 1):
-            pending.append(pool.submit(_run_chunk, span))
-        yield result
+def _in_order(pool, pieces, workers):
+    """_run_chunk over consecutive spans of pieces, read lazily, on the
+    pool; results in span order.  A span holds one piece for every
+    4 * workers pieces merged before it, and at least one, and at most
+    _SPANS_AHEAD spans wait unmerged.  So two pieces already keep two
+    workers busy, N pieces make O(workers * log N) spans, and the pieces
+    read ahead stay within a multiple of those merged, however slowly
+    they come: a run that stops early reads few it never needed."""
+    pending = collections.deque()
+    merged = 0
+    while True:
+        while len(pending) < _SPANS_AHEAD and (
+            span := list(itertools.islice(pieces, max(1, merged // (4 * workers))))
+        ):
+            pending.append((len(span), pool.submit(_run_chunk, span)))
+        if not pending:
+            return
+        size, future = pending.popleft()
+        merged += size
+        yield future.result()
 
 
 @dataclass

@@ -6,13 +6,15 @@ apolar ideal of a monomial by its generators, the tensor and graded-ideal
 JSON writers, minimal generator counts of presented ideals and of ideals
 known by their pieces, the saturation test of a monomial ideal, grevlex
 lex-segments, the text parser for monomials, single variables, and the
-move-fit piece enumerator without look-ahead.
+move-fit piece enumerator without look-ahead and the entry test it is
+filtered by.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from borderrank import linalg
 from borderrank.apolarity import Tensor, poly_degree
@@ -246,11 +248,12 @@ def lex_segment(n: int, d: int, r: int) -> tuple:
 # Move-fit
 # ---------------------------------------------------------------------------
 
-def take_skip_fitting(plan, carried, k):
-    """The pieces of movefit's _Searcher.fitting, with their images, found
-    by the plain take/skip walk: the only cut is a target that already
-    overflows with the bits taken so far.  Cuts are not counted."""
-    mask, targets, _ = plan.level(k)
+def take_skip_walk(plan, carried, k):
+    """The plain take/skip walk over the targets of level k one degree up:
+    the only cut is a target that already overflows with the bits taken so
+    far.  Yields each piece with its images in those targets."""
+    mask, targets, _, _ = plan.level(k)
+    targets = targets[: len(plan.higher[k])]
     M = carried[k]
     images = []
     for t, table, cap in targets:
@@ -282,3 +285,56 @@ def take_skip_fitting(plan, carried, k):
             grown.append(img)
         else:
             stack.append((i + 1, piece | 1 << p, grown))
+
+
+@lru_cache(maxsize=None)
+def _product_masks(shape, D, E):
+    """masks[p]: the positions in S_{D+E} of monomial p of S_D times every
+    monomial of S_E, read from ring.product_table."""
+    rows = product_table(shape, D, E)
+    return [sum({1 << row[p] for row in rows}) for p in range(len(rows[0]))]
+
+
+def shifted(plan, mask, t, u):
+    """The products of the monomials of mask at level t with every monomial
+    of degree u - t, as a mask at level u."""
+    d = plan.degrees[t]
+    return _image(mask, _product_masks(plan.shape, d, degree_sub(plan.degrees[u], d)))
+
+
+def carried_after(plan, carried, k, images):
+    """carried as movefit's assign leaves it for the next level, after a
+    piece at level k with these images."""
+    after = list(carried)
+    for (_, t), img in zip(plan.higher[k], images):
+        after[t] = img
+    return after
+
+
+def entry_overflows(plan, carried, t):
+    """Whether level t fails its entry test on carried: the shifts of its
+    mandatory set carried[t], joined to carried[u], overflow some degree u
+    one higher."""
+    return any(
+        (carried[u] | shifted(plan, carried[t], t, u)).bit_count() > plan.reqs[u]
+        for _, u in plan.higher[t]
+    )
+
+
+def take_skip_fitting(plan, carried, k):
+    """The pieces of movefit's _Searcher.fitting, with their images, found
+    by the plain take/skip walk and kept when the levels one degree up,
+    entered in order with no more than their mandatory sets, all pass their
+    entry tests.  The images two degrees up are what those levels carry
+    there then.  Cuts are not counted."""
+    ups = sorted(t for _, t in plan.higher[k])
+    twos = [u for u, _, _ in plan.level(k)[1][len(ups):]]
+    for piece, images in take_skip_walk(plan, carried, k):
+        after = carried_after(plan, carried, k, images)
+        for t in ups:
+            if entry_overflows(plan, after, t):
+                break
+            for _, u in plan.higher[t]:
+                after[u] |= shifted(plan, after[t], t, u)
+        else:
+            yield piece, images + [after[u] for u in twos]

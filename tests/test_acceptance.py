@@ -116,7 +116,6 @@ def test_criterion_5_slow_exhaustions():
     print(f"criterion 5: PASS — borders 16/24/32 confirmed, {elapsed:.1f} s")
 
 
-@pytest.mark.slow
 def test_exhaustion_settles_3331_on_p3():
     # bounds gives 27..32 for x0^(3) x1^(3) x2^(3) x3 on P^3; Exhausted at
     # r = 31 settles the border rank at 32
@@ -125,10 +124,9 @@ def test_exhaustion_settles_3331_on_p3():
     assert (report.lower, report.upper) == (27, 32)
     outcome = search(F, SearchConfig(r=31))
     assert outcome.status == EXHAUSTED
-    assert outcome.statistics.nodes == 477096
+    assert outcome.statistics.nodes == 232001
 
 
-@pytest.mark.slow
 def test_exhaustion_settles_22211_on_p4():
     # the chart bound is 36 for x0^(2) x1^(2) x2^(2) x3 x4 on P^4; Exhausted
     # at r = 35 settles the border rank at 36
@@ -136,7 +134,7 @@ def test_exhaustion_settles_22211_on_p4():
     assert bounds_report(F).upper == 36
     outcome = search(F, SearchConfig(r=35))
     assert outcome.status == EXHAUSTED
-    assert outcome.statistics.nodes == 102872
+    assert outcome.statistics.nodes == 43733
 
 
 def test_criterion_6_verify_witness_ideals():

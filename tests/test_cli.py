@@ -142,7 +142,9 @@ def test_search_budget_exit_code(capsys):
 
 def test_search_budget_bounds_the_run(capsys):
     # the branching level of 4443 r86 has subtrees far larger than the
-    # budget; the budget counts the whole run, so the search stops at once
+    # budget; the budget counts the whole run, so the search stops at once.
+    # The pool reads pieces ahead of the merge only in proportion to the
+    # pieces merged, so it stops soon too, though the pieces come slowly
     args = ("search", corpus("mono-4443.json"), "--r", "86", "--budget", "50")
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, *args, "--jobs", "1")
@@ -151,7 +153,9 @@ def test_search_budget_bounds_the_run(capsys):
     serial = parse_and_check(out)["outcome"]
     assert serial["status"] == "BudgetExceeded"
     assert serial["statistics"]["nodes"] == 51
+    start = time.perf_counter()
     code, out, _ = run_cli(capsys, *args, "--jobs", "2")
+    assert time.perf_counter() - start < 10.0
     assert code == EXIT_BUDGET
     assert parse_and_check(out)["outcome"]["statistics"]["nodes"] == 51
 
@@ -166,8 +170,9 @@ def test_search_vacuous_r_is_precondition(capsys):
 
 
 def test_search_oversized_plan_is_precondition(tmp_path, capsys):
-    # (3,...,3) on P^6: the plan tables would take about 1.7e5 MB, so the
-    # search refuses before it builds any of them
+    # (3,...,3) on P^6 at r = 5000: the plan tables would take about 1.9e5
+    # MiB, so the search refuses before it builds any of them.  At r = 100
+    # the apolar counts settle it before any table is needed, so it runs
     tensor = tmp_path / "cube-p6.json"
     tensor.write_text(json.dumps({
         "shape": [6],
@@ -175,8 +180,12 @@ def test_search_oversized_plan_is_precondition(tmp_path, capsys):
         "convention": "divided",
         "terms": [{"exp": [[3] * 7], "num": "1", "den": "1"}],
     }))
+    code, out, _ = run_cli(capsys, "search", str(tensor), "--r", "100", "--budget", "10")
+    assert code == EXIT_OK
+    statistics = json.loads(out)["outcome"]["statistics"]
+    assert statistics["prunings"] == {"insufficient_candidates": 1}
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "search", str(tensor), "--r", "100", "--budget", "10")
+    code, out, err = run_cli(capsys, "search", str(tensor), "--r", "5000", "--budget", "10")
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_PRECONDITION
     assert out == ""

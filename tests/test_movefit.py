@@ -38,7 +38,7 @@ from borderrank.ring import (
     piece_dimension,
     product_table,
 )
-from oracles import take_skip_fitting, variable
+from oracles import carried_after, entry_overflows, take_skip_fitting, variable
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,18 @@ def test_fitting_matches_take_skip_oracle(monkeypatch):
         return iter(pieces)
 
     monkeypatch.setattr(movefit._Searcher, "fitting", compared)
-    # the five monomials of the search benchmark, on P^4
+    _benchmark_and_sweep_searches()
+    # calls with no fitting piece, with one, and with several, and calls
+    # with active elements, in some of which the cut dropped pieces.  Calls
+    # with none are the fewest, since a piece whose next degree fails its
+    # entry test is cut, so the walk seldom enters a level with no piece
+    assert checked[0] > 100 and checked[1] > 1_000 and checked[2] > 1_000
+    assert checked["symmetry"] > 1_000 and checked["cut"] > 100
+
+
+def _benchmark_and_sweep_searches():
+    """Search the five monomials of the search benchmark on P^4, and every
+    case of _sweep_cases at every r, with symmetry on and off."""
     for exps, r in [
         ((1, 1, 1, 1, 1), 15),
         ((2, 2, 1, 1, 1), 23),
@@ -211,10 +222,28 @@ def test_fitting_matches_take_skip_oracle(monkeypatch):
         for r in range(1, piece_dimension(shape, F.degree) + 1):
             for sym in (True, False):
                 search(F, SearchConfig(r=r, symmetry_pruning=sym))
-    # calls with no fitting piece, with one, and with several, and calls
-    # with active elements, in some of which the cut dropped pieces
-    assert all(checked[count] > 1_000 for count in (0, 1, 2))
-    assert checked["symmetry"] > 1_000 and checked["cut"] > 100
+
+
+def test_fitting_pieces_pass_the_next_entry_test(monkeypatch):
+    # the overflow cut reads two degrees up, so no piece fitting yields may
+    # make a level it maps into fail its entry test, with carried as assign
+    # leaves it: the entry test reads the shifts of that level's mandatory
+    # set, which hold the piece's products with every monomial of degree two
+    fitting = movefit._Searcher.fitting
+    checked = collections.Counter()
+
+    def checking(self, carried, k, act):
+        for piece, images in fitting(self, carried, k, act):
+            after = carried_after(self.plan, carried, k, images)
+            for _, t in self.plan.higher[k]:
+                assert not entry_overflows(self.plan, after, t)
+                checked[self.plan.shape.num_factors] += 1
+            yield piece, images
+
+    monkeypatch.setattr(movefit._Searcher, "fitting", checking)
+    _benchmark_and_sweep_searches()
+    # pieces with a level above them, on one factor and on two
+    assert checked[1] > 5_000 and checked[2] > 1_000
 
 
 def test_symmetry_pruning_keeps_first_candidate():
@@ -251,7 +280,7 @@ def test_symmetry_pruning_keeps_first_candidate():
         ([(2, 2, 2)], {"r": 9, "node_budget": 5}, BUDGET_EXCEEDED, None, 6, {}),
         (
             [(1, 1, 1, 1, 1)], {"r": 15}, EXHAUSTED, None, 3,
-            {"mandatory_overflow": 732, "symmetry": 270},
+            {"mandatory_overflow": 334, "symmetry": 124},
         ),
         (
             [(2, 2, 2)], {"r": 9, "node_budget": 6}, FOUND,
@@ -260,12 +289,12 @@ def test_symmetry_pruning_keeps_first_candidate():
         # two exhaustions that re-enter failed states, so the failure memo
         # charges part of their nodes and prunings instead of walking them
         (
-            [(2, 2, 1, 1, 1)], {"r": 23}, EXHAUSTED, None, 913,
-            {"mandatory_overflow": 16070, "symmetry": 1079},
+            [(2, 2, 1, 1, 1)], {"r": 23}, EXHAUSTED, None, 648,
+            {"mandatory_overflow": 8305, "symmetry": 542},
         ),
         (
-            [(3, 2, 2, 1, 1)], {"r": 33}, EXHAUSTED, None, 12937,
-            {"mandatory_overflow": 64542, "symmetry": 2116},
+            [(3, 2, 2, 1, 1)], {"r": 33}, EXHAUSTED, None, 7132,
+            {"mandatory_overflow": 19453, "symmetry": 1065},
         ),
     ],
 )
@@ -317,7 +346,7 @@ def test_shifts_of_apolar_monomials_stay_apolar():
         F = Tensor.monomial(shape, blocks)
         plan = _build_plan(F, SearchConfig(r=2))
         levels = [plan.level(k) for k in range(len(plan.degrees))]
-        for mask, targets, _ in levels:
+        for mask, targets, _, _ in levels:
             for target, table, _ in targets:
                 for p, bits in enumerate(table):
                     if mask >> p & 1:
@@ -378,7 +407,8 @@ def _reference_permute(m, element):
 
 def _reference_tables(F, horizon):
     """targets and sym_tables of the plan, built through Monomial products
-    and {monomial: position} dicts."""
+    and {monomial: position} dicts: the targets one degree up, then those
+    two degrees up."""
     shape, a = F.shape, F.support_exponents()
     degrees = _schedule(shape, horizon)
     deg_index = {d: k for k, d in enumerate(degrees)}
@@ -397,6 +427,20 @@ def _reference_tables(F, horizon):
                 bits = 0
                 for v in range(nj + 1):
                     bits |= 1 << index_by_degree[tk][m * variable(shape, j, v)]
+                table.append(bits)
+            targets[src_k].append((tk, table, reqs[tk]))
+        for i, j in iter_product(range(shape.num_factors), repeat=2):
+            up = [0] * len(d)
+            up[i] += 1
+            up[j] += 1
+            tk = deg_index.get(tuple(x + y for x, y in zip(d, up)))
+            if tk is None or any(tk == t for t, _, _ in targets[src_k]):
+                continue
+            table = []
+            for m in mons_by_degree[src_k]:
+                bits = 0
+                for w in enumerate_monomials(shape, tuple(up)):
+                    bits |= 1 << index_by_degree[tk][m * w]
                 table.append(bits)
             targets[src_k].append((tk, table, reqs[tk]))
     sym_tables = [
@@ -448,6 +492,14 @@ def test_plan_tables_match_monomial_reference(factors, blocks, horizon):
     plan = _build_plan(F, SearchConfig(r=2, horizon=horizon))
     targets, sym_tables = _reference_tables(F, horizon)
     assert [plan.level(k)[1] for k in range(len(plan.degrees))] == targets
+    # each degree two up is fed by the shifts from the degrees between
+    for k in range(len(plan.degrees)):
+        ups = [t for _, t in plan.higher[k]]
+        twos = [u for u, _, _ in targets[k][len(ups):]]
+        assert plan.level(k)[3] == [
+            [(t, table) for t in ups for v, table, _ in targets[t] if v == u]
+            for u in twos
+        ]
     # segment g of table[p] at each level is the position map of element g
     unpacked = _unpacked(plan)
     assert len(unpacked) == len(sym_tables) > 0
@@ -525,7 +577,8 @@ def test_levels_are_built_on_first_visit(monkeypatch, tmp_path, capsys):
     low = run(Tensor.monomial(FactorShape([1]), [(2, 1)]), 1)
     assert low.statistics.prunings == {"insufficient_candidates": 1}
     assert built == reached == []
-    # refused by the plan-size guard: (3,...,3) on P^6
+    # refused by the plan-size guard: (3,...,3) on P^6 at an r the apolar
+    # counts do not settle
     tensor = tmp_path / "cube-p6.json"
     tensor.write_text(json.dumps({
         "shape": [6],
@@ -533,7 +586,7 @@ def test_levels_are_built_on_first_visit(monkeypatch, tmp_path, capsys):
         "convention": "divided",
         "terms": [{"exp": [[3] * 7], "num": "1", "den": "1"}],
     }))
-    code = cli.main(["search", str(tensor), "--r", "100", "--budget", "10"])
+    code = cli.main(["search", str(tensor), "--r", "5000", "--budget", "10"])
     assert "search tables" in capsys.readouterr().err
     assert code == EXIT_PRECONDITION and built == reached == []
 
@@ -836,10 +889,11 @@ def test_memo_key_is_the_whole_state():
         assert set(active) <= set(range(len(plan.group)))
 
 
-@pytest.mark.parametrize("budget", [1, 97, 1000, 5003, 12345, 12936])
+@pytest.mark.parametrize("budget", [1, 97, 1000, 5003, 6789, 7131])
 def test_memo_stops_budget_on_the_walks_node(budget):
     # a charged subtree larger than the budget left stops the run where the
-    # walk would have stopped: one node past the budget
+    # walk would have stopped: one node past the budget.  The run has 7,132
+    # nodes, so the last budget stops it on its last node
     outcome = search(_MEMO_CASE, SearchConfig(r=33, node_budget=budget))
     assert outcome.status == BUDGET_EXCEEDED
     assert outcome.statistics.nodes == budget + 1

@@ -50,8 +50,8 @@ import collections
 import itertools
 import math
 import operator
-import time
 from dataclasses import asdict, dataclass, field
+from time import perf_counter
 
 from .apolarity import Tensor, monomial_catalecticant_rank
 from .bounds import disjoint_module_obstruction
@@ -101,6 +101,10 @@ _SPANS_AHEAD = 64
 # r31 (each active symmetry element adds 8), so the memo stays near 60 MB
 _MEMO_ENTRIES = 1 << 17
 
+# a search at width K > 1 walks in this process for this many seconds before
+# it starts a pool, so a shorter run pays no pool start-up (see search)
+_SERIAL_SECONDS = 0.5
+
 
 @dataclass
 class SearchConfig:
@@ -120,6 +124,7 @@ class SearchStatistics:
     memo_hits: int = 0  # subtrees charged from the failure memo, not walked
     symmetry_elements: int = 0  # group elements the symmetry test used
     symmetry_fallback: bool = False  # neighbour transpositions, not the group
+    pooled: bool = False  # worker processes ran: depends on the host's speed
 
     def to_json(self) -> dict:
         return {
@@ -128,6 +133,7 @@ class SearchStatistics:
             "memo_hits": self.memo_hits,
             "symmetry_elements": self.symmetry_elements,
             "symmetry_fallback": self.symmetry_fallback,
+            "pooled": self.pooled,
             "wall_time_seconds": round(self.wall_time_seconds, 6),
         }
 
@@ -454,6 +460,10 @@ class _BudgetHit(Exception):
     pass
 
 
+class _PoolDue(Exception):
+    """The serial period of a search at width K > 1 is over (see search)."""
+
+
 class _Searcher:
     """Depth-first search with a node budget, in this process or, from the
     first level with two fitting pieces, on a pool of `workers` processes.
@@ -463,23 +473,28 @@ class _Searcher:
     so a failed branch leaves nothing to reset, and the pieces of a Found
     come back up the return path.  `memo` maps the state of each failed
     subtree to what walking it cost (see descend); a pool worker passes
-    the one it keeps across its spans."""
+    the one it keeps across its spans, a pooled run the one its serial
+    period filled."""
 
-    def __init__(self, plan: _Plan, budget, workers=None, memo=None):
+    def __init__(self, plan: _Plan, budget, workers=None, memo=None, switch=None):
         self.plan = plan
         self.budget = budget  # most nodes to count, or None
         self.workers = workers  # pool width, or None to search in-process
         self.memo = {} if memo is None else memo
+        self.switch = switch  # perf_counter() time to raise _PoolDue at, or None
         self.nodes = 0
         self.prunings = {}
         self.memo_hits = 0
+        self.pooled = False  # whether split started a pool
 
     def _charge(self, n):
-        """Count n nodes; past the budget, count budget + 1 and stop."""
+        """Count n nodes; stop past the budget (counting budget + 1) or switch."""
         self.nodes += n
         if self.budget is not None and self.nodes > self.budget:
             self.nodes = self.budget + 1
             raise _BudgetHit()
+        if self.switch is not None and perf_counter() >= self.switch:
+            raise _PoolDue()
 
     def _prune(self, cause):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
@@ -648,7 +663,8 @@ class _Searcher:
         Found stays the leftmost one.  Charging the stored nodes at once
         stops a budget on the node where the walk would stop, since _charge
         clamps to budget + 1; only the prunings of that last, partial
-        subtree differ.
+        subtree differ.  A stop leaves the subtrees still open unrecorded,
+        so a walk restarted on the memo of a stopped one repeats its counts.
 
         With a pool, the pieces of a level are read two ahead, and the first
         level that has two is explored by split; the levels above it, with
@@ -708,7 +724,8 @@ class _Searcher:
         Each span runs one searcher with the budget left when the pool
         starts.  A span that passes it reports that budget + 1 nodes, so
         the charge stops the run on the node where a serial walk would stop,
-        and the status, nodes and first Found equal the serial run's."""
+        and the status, nodes and first Found equal the serial run's.  Each
+        worker starts from a copy of the memo, which the serial period filled."""
         import concurrent.futures  # loads the process pool module on first use
 
         # the stream is read lazily: a level can have more fitting pieces than
@@ -719,8 +736,9 @@ class _Searcher:
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=len(head),
             initializer=_init_worker,
-            initargs=(self.plan, carried, active, k, left),
+            initargs=(self.plan, carried, active, k, left, self.memo),
         )
+        self.pooled = True
         try:
             spans = _in_order(pool, itertools.chain(head, pieces), len(head))
             for found, nodes, prunings, memo_hits in spans:
@@ -735,14 +753,14 @@ class _Searcher:
         return None
 
 
-# worker-side state, installed once per process: the pool's arguments and
-# the failure memo the worker's spans share
+# worker-side state, installed once per process: the pool's arguments, the
+# last of them the failure memo the worker's spans share
 _WORKER_STATE = None
 
 
 def _init_worker(*state):
     global _WORKER_STATE
-    _WORKER_STATE = (*state, {})
+    _WORKER_STATE = state
 
 
 def _run_chunk(pieces):
@@ -873,12 +891,17 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     nodes.  Given the same config the status, the candidate and the node
     count are deterministic, independent of parallel_width; the pruning
     counts of a Found or BudgetExceeded run are not.
+    At width K > 1 the walk runs in this process, as at width 1, for
+    _SERIAL_SECONDS; a run still going then restarts from the first level
+    with a pool and the failure memo the serial walk filled, so it walks
+    again only the path it was on.  statistics.pooled says if a pool ran.
     """
-    t0 = time.perf_counter()
+    t0 = perf_counter()
     plan = _build_plan(F, config)
     horizon = config.horizon if config.horizon is not None else sum(F.degree)
     workers = config.parallel_width if config.parallel_width > 1 else None
-    searcher = _Searcher(plan, config.node_budget, workers)
+    switch = None if workers is None else t0 + _SERIAL_SECONDS
+    searcher = _Searcher(plan, config.node_budget, switch=switch)
     growth_kill = None
     if config.growth_pruning:
         growth_kill = disjoint_module_obstruction(F, config.r, horizon - 1)
@@ -890,19 +913,24 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     elif any(count < req for count, req in zip(plan.apolar_counts, plan.reqs)):
         searcher.prunings["insufficient_candidates"] = 1
     else:
-        active = list(range(len(plan.group)))
+        start = [0] * len(plan.degrees), list(range(len(plan.group))), 0
         try:
-            pieces = searcher.descend([0] * len(plan.degrees), active, 0)
+            try:
+                pieces = searcher.descend(*start)
+            except _PoolDue:
+                searcher = _Searcher(plan, config.node_budget, workers, searcher.memo)
+                pieces = searcher.descend(*start)
             status = EXHAUSTED if pieces is None else FOUND
         except _BudgetHit:
             status = BUDGET_EXCEEDED
     stats = SearchStatistics(
         searcher.nodes,
         searcher.prunings,
-        time.perf_counter() - t0,
+        perf_counter() - t0,
         memo_hits=searcher.memo_hits,
         symmetry_elements=len(plan.group),
         symmetry_fallback=plan.symmetry_fallback,
+        pooled=searcher.pooled,
     )
 
     candidate = candidate_pieces = None

@@ -17,3 +17,12 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def pool_at_once(monkeypatch):
+    """Start the pool of a search at width K > 1 at its first node, so the
+    pooled walk runs however short the search (see movefit._SERIAL_SECONDS)."""
+    from borderrank import movefit
+
+    monkeypatch.setattr(movefit, "_SERIAL_SECONDS", 0)

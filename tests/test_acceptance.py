@@ -99,6 +99,7 @@ def test_criterion_4_fast_exhaustions():
 
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("pool_at_once")
 def test_criterion_5_slow_exhaustions():
     cases = [
         ([(1, 1, 1, 1, 1)], 16),
@@ -307,6 +308,7 @@ def test_criterion_8_property_suites():
     print(f"criterion 8: PASS — property suites exact, {elapsed:.1f} s")
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_criterion_9_worker_determinism():
     t0 = time.perf_counter()
     cases = [

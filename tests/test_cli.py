@@ -101,6 +101,7 @@ def test_search_exhausted_document(capsys):
     assert "border rank exceeds 8" in document["outcome"]["note"]
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_search_flag_plumbing(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -140,6 +141,7 @@ def test_search_budget_exit_code(capsys):
     assert error["error"]["type"] == "BudgetExceededError"
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_search_budget_bounds_the_run(capsys):
     # the branching level of 4443 r86 has subtrees far larger than the
     # budget; the budget counts the whole run, so the search stops at once.
@@ -633,6 +635,7 @@ def test_output_flag_writes_file(tmp_path, capsys):
 # Worker-count environment variable
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_jobs_env_var_used(monkeypatch, capsys):
     monkeypatch.setenv(JOBS_ENV_VAR, "2")
     code, out, _ = run_cli(capsys, "search", corpus("mono-21.json"), "--r", "2")
@@ -683,6 +686,7 @@ def test_jobs_flag_zero_is_precondition(monkeypatch, capsys, argv, env):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("pool_at_once")
 def test_corpus_run_all_with_slow(capsys):
     code, out, _ = run_cli(capsys, "corpus", "run", "all", "--slow", "--jobs", "4")
     assert code == EXIT_OK

@@ -688,13 +688,9 @@ def test_status_survives_options_and_relabelling():
     assert statuses.count(EXHAUSTED) >= 5 and statuses.count(FOUND) >= 5
 
 
-@pytest.mark.parametrize(
-    "factors, blocks, r, status",
-    [([2, 1], [(1, 1, 1), (1, 1)], 6, EXHAUSTED), ([1, 1], [(2, 2), (1, 1)], 6, FOUND)],
-)
-def test_status_survives_parallel_width(monkeypatch, factors, blocks, r, status):
-    F = Tensor.monomial(FactorShape(factors), blocks)
-    serial = search(F, SearchConfig(r=r))
+@pytest.fixture
+def submitted(monkeypatch):
+    """The argument tuples of every task a search submits to a pool."""
     submitted = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -704,6 +700,17 @@ def test_status_survives_parallel_width(monkeypatch, factors, blocks, r, status)
 
     # movefit reads the pool class from concurrent.futures when a pool starts
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return submitted
+
+
+@pytest.mark.parametrize(
+    "factors, blocks, r, status",
+    [([2, 1], [(1, 1, 1), (1, 1)], 6, EXHAUSTED), ([1, 1], [(2, 2), (1, 1)], 6, FOUND)],
+)
+@pytest.mark.usefixtures("pool_at_once")
+def test_status_survives_parallel_width(submitted, factors, blocks, r, status):
+    F = Tensor.monomial(FactorShape(factors), blocks)
+    serial = search(F, SearchConfig(r=r))
     pooled = search(F, SearchConfig(r=r, parallel_width=2))
     assert len(submitted) >= 2
     assert pooled.status == serial.status == status
@@ -837,6 +844,7 @@ def test_budget_exceeded_and_statistics():
         "memo_hits",
         "symmetry_elements",
         "symmetry_fallback",
+        "pooled",
         "wall_time_seconds",
     }
 
@@ -932,6 +940,7 @@ def test_statistics_report_symmetry_group(n, elements, fallback):
         ]
     ],
 )
+@pytest.mark.usefixtures("pool_at_once")
 def test_serial_search_releases_plan(kwargs, status):
     # worker state belongs to pool processes; once search() returns, the
     # calling process must not keep the plan alive
@@ -941,6 +950,7 @@ def test_serial_search_releases_plan(kwargs, status):
 
 
 @pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.usefixtures("pool_at_once")
 def test_budget_boundary(width):
     # the budget counts the nodes of the whole run, so a Found run of N
     # nodes fits a budget of N, and a budget of N - 1 stops it on its last
@@ -970,6 +980,7 @@ def test_budget_large_enough_changes_nothing():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.usefixtures("pool_at_once")
 def test_parallel_found_deterministic(width):
     F = Tensor.monomial(FactorShape([2]), [(2, 2, 2)])
     seq = search(F, SearchConfig(r=9))
@@ -979,6 +990,7 @@ def test_parallel_found_deterministic(width):
     assert par.candidate_pieces == seq.candidate_pieces
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_parallel_width_two_matches_serial():
     F = Tensor.monomial(FactorShape([4]), [(2, 2, 1, 1, 1)])
     serial = search(F, SearchConfig(r=24)).to_json()
@@ -990,12 +1002,14 @@ def test_parallel_width_two_matches_serial():
 
 _START_METHOD_RUN = """
 import json, multiprocessing, sys
+from borderrank import movefit
 from borderrank.apolarity import Tensor
 from borderrank.movefit import SearchConfig, search
 from borderrank.ring import FactorShape
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
+    movefit._SERIAL_SECONDS = 0  # the pool starts at the first node
     F = Tensor.monomial(FactorShape([4]), [(2, 2, 1, 1, 1)])
     print(json.dumps(search(F, SearchConfig(r=24, parallel_width=2)).to_json()))
 """
@@ -1022,6 +1036,7 @@ def test_pool_matches_serial_under_start_method(tmp_path, method):
 
 
 @pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.usefixtures("pool_at_once")
 def test_found_reads_branching_level_lazily(width):
     # the last level has C(125, 26) > 10^27 fitting pieces and the first one
     # completes a candidate, so the pieces must not be listed first
@@ -1040,22 +1055,14 @@ def test_found_reads_branching_level_lazily(width):
         (4, (2, 2, 1, 1, 1), {"r": 23, "node_budget": 2}, BUDGET_EXCEEDED),
     ],
 )
-def test_pool_merges_like_serial(monkeypatch, n, exps, kwargs, status):
+@pytest.mark.usefixtures("pool_at_once")
+def test_pool_merges_like_serial(submitted, n, exps, kwargs, status):
     # the first three cases branch on levels of two to five pieces; at
     # width 2 even those go through the pool, and the merged status and
     # nodes must equal the serial run's.  The pool reads pieces ahead of the
     # serial walk, so prunings are equal only when both runs read them all
     F = Tensor.monomial(FactorShape([n]), [exps])
     serial = search(F, SearchConfig(**kwargs))
-    submitted = []
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            submitted.append(args)
-            return super().submit(fn, *args)
-
-    # movefit reads the pool class from concurrent.futures when a pool starts
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     pooled = search(F, SearchConfig(parallel_width=2, **kwargs))
     assert len(submitted) >= 2
     assert pooled.status == serial.status == status
@@ -1064,6 +1071,88 @@ def test_pool_merges_like_serial(monkeypatch, n, exps, kwargs, status):
         assert pooled.statistics.prunings == serial.statistics.prunings
 
 
+@pytest.mark.parametrize("exps, r", [((1, 1, 1, 1, 1), 15), ((2, 2, 1, 1, 1), 24)])
+def test_short_run_starts_no_pool(submitted, exps, r):
+    # a run that ends within the serial period walks in this process, as
+    # width 1 does: it submits nothing, and only its wall time differs
+    F = Tensor.monomial(FactorShape([4]), [exps])
+    documents = [
+        search(F, SearchConfig(r=r, parallel_width=width)).to_json() for width in (1, 2)
+    ]
+    for document in documents:
+        del document["statistics"]["wall_time_seconds"]
+    assert submitted == []
+    assert documents[0] == documents[1]
+    assert documents[1]["statistics"]["pooled"] is False
+
+
+_SWITCH_RUN = """
+import concurrent.futures, itertools, json, multiprocessing, sys
+from borderrank import movefit
+from borderrank.apolarity import Tensor
+from borderrank.movefit import SearchConfig, search
+from borderrank.ring import FactorShape
+
+
+class MemoPool(concurrent.futures.ProcessPoolExecutor):
+    # records how many failed states each pool hands its workers
+    def __init__(self, *args, initargs, **kwargs):
+        memos.append(len(initargs[-1]))
+        super().__init__(*args, initargs=initargs, **kwargs)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    exps, kwargs, readings = json.loads(sys.argv[2])
+    # the clock stands still for the first readings, one at the start and
+    # one per charge, then jumps past the serial period: the pool is due at
+    # a fixed point of the walk
+    ticks = itertools.count()
+    movefit.perf_counter = lambda: 0.0 if next(ticks) < readings else 1e6
+    memos = []
+    concurrent.futures.ProcessPoolExecutor = MemoPool
+    F = Tensor.monomial(FactorShape([4]), [exps])
+    outcome = search(F, SearchConfig(parallel_width=2, **kwargs)).to_json()
+    print(json.dumps({"outcome": outcome, "memos": memos}))
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+@pytest.mark.parametrize(
+    "exps, kwargs, readings, status",
+    [
+        ((3, 2, 2, 1, 1), {"r": 33}, 300, EXHAUSTED),
+        ((2, 2, 1, 1, 1), {"r": 24}, 40, FOUND),
+        ((3, 2, 2, 1, 1), {"r": 33, "node_budget": 5000}, 300, BUDGET_EXCEEDED),
+    ],
+)
+def test_pool_restarts_on_the_serial_memo(tmp_path, method, exps, kwargs, readings, status):
+    # a run still going after its serial period restarts from the first
+    # level on a pool whose workers start from the memo the serial walk
+    # filled; the status, nodes and first Found are the serial run's, and
+    # so are the prunings of an Exhausted run
+    F = Tensor.monomial(FactorShape([4]), [exps])
+    serial = search(F, SearchConfig(**kwargs)).to_json()
+    script = tmp_path / "switched.py"
+    script.write_text(_SWITCH_RUN)
+    env = {**os.environ, "PYTHONPATH": str(Path(borderrank.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, str(script), method, json.dumps([exps, kwargs, readings])],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    pooled = result["outcome"]
+    assert pooled["status"] == serial["status"] == status
+    assert pooled["statistics"]["nodes"] == serial["statistics"]["nodes"]
+    assert pooled["candidate_pieces"] == serial["candidate_pieces"]
+    if status == EXHAUSTED:
+        assert pooled["statistics"]["prunings"] == serial["statistics"]["prunings"]
+    assert pooled["statistics"]["pooled"] is True
+    assert result["memos"] and all(result["memos"])
+
+
+@pytest.mark.usefixtures("pool_at_once")
 def test_parallel_exhausted_deterministic():
     F = Tensor.monomial(FactorShape([3]), [(2, 2, 1, 1)])
     seq = search(F, SearchConfig(r=11, horizon=5))
@@ -1194,12 +1283,14 @@ def test_verify_reduces_each_piece_once(monkeypatch):
 # Slow exhaustions
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_slow_exhaustion_squarefree_quintic():
     F = Tensor.monomial(FactorShape([4]), [(1, 1, 1, 1, 1)])
     outcome = search(F, SearchConfig(r=15, parallel_width=4))
     assert outcome.status == EXHAUSTED
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_slow_exhaustion_mixed_exponents():
     F = Tensor.monomial(FactorShape([4]), [(2, 2, 1, 1, 1)])
     outcome = search(F, SearchConfig(r=23, parallel_width=4))

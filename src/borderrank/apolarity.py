@@ -194,6 +194,7 @@ def monomial_catalecticant_rank(a: Monomial, D) -> int:
     return rank
 
 
+@lru_cache(maxsize=256)  # a bounds report reads each rank several times
 def catalecticant_rank(F: Tensor, D) -> int:
     """rank of the degree-D catalecticant of F: a count for a monomial,
     exact row reduction otherwise."""

@@ -92,7 +92,7 @@ def disjoint_module_obstruction(F: Tensor, r: int, max_degree: int):
     """
     a = _monomial_exponents(F)
     if F.shape.num_factors != 1:
-        raise PreconditionError("growth pruning applies to single-factor shapes")
+        raise PreconditionError("the disjoint-module rule applies to single-factor shapes")
     exps = a.exponents[0]
     n = F.shape.factors[0]
     for d in range(1, max_degree + 1):

@@ -202,7 +202,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         r=args.r,
         horizon=args.horizon,
         symmetry_pruning=not args.no_symmetry,
-        growth_pruning=args.growth_prune,
         parallel_width=_jobs(args.jobs),
         node_budget=args.budget,
     )
@@ -389,9 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--horizon", type=int, help="max total degree (default |L|)")
     p_search.add_argument(
         "--no-symmetry", action="store_true", help="disable symmetry pruning"
-    )
-    p_search.add_argument(
-        "--growth-prune", action="store_true", help="enable the static growth prune"
     )
     p_search.add_argument(
         "--jobs", type=int, help=f"worker count (default ${JOBS_ENV_VAR} or 1)"

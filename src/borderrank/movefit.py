@@ -54,7 +54,6 @@ from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 from .apolarity import Tensor, monomial_catalecticant_rank
-from .bounds import disjoint_module_obstruction
 from .errors import PreconditionError
 from .ideals import (
     MonomialIdeal,
@@ -111,7 +110,6 @@ class SearchConfig:
     r: int
     horizon: int | None = None  # defaults to the total degree of F
     symmetry_pruning: bool = True
-    growth_pruning: bool = False
     parallel_width: int = 1
     node_budget: int | None = None  # nodes of the whole run: canonical pieces
 
@@ -902,15 +900,10 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     workers = config.parallel_width if config.parallel_width > 1 else None
     switch = None if workers is None else t0 + _SERIAL_SECONDS
     searcher = _Searcher(plan, config.node_budget, switch=switch)
-    growth_kill = None
-    if config.growth_pruning:
-        growth_kill = disjoint_module_obstruction(F, config.r, horizon - 1)
     status, pieces = EXHAUSTED, None
-    if growth_kill is not None:
-        searcher.prunings["growth"] = 1
     # every piece lies inside its apolar mask: a level with fewer apolar
     # monomials than its req rules out every ideal before any piece is chosen
-    elif any(count < req for count, req in zip(plan.apolar_counts, plan.reqs)):
+    if any(count < req for count, req in zip(plan.apolar_counts, plan.reqs)):
         searcher.prunings["insufficient_candidates"] = 1
     else:
         start = [0] * len(plan.degrees), list(range(len(plan.group))), 0
@@ -949,8 +942,6 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
             f"exists inside the apolar ideal up to total degree {horizon}; "
             f"hence the border rank exceeds {config.r}"
         )
-        if growth_kill is not None:
-            note += f" (settled by the growth cap at degree {growth_kill['degree']})"
     else:
         note = "node budget exhausted before the search space was covered"
     return SearchOutcome(

@@ -341,9 +341,11 @@ def test_report_reduces_shared_product_matrix_once(monkeypatch):
     # on one factor the generator and quotient tests both need the rank of
     # P_0 = F^perp_3 * S_1 (30 * 5 = 150 rows over S_4); the report reduces
     # it once, and the generator test re-ranks its 69 echelon rows
-    from borderrank import bounds
+    from borderrank import apolarity, bounds
 
-    bounds._reduced_products.cache_clear()  # count from an empty cache
+    # count from empty caches
+    bounds._reduced_products.cache_clear()
+    apolarity.catalecticant_rank.cache_clear()
     shape = FactorShape([4])
     rng = random.Random(4)
     coeffs = {m: rng.choice([-2, -1, 1, 2]) for m in enumerate_monomials(shape, (4,))}
@@ -360,9 +362,9 @@ def test_report_reduces_shared_product_matrix_once(monkeypatch):
     assert report.components["minimal_generator_test"]["count"] == 0
     assert report.components["minimal_quotient_test"]["dimension"] == 1
     assert heights.count(150) == 1
-    # 5 catalecticants, conciseness for each test, F^perp_3, P_0, dim F^perp_4
-    # and the re-rank of P_0's echelon rows
-    assert len(heights) == 11
+    # 5 catalecticants, F^perp_3, P_0 and the re-rank of P_0's echelon rows;
+    # conciseness and dim F^perp_4 read catalecticant ranks already kept
+    assert len(heights) == 8
     assert heights.count(69) == 1
     monkeypatch.undo()
     assert minimal_border_rank_generator_test(F) == (0, NOT_MINIMAL)

@@ -112,7 +112,6 @@ def test_search_flag_plumbing(capsys):
         "--horizon",
         "5",
         "--no-symmetry",
-        "--growth-prune",
         "--jobs",
         "2",
         "--budget",
@@ -121,12 +120,18 @@ def test_search_flag_plumbing(capsys):
     assert code == EXIT_OK
     document = parse_and_check(out)
     config = document["config"]
-    assert config["symmetry_pruning"] is False
-    assert config["growth_pruning"] is True
-    assert config["parallel_width"] == 2
-    assert config["node_budget"] == 50000
-    # the static growth rule settles this case before any node is explored
-    assert document["outcome"]["statistics"]["prunings"] == {"growth": 1}
+    assert config == {
+        "r": 8,
+        "horizon": 5,
+        "symmetry_pruning": False,
+        "parallel_width": 2,
+        "node_budget": 50000,
+    }
+    assert document["outcome"]["status"] == "Exhausted"
+    # the growth rule is a bound, reported by `bounds`; search has no flag for it
+    with pytest.raises(SystemExit) as exit_info:
+        main(["search", corpus("mono-222.json"), "--r", "8", "--growth-prune"])
+    assert exit_info.value.code == 2
 
 
 def test_search_budget_exit_code(capsys):

@@ -19,6 +19,7 @@ import pytest
 import borderrank
 from borderrank import cli, linalg, movefit
 from borderrank.apolarity import Tensor, catalecticant_lower_bound, tensor_from_json
+from borderrank.bounds import bounds_report, disjoint_module_obstruction
 from borderrank.errors import EXIT_PRECONDITION, PreconditionError
 from borderrank.ideals import GradedIdeal, MonomialIdeal, ideal_from_json
 from borderrank.movefit import (
@@ -661,11 +662,8 @@ def test_status_survives_options_and_relabelling():
     for shape, blocks, r in _seeded_cases(seed=5, count=120):
         base = search(Tensor.monomial(shape, blocks), SearchConfig(r=r))
         statuses.append(base.status)
-        variants = [(blocks, {"symmetry_pruning": False})]
-        if shape.num_factors == 1:
-            variants.append((blocks, {"growth_pruning": True}))
         permuted = [tuple(rng.sample(block, len(block))) for block in blocks]
-        variants.append((permuted, {}))
+        variants = [(blocks, {"symmetry_pruning": False}), (permuted, {})]
         for variant_blocks, options in variants:
             F = Tensor.monomial(shape, variant_blocks)
             outcome = search(F, SearchConfig(r=r, **options))
@@ -790,39 +788,44 @@ def test_preconditions():
     )
     with pytest.raises(PreconditionError):
         search(G, SearchConfig(r=1))
-    H = Tensor.monomial(FactorShape([1, 1]), [(1, 1), (1, 1)])
-    with pytest.raises(PreconditionError):
-        search(H, SearchConfig(r=2, growth_pruning=True))
 
 
 # ---------------------------------------------------------------------------
-# Growth pruning
+# Growth (disjoint-module) rule against the search
 # ---------------------------------------------------------------------------
 
 def test_growth_prune_settles_flagship_statically():
+    # the static rule rules r = 8 out on x0^2 x1^2 x2^2 at degree 4, so the
+    # search to horizon 5 is Exhausted and the bounds report agrees
     F = Tensor.monomial(FactorShape([2]), [(2, 2, 2)])
-    outcome = search(F, SearchConfig(r=8, horizon=5, growth_pruning=True))
-    assert outcome.status == EXHAUSTED
-    assert outcome.statistics.prunings == {"growth": 1}
-    assert outcome.statistics.nodes == 0
-    assert "growth cap at degree 4" in outcome.note
+    witness = disjoint_module_obstruction(F, 8, 4)
+    assert witness["degree"] == 4
+    assert witness["ruled_out_r"] == 8
+    assert search(F, SearchConfig(r=8, horizon=5)).status == EXHAUSTED
+    assert bounds_report(F).lower > 8
 
 
 def test_growth_prune_is_conservative():
-    # the static rule may only ever settle searches whose full run is
-    # Exhausted; statuses agree across the toggle on a whole sweep
+    # the rule is sound: wherever it rules r out up to degree h - 1, the
+    # search to horizon h is Exhausted and the report's lower bound exceeds r
     shape = FactorShape([2])
+    cases = []
     for a in range(1, 6):
         for b in range(0, a + 1):
             for c in range(0, b + 1):
-                if not 1 <= a + b + c <= 5:
+                if a + b + c > 5:
                     continue
                 F = Tensor.monomial(shape, [(a, b, c)])
-                dim_L = piece_dimension(shape, F.degree)
-                for r in range(1, dim_L + 1):
-                    plain = search(F, SearchConfig(r=r))
-                    pruned = search(F, SearchConfig(r=r, growth_pruning=True))
-                    assert plain.status == pruned.status, ((a, b, c), r)
+                for r in range(1, piece_dimension(shape, F.degree) + 1):
+                    cases += [(F, r, h) for h in range(1, a + b + c + 1)]
+    witnesses = 0
+    for F, r, h in cases:
+        if disjoint_module_obstruction(F, r, h - 1) is None:
+            continue
+        assert search(F, SearchConfig(r=r, horizon=h)).status == EXHAUSTED, (F, r, h)
+        assert bounds_report(F).lower > r, (F, r, h)
+        witnesses += 1
+    assert (len(cases), witnesses) == (882, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -117,11 +117,10 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
-def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
-    # a short command is mostly start-up, so importing the CLI loads only
-    # what every command runs; the pool module loads when a pool starts
-    heavy = ["jsonschema", "concurrent.futures.process"]
-    code = f"import sys, borderrank.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def _loaded_by_import(module, names):
+    """The names among `names` in sys.modules after a fresh interpreter
+    imports `module` alone."""
+    code = f"import sys, {module}; print([m for m in {names!r} if m in sys.modules])"
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     pythonpath = os.pathsep.join(filter(None, paths))
     result = subprocess.run(
@@ -131,4 +130,18 @@ def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
+    # a short command is mostly start-up, so importing the CLI loads only
+    # what every command runs; the pool module loads when a pool starts
+    heavy = ["jsonschema", "concurrent.futures.process"]
+    assert _loaded_by_import("borderrank.cli", heavy) == "[]"
+
+
+def test_movefit_import_loads_neither_bounds_nor_macaulay():
+    # the search decides by its walk alone: the growth rule is a bound that
+    # only `bounds` runs
+    heavy = ["borderrank.bounds", "borderrank.macaulay"]
+    assert _loaded_by_import("borderrank.movefit", heavy) == "[]"

@@ -13,6 +13,7 @@ always the first non-zero entry in grevlex column order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +27,6 @@ from .ring import (
     degree_is_effective,
     degree_le,
     degree_sub,
-    degrees_up_to,
     enumerate_monomials,
     monomial_from_json,
     piece_dimension,
@@ -218,8 +218,7 @@ def catalecticant_lower_bound(F: Tensor) -> int:
         raise PreconditionError("catalecticant bound needs a non-zero tensor")
     return max(
         catalecticant_rank(F, D)
-        for D in degrees_up_to(F.shape.num_factors, sum(F.degree))
-        if degree_le(D, F.degree)
+        for D in itertools.product(*(range(l + 1) for l in F.degree))
     )
 
 

@@ -65,19 +65,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def piece_rows(self, D) -> list:
-        """Unit int rows spanning I_D over the grevlex basis of S_D."""
-        basis = enumerate_monomials(self.shape, D)
-        return [
-            [int(k == i) for k in range(len(basis))]
-            for i, m in enumerate(basis)
-            if self.contains_monomial(m)
-        ]
-
-    def piece_basis(self, D) -> list:
-        """Echelon int rows spanning I_D: the unit rows of piece_rows are."""
-        return self.piece_rows(D)
-
     def piece_dimension(self, D) -> int:
         return len(monomial_piece(self, D))
 
@@ -292,7 +279,7 @@ def times_variables(shape: FactorShape, rows, E, j: int) -> list:
 # Degreewise saturation-defect probe for graded ideals
 # ---------------------------------------------------------------------------
 
-def iterated_colon_piece(I, D, steps: int, _memo=None):
+def iterated_colon_piece(I: GradedIdeal, D, steps: int, _memo=None):
     """A basis of (I : B^steps)_D, as int rows over the grevlex basis of S_D,
     by the degreewise recursion
     V_k(D) = {f in S_D : f * b in V_{k-1}(D + (1,...,1)) for all B-generators b}."""
@@ -323,16 +310,20 @@ def iterated_colon_piece(I, D, steps: int, _memo=None):
     return rows
 
 
-def saturation_defect(I, max_total_degree: int, max_steps: int = 3):
+# the most colon steps k the saturation-defect probe tries
+_SATURATION_STEPS = 3
+
+
+def saturation_defect(I: GradedIdeal, max_total_degree: int):
     """Search for a degreewise witness that I is not saturated.
 
     Returns {"degree": D, "steps": k, "dim_ideal": a, "dim_colon": b} for the
-    first (k, D) with dim (I : B^k)_D > dim I_D, scanning k = 1..max_steps
-    outer and D by ascending total degree inner; None when no defect shows
-    (which proves nothing for a GradedIdeal).
+    first (k, D) with dim (I : B^k)_D > dim I_D, scanning
+    k = 1.._SATURATION_STEPS outer and D by ascending total degree inner;
+    None when no defect shows, which proves nothing.
     """
     memo = {}
-    for k in range(1, max_steps + 1):
+    for k in range(1, _SATURATION_STEPS + 1):
         for D in degrees_up_to(I.shape.num_factors, max_total_degree):
             base = iterated_colon_piece(I, D, 0, memo)
             grown = iterated_colon_piece(I, D, k, memo)
@@ -366,7 +357,10 @@ def ideal_from_json(data: dict):
     shape = shape_from_json(data["shape"])
     if "monomial_generators" in data:
         gens = [monomial_from_json({"exponents": e}) for e in data["monomial_generators"]]
-        return MonomialIdeal(shape, gens)
+        try:
+            return MonomialIdeal(shape, gens)
+        except ShapeMismatchError as exc:
+            raise ParseError(str(exc)) from exc
     if "generators" in data:
         tagged = []
         for gen in data["generators"]:

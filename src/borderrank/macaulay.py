@@ -116,6 +116,8 @@ def _point_growth(c: int, n: int) -> int:
 def lexbar_profile(degrees, n: int, r: int) -> LexBarProfile:
     """Distribute codimension r over summands, emptying smallest degrees first."""
     degrees = tuple(int(d) for d in degrees)
+    if n < 0:
+        raise PreconditionError(f"n must be >= 0, got {n}")
     if any(d < 0 for d in degrees):
         raise PreconditionError(f"summand degrees must be >= 0, got {degrees}")
     if list(degrees) != sorted(degrees):

@@ -41,7 +41,9 @@ one packed int, and cuts a partial piece as soon as every completion of it
 would be discarded.  A node is a complete piece that fits every level one or
 two degrees up and passes the symmetry test, so an Exhausted run counts one
 node per orbit of fitting prefixes, whatever the order of the variables; the
-node budget counts these nodes.
+node budget counts these nodes.  On a pool the parent walks down to the first
+level with two fitting pieces and hands them out in spans, each piece with
+the images fitting built for it, so a worker only assigns them.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class _Plan:
     degrees: list  # MultiDegree, ascending (total, lex)
     reqs: list  # dim I_D forced by the Hilbert function
     dims: list  # dim S_D
-    higher: list  # per degree: (variable factor, index of the degree one higher)
+    higher: list  # per degree: the indices of the degrees one higher
     apolar_counts: list  # monomials outside the divisor set of a, per degree
     group: list  # flat index maps of the group elements the symmetry test uses
     symmetry_fallback: bool  # the group is transpositions, not the whole group
@@ -230,12 +232,12 @@ class _Plan:
             if not degree_le(f, a):
                 mask |= 1 << p
         between = {}  # degree two higher -> the degrees one higher below it
-        for _, t in self.higher[k]:
-            for _, u in self.higher[t]:
+        for t in self.higher[k]:
+            for u in self.higher[t]:
                 between.setdefault(u, []).append(t)
         targets = [
             (u, self.shift_table(k, u), self.reqs[u])
-            for u in [t for _, t in self.higher[k]] + list(between)
+            for u in [*self.higher[k], *between]
         ]
         feeds = [[(t, self.shift_table(t, u)) for t in ts] for u, ts in between.items()]
         symmetry = None
@@ -257,17 +259,6 @@ class _Plan:
             symmetry = (table, rep, rep << len(pos))
         tables = self.levels[k] = (mask, targets, symmetry, feeds)
         return tables
-
-    def images(self, carried, k, piece):
-        """The image of piece at level k in each target, joined to what the
-        pieces chosen so far put there: carried[t], and in a degree two
-        higher also the shifts of carried at each degree between."""
-        _, targets, _, feeds = self.level(k)
-        images = [carried[t] | _image(piece, table) for t, table, _ in targets]
-        for i, feed in enumerate(feeds, len(self.higher[k])):
-            for t, table in feed:
-                images[i] |= _image(carried[t], table)
-        return images
 
 
 def _group_too_large(a: Monomial) -> bool:
@@ -339,10 +330,10 @@ def _build_plan(F: Tensor, config: SearchConfig):
     # degree 0 is left out: I_0 = 0 for every r >= 1
     degrees = degrees_up_to(shape.num_factors, horizon)[1:]
     deg_index = {d: k for k, d in enumerate(degrees)}
-    # per degree: (variable factor, index of the degree one higher in it)
+    # per degree: the indices of the degrees one higher, factor by factor
     higher = [
         [
-            (j, deg_index[up])
+            deg_index[up]
             for j in range(shape.num_factors)
             if (up := degree_add(d, shape.unit_degree(j))) in deg_index
         ]
@@ -358,7 +349,7 @@ def _build_plan(F: Tensor, config: SearchConfig):
     # a table entry is an int as wide as the degree it points into: dim_t bits
     # for each target t, one or two degrees higher, and a segment of dim_k + 1
     # bits per group element
-    reach = [{t for _, t in h} | {u for _, t in h for _, u in higher[t]} for h in higher]
+    reach = [{*h, *(u for t in h for u in higher[t])} for h in higher]
     table_bytes = sum(
         dim * (sum(dims[t] for t in reach[k]) + len(group) * (dim + 1))
         for k, dim in enumerate(dims)
@@ -408,13 +399,6 @@ def _image(mask: int, table: list) -> int:
     for bits in itertools.compress(table, selectors):
         img |= bits
     return img
-
-
-def _segments(plan: _Plan, k: int, active) -> int:
-    """act: the lowest bit of the segment of each active group element at
-    level k."""
-    width = plan.dims[k] + 1
-    return sum(1 << g * width for g in active)
 
 
 def _look_ahead(targets, free, need):
@@ -500,14 +484,17 @@ class _Searcher:
     def fitting(self, carried, k, act):
         """Every piece at level k that fits and that the symmetry cut keeps,
         with its images in the target levels, in lexicographic order of the
-        added bits.  act marks the active group elements (see _segments);
-        while one is, G, the packed images of the piece under the group
-        (see _Plan.level), rides after the target images as one more
-        image, under a cap it never reaches.
+        added bits.  act holds the lowest bit of the segment of each active
+        group element (see _Plan.level); while one is, G, the packed images
+        of the piece under the group, rides after the target images as one
+        more image, under a cap it never reaches.
 
         A piece is the mandatory set M = carried[k] plus need = req_k - |M|
         of the n free bits of the apolar mask, and fits when its image in
-        every target has at most req bits (see _Plan.images).  The bits are
+        every target, joined to what the pieces chosen so far put there,
+        has at most req bits.  That is carried[t] in a target t, and in a
+        degree two higher also the shifts of carried at each degree
+        between, which the pieces of level k never change.  The bits are
         chosen one at a time in increasing position, and a bit is cut as
         soon as a target would overflow: adding bits only grows an image,
         so no fitting piece is lost.  M stays inside the apolar mask: a
@@ -553,9 +540,12 @@ class _Searcher:
         one of each active segment and nothing else, and one of those that
         lies in G cuts the entry.  The cut drops only pieces that assign
         rejects, so the pieces it keeps come in the same order."""
-        mask, targets, symmetry, _ = self.plan.level(k)
+        mask, targets, symmetry, feeds = self.plan.level(k)
         M = carried[k]
-        images = self.plan.images(carried, k, M)
+        images = [carried[t] | _image(M, table) for t, table, _ in targets]
+        for i, feed in enumerate(feeds, len(self.plan.higher[k])):
+            for t, table in feed:
+                images[i] |= _image(carried[t], table)
         caps = [cap for _, _, cap in targets]
         if any(map(operator.gt, map(int.bit_count, images), caps)):
             self._prune("mandatory_overflow")
@@ -636,7 +626,7 @@ class _Searcher:
             active = [g for g, bit in enumerate(marks) if bit == "1"]
         self._charge(1)
         carried = list(carried)
-        for (_, t), img in zip(self.plan.higher[k], images):
+        for t, img in zip(self.plan.higher[k], images):
             carried[t] = img  # the images two degrees up are not carried
         rest = self.descend(carried, active, k + 1)
         return None if rest is None else [piece, *rest]
@@ -664,16 +654,16 @@ class _Searcher:
         subtree differ.  A stop leaves the subtrees still open unrecorded,
         so a walk restarted on the memo of a stopped one repeats its counts.
 
-        With a pool, the pieces of a level are read two ahead, and the first
-        level that has two is explored by split; the levels above it, with
-        one fitting piece each, are walked here.  Such a level costs what a
-        plain walk of it costs: every active element fixes the pieces chosen
-        so far and the apolar masks, so it fixes the carried images and maps
-        the fitting pieces of the level onto themselves.  The one fitting
-        piece is then its own image, so assign counts it as one node,
-        rejects nothing by symmetry and keeps every active element.  The
-        same argument gives fitting its start: every active element fixes
-        the mandatory set carried[k]."""
+        With a pool of K workers, up to K pieces of a level are read ahead,
+        and the first level that has two is explored by split; the levels
+        above it, with one fitting piece each, are walked here.  Such a
+        level costs what a plain walk of it costs: every active element
+        fixes the pieces chosen so far and the apolar masks, so it fixes the
+        carried images and maps the fitting pieces of the level onto
+        themselves.  The one fitting piece is then its own image, so assign
+        counts it as one node, rejects nothing by symmetry and keeps every
+        active element.  The same argument gives fitting its start: every
+        active element fixes the mandatory set carried[k]."""
         if k == len(self.plan.degrees):
             return []
         key = (k, tuple(carried[k:]), tuple(active))
@@ -702,39 +692,41 @@ class _Searcher:
 
     def _walk(self, carried, active, k):
         """descend without the memo."""
-        act = _segments(self.plan, k, active) if active else 0
+        width = self.plan.dims[k] + 1
+        act = sum(1 << g * width for g in active)
         pieces = self.fitting(carried, k, act)
         if self.workers is not None:
-            head = list(itertools.islice(pieces, 2))
-            pieces = itertools.chain(head, pieces)
-            if len(head) == 2:
-                return self.split(carried, active, k, pieces)
+            head = list(itertools.islice(pieces, self.workers))
+            if len(head) > 1:
+                return self.split(carried, act, k, head, pieces)
+            pieces = head  # fewer than K pieces: fitting is spent
         for piece, images in pieces:
             result = self.assign(carried, act, k, piece, images)
             if result is not None:
                 return result
         return None
 
-    def split(self, carried, active, k, pieces):
-        """Explore the pieces of level k on a process pool, in spans, and
-        charge the span results in span order.
+    def split(self, carried, act, k, head, pieces):
+        """Explore the pieces of level k on a pool of one process per piece
+        of head, in spans, and charge the span results in span order.
 
-        Each span runs one searcher with the budget left when the pool
-        starts.  A span that passes it reports that budget + 1 nodes, so
-        the charge stops the run on the node where a serial walk would stop,
-        and the status, nodes and first Found equal the serial run's.  Each
-        worker starts from a copy of the memo, which the serial period filled."""
+        head holds the first pieces fitting yielded, and pieces yields the
+        rest; each comes with the images fitting built for it, which the
+        span carries to the worker.  The stream is read lazily: a level can
+        have more fitting pieces than could ever be listed, and a Found run
+        needs only the first few.  Each span runs one searcher with the
+        budget left when the pool starts.  A span that passes it reports
+        that budget + 1 nodes, so the charge stops the run on the node where
+        a serial walk would stop, and the status, nodes and first Found
+        equal the serial run's.  Each worker starts from a copy of the memo,
+        which the serial period filled."""
         import concurrent.futures  # loads the process pool module on first use
 
-        # the stream is read lazily: a level can have more fitting pieces than
-        # could ever be listed, and a Found run needs only the first few
-        pieces = (piece for piece, _ in pieces)
-        head = list(itertools.islice(pieces, self.workers))
         left = None if self.budget is None else self.budget - self.nodes
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=len(head),
             initializer=_init_worker,
-            initargs=(self.plan, carried, active, k, left, self.memo),
+            initargs=(self.plan, carried, act, k, left, self.memo),
         )
         self.pooled = True
         try:
@@ -762,22 +754,18 @@ def _init_worker(*state):
 
 
 def _run_chunk(pieces):
-    """Explore the given pieces of the branching level in order, with one
-    searcher, the budget the pool started with and the worker's memo.
+    """Assign the given (piece, images) pairs of the branching level, as
+    fitting yielded them, in order, with one searcher, the budget the pool
+    started with and the worker's memo.
 
     Returns the pieces from level k on of the first Found (or None), and
     the nodes, prunings and memo hits spent; past the budget the nodes read
     budget + 1."""
-    plan, carried, active, k, budget, memo = _WORKER_STATE
+    plan, carried, act, k, budget, memo = _WORKER_STATE
     searcher = _Searcher(plan, budget, memo=memo)
-    act = _segments(plan, k, active) if active else 0
-    symmetry = plan.level(k)[2]
     result = None
     try:
-        for piece in pieces:
-            images = plan.images(carried, k, piece)
-            if act:
-                images.append(_image(piece, symmetry[0]))
+        for piece, images in pieces:
             result = searcher.assign(carried, act, k, piece, images)
             if result is not None:
                 break
@@ -787,10 +775,10 @@ def _run_chunk(pieces):
 
 
 def _in_order(pool, pieces, workers):
-    """_run_chunk over consecutive spans of pieces, read lazily, on the
-    pool; results in span order.  A span holds one piece for every
-    4 * workers pieces merged before it, and at least one, and at most
-    _SPANS_AHEAD spans wait unmerged.  So two pieces already keep two
+    """_run_chunk over consecutive spans of the (piece, images) pairs,
+    read lazily, on the pool; results in span order.  A span holds one
+    piece for every 4 * workers pieces merged before it, and at least one,
+    and at most _SPANS_AHEAD spans wait unmerged.  So two pieces already keep two
     workers busy, N pieces make O(workers * log N) spans, and the pieces
     read ahead stay within a multiple of those merged, however slowly
     they come: a run that stops early reads few it never needed."""

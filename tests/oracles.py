@@ -306,7 +306,7 @@ def carried_after(plan, carried, k, images):
     """carried as movefit's assign leaves it for the next level, after a
     piece at level k with these images."""
     after = list(carried)
-    for (_, t), img in zip(plan.higher[k], images):
+    for t, img in zip(plan.higher[k], images):
         after[t] = img
     return after
 
@@ -317,7 +317,7 @@ def entry_overflows(plan, carried, t):
     one higher."""
     return any(
         (carried[u] | shifted(plan, carried[t], t, u)).bit_count() > plan.reqs[u]
-        for _, u in plan.higher[t]
+        for u in plan.higher[t]
     )
 
 
@@ -327,14 +327,14 @@ def take_skip_fitting(plan, carried, k):
     entered in order with no more than their mandatory sets, all pass their
     entry tests.  The images two degrees up are what those levels carry
     there then.  Cuts are not counted."""
-    ups = sorted(t for _, t in plan.higher[k])
+    ups = sorted(plan.higher[k])
     twos = [u for u, _, _ in plan.level(k)[1][len(ups):]]
     for piece, images in take_skip_walk(plan, carried, k):
         after = carried_after(plan, carried, k, images)
         for t in ups:
             if entry_overflows(plan, after, t):
                 break
-            for _, u in plan.higher[t]:
+            for u in plan.higher[t]:
                 after[u] |= shifted(plan, after[t], t, u)
         else:
             yield piece, images + [after[u] for u in twos]

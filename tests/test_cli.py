@@ -235,6 +235,34 @@ def test_verify_shape_mismatch_is_precondition(capsys):
 
 
 @pytest.mark.parametrize(
+    "ideal",
+    [
+        {"shape": [2], "monomial_generators": [[[1, 1]]]},
+        {
+            "shape": [2],
+            "generators": [
+                {"degree": [2], "terms": [{"exp": [[1, 1]], "num": "1", "den": "1"}]}
+            ],
+        },
+    ],
+    ids=["monomial", "graded"],
+)
+def test_verify_ideal_off_its_own_shape_is_a_parse_error(tmp_path, capsys, ideal):
+    # a generator that does not fit the shape its own file declares is a
+    # malformed file, in either form of ideal, as it is in a tensor file
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(ideal))
+    code, out, err = run_cli(
+        capsys, "verify", str(path), corpus("mono-222.json"), "--r", "2"
+    )
+    assert code == EXIT_PARSE
+    assert out == ""
+    error = parse_and_check(err)
+    assert error["error"]["type"] == "ParseError"
+    assert "does not fit (2,)" in error["error"]["message"]
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--r", "3", "--horizon", "-1"], "horizon must be >= 1, got -1"),
@@ -290,6 +318,15 @@ def test_macaulay_flag_validation(capsys):
     # negative r is a domain violation, not a parse problem
     code, _, err = run_cli(capsys, "macaulay", "--r", "-1", "--d", "2")
     assert code == EXIT_PRECONDITION
+    # and so is a negative n, which no binomial may see
+    code, out, err = run_cli(
+        capsys, "macaulay", "--r", "0", "--summands", "0", "--n", "-1"
+    )
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    error = parse_and_check(err)
+    assert error["error"]["type"] == "PreconditionError"
+    assert error["error"]["message"] == "n must be >= 0, got -1"
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ def test_iterated_colon_grows_toward_saturation():
     shape = FactorShape([1, 1])
     x0y0 = Monomial([(1, 0), (1, 0)])
     x0y1 = Monomial([(1, 0), (0, 1)])
-    I = MonomialIdeal(shape, [x0y0, x0y1])
+    I = GradedIdeal(shape, [{x0y0: 1}, {x0y1: 1}])
     # x0 enters (I : B) in degree (1, 0)
     base = iterated_colon_piece(I, (1, 0), 0)
     grown = iterated_colon_piece(I, (1, 0), 1)
@@ -278,7 +278,7 @@ def test_iterated_colon_grows_toward_saturation():
 
 def test_saturation_defect_none_for_saturated():
     shape = FactorShape([1, 1])
-    I = MonomialIdeal(shape, [Monomial([(1, 0), (0, 0)])])
+    I = GradedIdeal(shape, [{Monomial([(1, 0), (0, 0)]): 1}])
     assert saturation_defect(I, 3) is None
 
 

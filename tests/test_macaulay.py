@@ -143,6 +143,8 @@ def test_lexbar_profile_validation():
         lexbar_profile((2, -1), 2, 1)
     with pytest.raises(PreconditionError):
         lexbar_profile((1,), 2, 4)  # r beyond total dimension
+    with pytest.raises(PreconditionError, match="n must be >= 0, got -1"):
+        lexbar_profile((0,), -1, 0)  # no such projective space
 
 
 def test_lexbar_degree_zero_summand():

@@ -236,7 +236,7 @@ def test_fitting_pieces_pass_the_next_entry_test(monkeypatch):
     def checking(self, carried, k, act):
         for piece, images in fitting(self, carried, k, act):
             after = carried_after(self.plan, carried, k, images)
-            for _, t in self.plan.higher[k]:
+            for t in self.plan.higher[k]:
                 assert not entry_overflows(self.plan, after, t)
                 checked[self.plan.shape.num_factors] += 1
             yield piece, images
@@ -495,7 +495,7 @@ def test_plan_tables_match_monomial_reference(factors, blocks, horizon):
     assert [plan.level(k)[1] for k in range(len(plan.degrees))] == targets
     # each degree two up is fed by the shifts from the degrees between
     for k in range(len(plan.degrees)):
-        ups = [t for _, t in plan.higher[k]]
+        ups = plan.higher[k]
         twos = [u for u, _, _ in targets[k][len(ups):]]
         assert plan.level(k)[3] == [
             [(t, table) for t in ups for v, table, _ in targets[t] if v == u]

@@ -213,9 +213,18 @@ def is_concise(F: Tensor) -> bool:
 
 
 def catalecticant_lower_bound(F: Tensor) -> int:
-    """max over effective D <= L of rank(catalecticant at D); bounds border rank."""
+    """max over effective D <= L of rank(catalecticant at D); bounds border rank.
+
+    For a monomial the rank at D is a product of per-factor counts (see
+    monomial_catalecticant_rank), so its maximum is the product of their
+    maxima, and the box of degrees is never walked."""
     if F.is_zero():
         raise PreconditionError("catalecticant bound needs a non-zero tensor")
+    if F.is_monomial:
+        return math.prod(
+            max(_bounded_compositions_count(block, d) for d in range(l + 1))
+            for block, l in zip(F.support_exponents().exponents, F.degree)
+        )
     return max(
         catalecticant_rank(F, D)
         for D in itertools.product(*(range(l + 1) for l in F.degree))

@@ -463,10 +463,7 @@ def main(argv=None) -> int:
     except (PreconditionError, ShapeMismatchError) as exc:
         _print_error(type(exc).__name__, str(exc), EXIT_PRECONDITION)
         return EXIT_PRECONDITION
-    except BorderRankError as exc:
-        _print_error(type(exc).__name__, str(exc), EXIT_INTERNAL)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:  # BorderRankError and anything unexpected
         _print_error(type(exc).__name__, str(exc), EXIT_INTERNAL)
         return EXIT_INTERNAL
 

@@ -1,10 +1,11 @@
 """Monomial ideals and generator-presented graded ideals.
 
 MonomialIdeal keeps a minimal generating set and supports the exact
-combinatorial operations (pieces, colon, saturation against the irrelevant
-ideal).  GradedIdeal is a list of homogeneous generators with degree tags;
-its graded pieces are computed per degree by exact row reduction, with no
-Gröbner machinery, and each reduced piece is kept on the ideal.
+combinatorial operations (pieces, intersection, saturation against the
+irrelevant ideal).  GradedIdeal is a list of homogeneous generators with
+degree tags; its graded pieces are computed per degree by exact row
+reduction, with no Gröbner machinery, and each reduced piece is kept on the
+ideal.
 
 Saturation is exact for monomial ideals.  For graded ideals only a
 degreewise defect probe is available: the subspaces (I : B^k)_D grow toward
@@ -14,6 +15,7 @@ saturated, while finding none is inconclusive.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -164,20 +166,8 @@ def hilbert_function(I, D) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Colon and saturation (monomial ideals: exact)
+# Intersection and saturation (monomial ideals: exact)
 # ---------------------------------------------------------------------------
-
-def colon(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """(I : m): each generator drops to max(g_i - m_i, 0), then minimalize."""
-    gens = []
-    for g in I.generators:
-        blocks = tuple(
-            tuple(max(e - f, 0) for e, f in zip(gb, mb))
-            for gb, mb in zip(g.exponents, m.exponents)
-        )
-        gens.append(Monomial(blocks))
-    return MonomialIdeal(I.shape, gens)
-
 
 def _lcm(g: Monomial, h: Monomial) -> Monomial:
     return Monomial(
@@ -198,24 +188,29 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.shape, gens)
 
 
-def colon_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
-    """(I : B) as the intersection of (I : b) over the generators b of B,
-    the monomials of degree (1, ..., 1): one variable from each factor."""
+def saturate(I: MonomialIdeal) -> MonomialIdeal:
+    """(I : B^∞), the smallest saturated ideal containing I, in one pass.
+
+    B is generated by the monomials b of degree (1, ..., 1), one variable
+    from each factor, and (I : B^∞) is the intersection of the (I : b^∞).
+    Those are generated by the generators of I with the exponents of the
+    variables of b set to zero."""
     result = None
     for b in enumerate_monomials(I.shape, (1,) * I.shape.num_factors):
-        piece = colon(I, b)
+        piece = MonomialIdeal(
+            I.shape,
+            [
+                Monomial(
+                    tuple(
+                        tuple(0 if f else e for e, f in zip(gb, bb))
+                        for gb, bb in zip(g.exponents, b.exponents)
+                    )
+                )
+                for g in I.generators
+            ],
+        )
         result = piece if result is None else intersect(result, piece)
     return result
-
-
-def saturate(I: MonomialIdeal) -> MonomialIdeal:
-    """The smallest saturated ideal containing I: fixpoint of I -> (I : B)."""
-    current = I
-    while True:
-        bigger = colon_irrelevant(current)
-        if bigger == current:
-            return current
-        current = bigger
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +225,15 @@ def contained_in_apolar(I, F: Tensor) -> bool:
     do, and generators of degree not <= L annihilate F outright because
     nothing of degree L minus theirs survives in the dual.
     """
+    if not isinstance(I, (MonomialIdeal, GradedIdeal)):
+        raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
+    if I.shape != F.shape:
+        raise ShapeMismatchError("ideal and tensor shapes differ")
     L = F.degree
     if isinstance(I, MonomialIdeal):
-        if I.shape != F.shape:
-            raise ShapeMismatchError("ideal and tensor shapes differ")
         return all(F.coefficient(m) == 0 for m in monomial_piece(I, L))
-    if isinstance(I, GradedIdeal):
-        if I.shape != F.shape:
-            raise ShapeMismatchError("ideal and tensor shapes differ")
-        values = linalg.integral(
-            [F.coefficient(m) for m in enumerate_monomials(F.shape, L)]
-        )
-        for gen_degree, poly in I.generators:
-            shift = degree_sub(L, gen_degree)
-            if not degree_is_effective(shift):
-                continue  # annihilates automatically
-            terms = _term_positions(F.shape, gen_degree, poly)
-            for shifted in product_table(F.shape, gen_degree, shift):
-                if sum(c * values[shifted[p]] for p, c in terms):
-                    return False
-        return True
-    raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
+    values = linalg.integral([F.coefficient(m) for m in enumerate_monomials(F.shape, L)])
+    return not any(sum(map(operator.mul, row, values)) for row in I.piece_rows(L))
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,10 @@ one packed int, and cuts a partial piece as soon as every completion of it
 would be discarded.  A node is a complete piece that fits every level one or
 two degrees up and passes the symmetry test, so an Exhausted run counts one
 node per orbit of fitting prefixes, whatever the order of the variables; the
-node budget counts these nodes.  On a pool the parent walks down to the first
-level with two fitting pieces and hands them out in spans, each piece with
-the images fitting built for it, so a worker only assigns them.
+node budget counts these nodes.  At width K > 1 the walk is the same until a
+serial period is over; from then on a level with two or more pieces left
+hands them to one process pool per run in spans, each piece with the images
+fitting built for it, so a worker only assigns them.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ _SYMMETRY_GROUP_CAP = 720
 # refuse a search whose plan tables are estimated above this many bytes
 _PLAN_BYTES_LIMIT = 1 << 30
 
-# how many spans of the branching level a process pool may have submitted
+# how many spans of a split level a process pool may have submitted
 # ahead of the result being merged
 _SPANS_AHEAD = 64
 
@@ -103,7 +104,8 @@ _SPANS_AHEAD = 64
 _MEMO_ENTRIES = 1 << 17
 
 # a search at width K > 1 walks in this process for this many seconds before
-# it starts a pool, so a shorter run pays no pool start-up (see search)
+# a level may hand its pieces to a pool, so a shorter run pays no pool
+# start-up (see _walk)
 _SERIAL_SECONDS = 0.5
 
 
@@ -124,7 +126,7 @@ class SearchStatistics:
     memo_hits: int = 0  # subtrees charged from the failure memo, not walked
     symmetry_elements: int = 0  # group elements the symmetry test used
     symmetry_fallback: bool = False  # neighbour transpositions, not the group
-    pooled: bool = False  # worker processes ran: depends on the host's speed
+    pooled: bool = False  # a pool was created: depends on the host's speed
 
     def to_json(self) -> dict:
         return {
@@ -442,41 +444,35 @@ class _BudgetHit(Exception):
     pass
 
 
-class _PoolDue(Exception):
-    """The serial period of a search at width K > 1 is over (see search)."""
-
-
 class _Searcher:
-    """Depth-first search with a node budget, in this process or, from the
-    first level with two fitting pieces, on a pool of `workers` processes.
+    """Depth-first search with a node budget, in this process or, once the
+    clock reads `switch`, partly on a pool of `workers` processes.
 
     `carried[t]` is the image in level t of the pieces chosen so far, so at
     level k it is the mandatory set.  Each assignment extends a copy of it,
     so a failed branch leaves nothing to reset, and the pieces of a Found
     come back up the return path.  `memo` maps the state of each failed
     subtree to what walking it cost (see descend); a pool worker passes
-    the one it keeps across its spans, a pooled run the one its serial
-    period filled."""
+    the one it keeps across its spans.  The first split creates `pool`,
+    and the caller shuts it down."""
 
     def __init__(self, plan: _Plan, budget, workers=None, memo=None, switch=None):
         self.plan = plan
         self.budget = budget  # most nodes to count, or None
         self.workers = workers  # pool width, or None to search in-process
         self.memo = {} if memo is None else memo
-        self.switch = switch  # perf_counter() time to raise _PoolDue at, or None
+        self.switch = switch  # perf_counter() time the pool may take over at
+        self.pool = None
         self.nodes = 0
         self.prunings = {}
         self.memo_hits = 0
-        self.pooled = False  # whether split started a pool
 
     def _charge(self, n):
-        """Count n nodes; stop past the budget (counting budget + 1) or switch."""
+        """Count n nodes; stop past the budget, counting budget + 1."""
         self.nodes += n
         if self.budget is not None and self.nodes > self.budget:
             self.nodes = self.budget + 1
             raise _BudgetHit()
-        if self.switch is not None and perf_counter() >= self.switch:
-            raise _PoolDue()
 
     def _prune(self, cause):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
@@ -651,19 +647,17 @@ class _Searcher:
         Found stays the leftmost one.  Charging the stored nodes at once
         stops a budget on the node where the walk would stop, since _charge
         clamps to budget + 1; only the prunings of that last, partial
-        subtree differ.  A stop leaves the subtrees still open unrecorded,
-        so a walk restarted on the memo of a stopped one repeats its counts.
+        subtree differ.  A stop leaves the subtrees still open unrecorded.
 
-        With a pool of K workers, up to K pieces of a level are read ahead,
-        and the first level that has two is explored by split; the levels
-        above it, with one fitting piece each, are walked here.  Such a
-        level costs what a plain walk of it costs: every active element
-        fixes the pieces chosen so far and the apolar masks, so it fixes the
-        carried images and maps the fitting pieces of the level onto
-        themselves.  The one fitting piece is then its own image, so assign
-        counts it as one node, rejects nothing by symmetry and keeps every
-        active element.  The same argument gives fitting its start: every
-        active element fixes the mandatory set carried[k]."""
+        Every active element fixes the pieces chosen so far and the apolar
+        masks, so it fixes the carried images, and in particular the
+        mandatory set carried[k] that fitting starts from.
+
+        With a pool, once the clock reads switch, a level with two or more
+        pieces left hands them to split, the piece it is on first; a level
+        above does the same when the walk comes back to it.  So nothing is
+        walked twice, and the nodes, the first Found and the prunings of an
+        Exhausted run are the serial walk's."""
         if k == len(self.plan.degrees):
             return []
         key = (k, tuple(carried[k:]), tuple(active))
@@ -695,56 +689,58 @@ class _Searcher:
         width = self.plan.dims[k] + 1
         act = sum(1 << g * width for g in active)
         pieces = self.fitting(carried, k, act)
-        if self.workers is not None:
-            head = list(itertools.islice(pieces, self.workers))
-            if len(head) > 1:
-                return self.split(carried, act, k, head, pieces)
-            pieces = head  # fewer than K pieces: fitting is spent
-        for piece, images in pieces:
-            result = self.assign(carried, act, k, piece, images)
+        for entry in pieces:
+            if self.switch is not None and perf_counter() >= self.switch:
+                # the pool takes this piece and the rest, if any is left
+                following = next(pieces, None)
+                if following is not None:
+                    return self.split(
+                        carried, act, k, itertools.chain((entry, following), pieces)
+                    )
+            result = self.assign(carried, act, k, *entry)
             if result is not None:
                 return result
         return None
 
-    def split(self, carried, act, k, head, pieces):
-        """Explore the pieces of level k on a pool of one process per piece
-        of head, in spans, and charge the span results in span order.
+    def split(self, carried, act, k, pieces):
+        """Explore the pieces left at level k on the pool, in spans, and
+        charge the span results in span order.
 
-        head holds the first pieces fitting yielded, and pieces yields the
-        rest; each comes with the images fitting built for it, which the
-        span carries to the worker.  The stream is read lazily: a level can
-        have more fitting pieces than could ever be listed, and a Found run
-        needs only the first few.  Each span runs one searcher with the
-        budget left when the pool starts.  A span that passes it reports
-        that budget + 1 nodes, so the charge stops the run on the node where
-        a serial walk would stop, and the status, nodes and first Found
-        equal the serial run's.  Each worker starts from a copy of the memo,
-        which the serial period filled."""
-        import concurrent.futures  # loads the process pool module on first use
+        pieces yields two or more pieces, each with the images fitting
+        built for it, which the span carries to the worker together with
+        the level's (carried, act, k, budget left).  The stream is read
+        lazily: a level can have more fitting pieces than could ever be
+        listed, and a Found run needs only the first few.  Each span runs
+        one searcher with the budget left when the level splits.  A span
+        that passes it reports that budget + 1 nodes, so the charge stops
+        the run on the node where a serial walk would stop, and the status,
+        nodes and first Found equal the serial run's.  The first split
+        creates the run's pool, whose workers start from a copy of the memo
+        the walk has filled so far."""
+        if self.pool is None:
+            import concurrent.futures  # loads the process pool module on first use
 
+            self.pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_worker,
+                initargs=(self.plan, self.memo),
+            )
         left = None if self.budget is None else self.budget - self.nodes
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=len(head),
-            initializer=_init_worker,
-            initargs=(self.plan, carried, act, k, left, self.memo),
-        )
-        self.pooled = True
-        try:
-            spans = _in_order(pool, itertools.chain(head, pieces), len(head))
-            for found, nodes, prunings, memo_hits in spans:
-                self.memo_hits += memo_hits
-                self._charge(nodes)
-                for cause, count in prunings.items():
-                    self.prunings[cause] = self.prunings.get(cause, 0) + count
-                if found is not None:
-                    return found
-        finally:
-            pool.shutdown(cancel_futures=True)
+        state = carried, act, k, left
+        for found, nodes, prunings, memo_hits in _in_order(
+            self.pool, state, pieces, self.workers
+        ):
+            self.memo_hits += memo_hits
+            self._charge(nodes)
+            for cause, count in prunings.items():
+                self.prunings[cause] = self.prunings.get(cause, 0) + count
+            if found is not None:
+                return found
         return None
 
 
-# worker-side state, installed once per process: the pool's arguments, the
-# last of them the failure memo the worker's spans share
+# worker-side state, installed once per process: the plan and the failure
+# memo the worker's spans share
 _WORKER_STATE = None
 
 
@@ -753,15 +749,16 @@ def _init_worker(*state):
     _WORKER_STATE = state
 
 
-def _run_chunk(pieces):
-    """Assign the given (piece, images) pairs of the branching level, as
-    fitting yielded them, in order, with one searcher, the budget the pool
-    started with and the worker's memo.
+def _run_chunk(state, pieces):
+    """Assign the given (piece, images) pairs of a split level, as fitting
+    yielded them, in order, with one searcher and the worker's memo; state
+    is the level's (carried, act, k, budget left when it split).
 
     Returns the pieces from level k on of the first Found (or None), and
     the nodes, prunings and memo hits spent; past the budget the nodes read
     budget + 1."""
-    plan, carried, act, k, budget, memo = _WORKER_STATE
+    carried, act, k, budget = state
+    plan, memo = _WORKER_STATE
     searcher = _Searcher(plan, budget, memo=memo)
     result = None
     try:
@@ -774,21 +771,22 @@ def _run_chunk(pieces):
     return result, searcher.nodes, searcher.prunings, searcher.memo_hits
 
 
-def _in_order(pool, pieces, workers):
-    """_run_chunk over consecutive spans of the (piece, images) pairs,
-    read lazily, on the pool; results in span order.  A span holds one
-    piece for every 4 * workers pieces merged before it, and at least one,
-    and at most _SPANS_AHEAD spans wait unmerged.  So two pieces already keep two
-    workers busy, N pieces make O(workers * log N) spans, and the pieces
-    read ahead stay within a multiple of those merged, however slowly
-    they come: a run that stops early reads few it never needed."""
+def _in_order(pool, state, pieces, workers):
+    """_run_chunk over the level state and consecutive spans of the (piece,
+    images) pairs, read lazily, on the pool; results in span order.  A span
+    holds one piece for every 4 * workers pieces merged before it, and at
+    least one, and at most _SPANS_AHEAD spans wait unmerged.  So two pieces
+    already keep two workers busy, N pieces make O(workers * log N) spans,
+    and the pieces read ahead stay within a multiple of those merged,
+    however slowly they come: a run that stops early reads few it never
+    needed."""
     pending = collections.deque()
     merged = 0
     while True:
         while len(pending) < _SPANS_AHEAD and (
             span := list(itertools.islice(pieces, max(1, merged // (4 * workers))))
         ):
-            pending.append((len(span), pool.submit(_run_chunk, span)))
+            pending.append((len(span), pool.submit(_run_chunk, state, span)))
         if not pending:
             return
         size, future = pending.popleft()
@@ -877,33 +875,33 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     nodes.  Given the same config the status, the candidate and the node
     count are deterministic, independent of parallel_width; the pruning
     counts of a Found or BudgetExceeded run are not.
-    At width K > 1 the walk runs in this process, as at width 1, for
-    _SERIAL_SECONDS; a run still going then restarts from the first level
-    with a pool and the failure memo the serial walk filled, so it walks
-    again only the path it was on.  statistics.pooled says if a pool ran.
+    At width K > 1 the walk is the one of width 1, in this process, for
+    _SERIAL_SECONDS; from then on a level with two or more pieces left hands
+    them to a pool of K processes, one per run, which is shut down here.
+    statistics.pooled says if a pool was created.
     """
     t0 = perf_counter()
     plan = _build_plan(F, config)
     horizon = config.horizon if config.horizon is not None else sum(F.degree)
     workers = config.parallel_width if config.parallel_width > 1 else None
     switch = None if workers is None else t0 + _SERIAL_SECONDS
-    searcher = _Searcher(plan, config.node_budget, switch=switch)
+    searcher = _Searcher(plan, config.node_budget, workers, switch=switch)
     status, pieces = EXHAUSTED, None
     # every piece lies inside its apolar mask: a level with fewer apolar
     # monomials than its req rules out every ideal before any piece is chosen
     if any(count < req for count, req in zip(plan.apolar_counts, plan.reqs)):
         searcher.prunings["insufficient_candidates"] = 1
     else:
-        start = [0] * len(plan.degrees), list(range(len(plan.group))), 0
         try:
-            try:
-                pieces = searcher.descend(*start)
-            except _PoolDue:
-                searcher = _Searcher(plan, config.node_budget, workers, searcher.memo)
-                pieces = searcher.descend(*start)
+            pieces = searcher.descend(
+                [0] * len(plan.degrees), list(range(len(plan.group))), 0
+            )
             status = EXHAUSTED if pieces is None else FOUND
         except _BudgetHit:
             status = BUDGET_EXCEEDED
+        finally:
+            if searcher.pool is not None:
+                searcher.pool.shutdown(cancel_futures=True)
     stats = SearchStatistics(
         searcher.nodes,
         searcher.prunings,
@@ -911,7 +909,7 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
         memo_hits=searcher.memo_hits,
         symmetry_elements=len(plan.group),
         symmetry_fallback=plan.symmetry_fallback,
-        pooled=searcher.pooled,
+        pooled=searcher.pool is not None,
     )
 
     candidate = candidate_pieces = None

@@ -21,8 +21,9 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture
 def pool_at_once(monkeypatch):
-    """Start the pool of a search at width K > 1 at its first node, so the
-    pooled walk runs however short the search (see movefit._SERIAL_SECONDS)."""
+    """End the serial period of a search at width K > 1 at its start, so
+    the first level with two or more pieces hands them to the pool however
+    short the search (see movefit._SERIAL_SECONDS)."""
     from borderrank import movefit
 
     monkeypatch.setattr(movefit, "_SERIAL_SECONDS", 0)

@@ -4,7 +4,8 @@ None of these is reached by the CLI or by the library example in the
 README, so they live with the tests: the hook action on tensors, the
 apolar ideal of a monomial by its generators, the tensor and graded-ideal
 JSON writers, minimal generator counts of presented ideals and of ideals
-known by their pieces, the saturation test of a monomial ideal, grevlex
+known by their pieces, the colon (I : m) and (I : B) of a monomial ideal,
+its saturation as the fixpoint of I -> (I : B) and the test for it, grevlex
 lex-segments, the text parser for monomials, single variables, and the
 move-fit piece enumerator without look-ahead and the entry test it is
 filtered by.
@@ -22,7 +23,7 @@ from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
 from borderrank.ideals import (
     GradedIdeal,
     MonomialIdeal,
-    colon_irrelevant,
+    intersect,
     monomial_piece,
     times_variables,
 )
@@ -220,8 +221,40 @@ def minimal_generator_count(I, D) -> int:
     return dim_piece - len(products)
 
 
+def colon(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """(I : m): each generator drops to max(g_i - m_i, 0), then minimalize."""
+    gens = []
+    for g in I.generators:
+        blocks = tuple(
+            tuple(max(e - f, 0) for e, f in zip(gb, mb))
+            for gb, mb in zip(g.exponents, m.exponents)
+        )
+        gens.append(Monomial(blocks))
+    return MonomialIdeal(I.shape, gens)
+
+
+def colon_irrelevant(I: MonomialIdeal) -> MonomialIdeal:
+    """(I : B) as the intersection of (I : b) over the generators b of B,
+    the monomials of degree (1, ..., 1): one variable from each factor."""
+    result = None
+    for b in enumerate_monomials(I.shape, (1,) * I.shape.num_factors):
+        piece = colon(I, b)
+        result = piece if result is None else intersect(result, piece)
+    return result
+
+
+def saturate_by_colons(I: MonomialIdeal) -> MonomialIdeal:
+    """The saturation of I as the fixpoint of I -> (I : B)."""
+    current = I
+    while True:
+        bigger = colon_irrelevant(current)
+        if bigger == current:
+            return current
+        current = bigger
+
+
 def is_saturated(I: MonomialIdeal) -> bool:
-    """I == (I : B), the condition at which saturate stops."""
+    """I == (I : B)."""
     return colon_irrelevant(I) == I
 
 

@@ -1,12 +1,14 @@
 """Hook action, catalecticants, apolar pieces, conciseness, JSON format."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borderrank import linalg
+from borderrank import apolarity, linalg
 from borderrank.apolarity import (
     Tensor,
     apolar_piece,
@@ -210,6 +212,35 @@ def test_catalecticant_lower_bound_values():
     ) == 1
     with pytest.raises(PreconditionError):
         catalecticant_lower_bound(Tensor.zero(FactorShape([1]), (1,)))
+
+
+def test_monomial_catalecticant_bound_walks_no_degree_box(monkeypatch):
+    # x0*x1 in each of ten factors of P^1: the box of degrees D <= L holds
+    # 3^10 degrees, and the bound of a monomial reads none of their ranks
+    calls = []
+    rank = apolarity.catalecticant_rank
+    monkeypatch.setattr(
+        apolarity, "catalecticant_rank", lambda F, D: calls.append(D) or rank(F, D)
+    )
+    F = Tensor.monomial(FactorShape([1] * 10), [(1, 1)] * 10)
+    assert catalecticant_lower_bound(F) == 2**10
+    assert len(calls) < 100
+
+
+def test_monomial_catalecticant_bound_matches_degree_box():
+    # the product of the per-factor maxima is the maximum over the box
+    rng = random.Random(20)
+    for _ in range(300):
+        factors = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        blocks = [tuple(rng.randint(0, 3) for _ in range(n + 1)) for n in factors]
+        if not any(map(any, blocks)):
+            continue
+        a = Monomial(blocks)
+        box = max(
+            monomial_catalecticant_rank(a, D)
+            for D in itertools.product(*(range(l + 1) for l in a.degree))
+        )
+        assert catalecticant_lower_bound(Tensor.monomial(FactorShape(factors), blocks)) == box
 
 
 @given(random_tensors())

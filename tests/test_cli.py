@@ -735,3 +735,21 @@ def test_corpus_run_all_with_slow(capsys):
     document = parse_and_check(out)
     assert document["summary"]["failed"] == 0
     assert document["summary"]["skipped"] == 0
+
+
+@pytest.mark.parametrize("error", [BorderRankError("inverted sandwich"), KeyError("x")])
+def test_internal_errors_exit_one(capsys, monkeypatch, error):
+    # a package error no narrower clause takes, and any other exception,
+    # end as an internal error: exit 1 with the error's type on stderr
+    from borderrank import cli
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._DISPATCH, "bounds", fail)
+    code, out, err = run_cli(capsys, "bounds", corpus("mono-222.json"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": {"type": type(error).__name__, "message": str(error)},
+        "exit_code": 1,
+    }

@@ -15,7 +15,6 @@ from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
 from borderrank.ideals import (
     GradedIdeal,
     MonomialIdeal,
-    colon,
     contained_in_apolar,
     hilbert_function,
     ideal_from_json,
@@ -29,10 +28,12 @@ from borderrank.ideals import (
 from borderrank.ring import FactorShape, Monomial, enumerate_monomials, piece_dimension
 from oracles import (
     apolar_of_monomial,
+    colon,
     graded_ideal_to_json,
     is_saturated,
     minimal_generator_count,
     piece_generator_count,
+    saturate_by_colons,
 )
 
 
@@ -124,6 +125,22 @@ def test_saturation_multi_factor():
     assert not is_saturated(I)
     S = saturate(I)
     assert S.generators == (Monomial([(1, 0), (0, 0)]),)
+
+
+def test_saturate_matches_colon_fixpoint():
+    # one intersection of the (I : b^inf) is the fixpoint of I -> (I : B)
+    import random
+
+    rng = random.Random(11)
+    shapes = [[1], [2], [3], [1, 1], [2, 1], [1, 1, 1], [2, 2]]
+    for _ in range(400):
+        shape = FactorShape(rng.choice(shapes))
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            D = tuple(rng.randint(0, 3) for _ in shape.factors)
+            gens.append(rng.choice(enumerate_monomials(shape, D)))
+        I = MonomialIdeal(shape, gens)
+        assert saturate(I) == saturate_by_colons(I), (shape.factors, gens)
 
 
 def test_saturation_idempotent_property():

@@ -3,6 +3,7 @@ budget semantics, and candidate verification."""
 
 import collections
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -1012,7 +1013,7 @@ from borderrank.ring import FactorShape
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
-    movefit._SERIAL_SECONDS = 0  # the pool starts at the first node
+    movefit._SERIAL_SECONDS = 0  # the first level with two pieces goes to the pool
     F = Tensor.monomial(FactorShape([4]), [(2, 2, 1, 1, 1)])
     print(json.dumps(search(F, SearchConfig(r=24, parallel_width=2)).to_json()))
 """
@@ -1108,8 +1109,8 @@ if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
     exps, kwargs, readings = json.loads(sys.argv[2])
     # the clock stands still for the first readings, one at the start and
-    # one per charge, then jumps past the serial period: the pool is due at
-    # a fixed point of the walk
+    # one per piece taken, then jumps past the serial period: the pool is
+    # due at a fixed point of the walk
     ticks = itertools.count()
     movefit.perf_counter = lambda: 0.0 if next(ticks) < readings else 1e6
     memos = []
@@ -1130,10 +1131,10 @@ if __name__ == "__main__":
     ],
 )
 def test_pool_restarts_on_the_serial_memo(tmp_path, method, exps, kwargs, readings, status):
-    # a run still going after its serial period restarts from the first
-    # level on a pool whose workers start from the memo the serial walk
-    # filled; the status, nodes and first Found are the serial run's, and
-    # so are the prunings of an Exhausted run
+    # a run still going after its serial period hands the pieces left at
+    # the level it stands on to a pool whose workers start from the memo the
+    # serial walk filled; the status, nodes and first Found are the serial
+    # run's, and so are the prunings of an Exhausted run
     F = Tensor.monomial(FactorShape([4]), [exps])
     serial = search(F, SearchConfig(**kwargs)).to_json()
     script = tmp_path / "switched.py"
@@ -1153,6 +1154,36 @@ def test_pool_restarts_on_the_serial_memo(tmp_path, method, exps, kwargs, readin
         assert pooled["statistics"]["prunings"] == serial["statistics"]["prunings"]
     assert pooled["statistics"]["pooled"] is True
     assert result["memos"] and all(result["memos"])
+
+
+@pytest.mark.parametrize("readings", [100, 500, 800])
+def test_pooled_run_generates_no_piece_twice(monkeypatch, readings):
+    # the pool takes over where the serial walk stands, so this process
+    # yields no piece twice: at most the pieces of the width-1 run, wherever
+    # the clock jumps past the serial period (see _SWITCH_RUN)
+    F = Tensor.monomial(FactorShape([4]), [(2, 2, 1, 1, 1)])
+    here = os.getpid()
+    yielded = collections.Counter()
+    fitting = movefit._Searcher.fitting
+
+    def counted(self, *args):
+        for entry in fitting(self, *args):
+            yielded[os.getpid() == here] += 1
+            yield entry
+
+    monkeypatch.setattr(movefit._Searcher, "fitting", counted)
+    serial = search(F, SearchConfig(r=23))
+    alone = yielded[True]
+    yielded.clear()
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        movefit, "perf_counter", lambda: 0.0 if next(ticks) < readings else 1e6
+    )
+    pooled = search(F, SearchConfig(r=23, parallel_width=2))
+    assert pooled.statistics.pooled is True
+    assert pooled.status == serial.status == EXHAUSTED
+    assert pooled.statistics.nodes == serial.statistics.nodes
+    assert yielded[True] <= alone
 
 
 @pytest.mark.usefixtures("pool_at_once")

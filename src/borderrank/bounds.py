@@ -207,7 +207,9 @@ def minimal_border_rank_generator_test(F: Tensor):
     others = [
         row for j in range(F.shape.num_factors) if j != i for row in _products(F, j)
     ]
-    count = apolar_piece_dimension(F, F.degree) - linalg.rank(reduced + others)
+    # every row lies in F^⊥_L, so the rank stops growing at its dimension
+    dim = apolar_piece_dimension(F, F.degree)
+    count = dim - linalg.rank(reduced + others, dim)
     return count, (HOLDS if count >= F.shape.factors[0] else NOT_MINIMAL)
 
 

@@ -19,6 +19,7 @@ deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -240,7 +241,7 @@ def _product_table_cached(factors: tuple, D: tuple, E: tuple) -> tuple:
     target = _positions_cached(factors, degree_add(D, E))
     left = _positions_cached(factors, D)
     return tuple(
-        tuple(target[tuple(x + y for x, y in zip(f, u))] for f in left)
+        tuple(target[tuple(map(operator.add, f, u))] for f in left)
         for u in _positions_cached(factors, E)
     )
 

@@ -1,14 +1,14 @@
 """Reference implementations the tests compare package code against.
 
 None of these is reached by the CLI or by the library example in the
-README, so they live with the tests: the hook action on tensors, the
-apolar ideal of a monomial by its generators, the tensor and graded-ideal
-JSON writers, minimal generator counts of presented ideals and of ideals
-known by their pieces, the colon (I : m) and (I : B) of a monomial ideal,
-its saturation as the fixpoint of I -> (I : B) and the test for it, grevlex
-lex-segments, the text parser for monomials, single variables, and the
-move-fit piece enumerator without look-ahead and the entry test it is
-filtered by.
+README, so they live with the tests: row reduction on dense int rows, the
+hook action on tensors, the apolar ideal of a monomial by its generators,
+the tensor and graded-ideal JSON writers, minimal generator counts of
+presented ideals and of ideals known by their pieces, the colon (I : m) and
+(I : B) of a monomial ideal, its saturation as the fixpoint of I -> (I : B)
+and the test for it, grevlex lex-segments, the text parser for monomials,
+single variables, and the move-fit piece enumerator without look-ahead and
+the entry test it is filtered by.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from borderrank import linalg
 from borderrank.apolarity import Tensor, poly_degree
@@ -39,6 +40,41 @@ from borderrank.ring import (
     positions,
     product_table,
 )
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra
+# ---------------------------------------------------------------------------
+
+def dense_row_echelon(rows):
+    """linalg.row_echelon as it was on dense rows of ints: the same
+    fraction-free steps, each touching every column, so its echelon rows,
+    their signs and its pivots are the exact reference."""
+
+    def primitive(row):
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    echelon = []
+    pivots = []
+    for row in rows:
+        row = primitive(row)
+        # eliminate against existing pivots, in increasing pivot column
+        for erow, col in zip(echelon, pivots):
+            c = row[col]
+            if c:
+                p = erow[col]
+                row = primitive([p * x - c * y for x, y in zip(row, erow)])
+        # find the new pivot, if any
+        for col, value in enumerate(row):
+            if value:
+                pos = 0
+                while pos < len(pivots) and pivots[pos] < col:
+                    pos += 1
+                echelon.insert(pos, row)
+                pivots.insert(pos, col)
+                break
+    return echelon, pivots
 
 
 # ---------------------------------------------------------------------------

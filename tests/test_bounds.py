@@ -12,6 +12,7 @@ from borderrank import linalg
 from borderrank.apolarity import (
     Tensor,
     apolar_piece,
+    apolar_piece_dimension,
     catalecticant_lower_bound,
     is_concise,
 )
@@ -41,7 +42,7 @@ from borderrank.ring import (
     enumerate_monomials,
     piece_dimension,
 )
-from oracles import piece_generator_count
+from oracles import dense_row_echelon, piece_generator_count
 
 
 def single(*exps):
@@ -297,6 +298,72 @@ def test_minimal_tests_match_direct_computations(factors, L):
     assert checked >= 5
 
 
+def dense_tensor(factors, L, seed):
+    """A seeded tensor with every coefficient in {-2, -1, 1, 2}."""
+    shape = FactorShape(factors)
+    rng = random.Random(seed)
+    coeffs = {m: rng.choice([-2, -1, 1, 2]) for m in enumerate_monomials(shape, L)}
+    return Tensor(shape, L, coeffs)
+
+
+def all_products(F):
+    """The rows of P_j for every factor j, unreduced."""
+    rows = []
+    for j in range(F.shape.num_factors):
+        lower = degree_sub(F.degree, F.shape.unit_degree(j))
+        rows += times_variables(F.shape, apolar_piece(F, lower), lower, j)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "factors, L",
+    [([1] * 3, (1, 1, 1)), ([2] * 3, (1, 1, 1)), ([3] * 3, (1, 1, 1)), ([4], (4,)), ([5], (3,))],
+)
+def test_generator_count_equals_the_unlimited_rank(factors, L):
+    # the generator test stops its rank at dim F^perp_L, which the products
+    # cannot exceed; the count must be the one the full dense rank gives
+    for seed in range(2):
+        F = dense_tensor(factors, L, seed)
+        assert is_concise(F)
+        full = len(dense_row_echelon(all_products(F))[0])
+        count, _ = minimal_border_rank_generator_test(F)
+        assert count == apolar_piece_dimension(F, L) - full
+
+
+def test_generator_test_reads_no_row_past_the_apolar_dimension(monkeypatch):
+    # on a trilinear form on (P^3)^3 the products are 144 rows over S_L and
+    # dim F^perp_L = 63; the rank reaches 63 well before the last row, and
+    # the reduction must leave every later row unread
+    F = dense_tensor([3] * 3, (1, 1, 1), 0)
+    row_echelon = linalg.row_echelon
+    calls, read = [], set()
+
+    class Watched(list):
+        def __iter__(self):
+            read.add(id(self))
+            return super().__iter__()
+
+    def watched(rows, limit=None):
+        rows = [Watched(row) for row in rows]
+        calls.append(rows)
+        return row_echelon(rows, limit)
+
+    monkeypatch.setattr(linalg, "row_echelon", watched)
+    minimal_border_rank_generator_test(F)
+    monkeypatch.undo()
+    # the last call ranks the echelon rows of P_0 with the rows of P_1, P_2
+    rows = calls[-1]
+    dim = apolar_piece_dimension(F, F.degree)
+    assert dim == 63 and len(rows) == 144
+    # the first row whose prefix has rank dim
+    stop = next(
+        k for k in range(1, len(rows) + 1)
+        if len(dense_row_echelon([list(r) for r in rows[:k]])[0]) == dim
+    )
+    assert stop < len(rows)
+    assert [id(r) in read for r in rows] == [True] * stop + [False] * (len(rows) - stop)
+
+
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
@@ -357,22 +424,20 @@ def test_report_enumerates_only_the_catalecticant_box():
 def test_report_reduces_shared_product_matrix_once(monkeypatch):
     # on one factor the generator and quotient tests both need the rank of
     # P_0 = F^perp_3 * S_1 (30 * 5 = 150 rows over S_4); the report reduces
-    # it once, and the generator test re-ranks its 69 echelon rows
+    # it once, and the generator test re-ranks its 69 echelon rows up to
+    # dim F^perp_4 = 69, so here it reads every one of them
     from borderrank import apolarity, bounds
 
     # count from empty caches
     bounds._reduced_products.cache_clear()
     apolarity.catalecticant_rank.cache_clear()
-    shape = FactorShape([4])
-    rng = random.Random(4)
-    coeffs = {m: rng.choice([-2, -1, 1, 2]) for m in enumerate_monomials(shape, (4,))}
-    F = Tensor(shape, (4,), coeffs)
+    F = dense_tensor([4], (4,), 4)
     heights = []
     row_echelon = linalg.row_echelon
 
-    def counted(rows):
+    def counted(rows, limit=None):
         heights.append(len(rows))
-        return row_echelon(rows)
+        return row_echelon(rows, limit)
 
     monkeypatch.setattr(linalg, "row_echelon", counted)
     report = bounds_report(F)

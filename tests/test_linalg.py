@@ -5,6 +5,7 @@ once with integral(); these tests feed it the same way."""
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from borderrank.bounds import bounds_report
 from borderrank.ideals import ideal_from_json
 from borderrank.linalg import integral, kernel_basis, rank, row_echelon
 from borderrank.movefit import verify_candidate
+from oracles import dense_row_echelon
 from test_bounds import rational_cubic
 from test_movefit import _corpus_json
 
@@ -216,6 +218,60 @@ def test_row_echelon_and_kernel_match_fraction_oracle(matrix):
     assert int_rows == snapshot  # the input rows are left as they were
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the dense fraction-free elimination, which the sparse one must
+# reproduce step for step: the same rows, signs and pivots
+# ---------------------------------------------------------------------------
+
+@st.composite
+def wide_int_matrices(draw):
+    """Int rows over up to 40 columns, each entry non-zero with a drawn
+    probability and up to a drawn size (10^15 at most), mixed with zero rows,
+    repeats and combinations of earlier rows.  The entries come from a drawn
+    Random, since a 40-column matrix of large ints outgrows the data of one
+    example when each entry is drawn on its own."""
+    ncols = draw(st.integers(0, 40))
+    nrows = draw(st.integers(0, 45))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4, 1.0]))
+    bound = draw(st.sampled_from([2, 10**6, 10**15]))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = []
+    for _ in range(nrows):
+        kind = rng.choice(["fresh", "fresh", "fresh", "zero", "repeat", "combo"])
+        if kind == "zero" or (kind != "fresh" and not rows):
+            row = [0] * ncols
+        elif kind == "fresh":
+            row = [
+                rng.randint(-bound, bound) if rng.random() < density else 0
+                for _ in range(ncols)
+            ]
+        elif kind == "repeat":
+            row = list(rng.choice(rows))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c, d = rng.randint(-bound, bound), rng.randint(-3, 3)
+            row = [c * x + d * y for x, y in zip(a, b)]
+        rows.append(row)
+    return rows, ncols
+
+
+@given(wide_int_matrices())
+@settings(max_examples=100, deadline=None)
+def test_row_echelon_and_kernel_equal_the_dense_reference(matrix):
+    rows, ncols = matrix
+    snapshot = [list(r) for r in rows]
+    reference = dense_row_echelon(snapshot)
+    assert row_echelon(rows) == reference
+    # the kernel back-substitutes from the echelon rows it is given
+    with mock.patch.object(linalg, "row_echelon", dense_row_echelon):
+        reference_kernel = kernel_basis(snapshot, ncols)
+    assert kernel_basis(rows, ncols) == reference_kernel
+    full = len(reference[0])
+    for limit in range(full + 3):
+        assert rank(rows, limit) == min(full, limit)
+    assert rows == snapshot  # the input rows are left as they were
+
+
 def test_row_echelon_edge_shapes():
     assert row_echelon([]) == ([], [])
     assert kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -239,10 +295,10 @@ def test_row_echelon_receives_only_int_rows(monkeypatch):
     I = ideal_from_json(_corpus_json("ideal-cubic-p4.json"))
     types, calls = set(), []
 
-    def checked(rows):
+    def checked(rows, limit=None):
         calls.append(len(rows))
         types.update(type(x) for row in rows for x in row)
-        return row_echelon(rows)
+        return row_echelon(rows, limit)
 
     monkeypatch.setattr(linalg, "row_echelon", checked)
     bounds_report(rational_cubic())

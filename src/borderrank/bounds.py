@@ -17,7 +17,6 @@ would overreach on monomials with one exponent equal to the probe degree.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from . import linalg
@@ -34,28 +33,37 @@ from .macaulay import lexbar_growth
 from .ring import FactorShape, Monomial, degree_sub, generic_hilbert, piece_dimension
 
 
-@dataclass(frozen=True)
 class BoundReport:
     """A certified sandwich lower <= borderrank <= upper, with witnesses.
 
     upper is None for tensors where no upper bound is implemented."""
 
-    lower: int
-    lower_provenance: str  # catalecticant | disjoint-module | closed-form
-    lower_witness: dict
-    upper: int | None
-    upper_provenance: str  # chart | closed-form | none
-    upper_witness: dict
-    components: dict  # every bound that was computed, for inspection
-
-    def __post_init__(self):
-        if self.upper is not None and self.lower > self.upper:
+    def __init__(self, lower: int, lower_provenance: str, lower_witness: dict,
+                 upper: int | None, upper_provenance: str, upper_witness: dict,
+                 components: dict):
+        if upper is not None and lower > upper:
             raise BorderRankError(
-                f"bound sandwich inverted: lower {self.lower} > upper {self.upper}"
+                f"bound sandwich inverted: lower {lower} > upper {upper}"
             )
+        self.lower = lower
+        # catalecticant | disjoint-module | closed-form
+        self.lower_provenance = lower_provenance
+        self.lower_witness = lower_witness
+        self.upper = upper
+        self.upper_provenance = upper_provenance  # chart | closed-form | none
+        self.upper_witness = upper_witness
+        self.components = components  # every bound that was computed, for inspection
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "lower": self.lower,
+            "lower_provenance": self.lower_provenance,
+            "lower_witness": self.lower_witness,
+            "upper": self.upper,
+            "upper_provenance": self.upper_provenance,
+            "upper_witness": self.upper_witness,
+            "components": self.components,
+        }
 
 
 def _monomial_exponents(F: Tensor) -> Monomial:

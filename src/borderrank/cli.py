@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from .apolarity import Tensor, tensor_from_json
@@ -212,7 +211,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "input": args.tensor,
         "tensor": _tensor_text(F),
         "shape": list(F.shape.factors),
-        "config": {**asdict(config), "horizon": outcome.horizon},
+        "config": {**config.to_json(), "horizon": outcome.horizon},
         "outcome": {
             **outcome.to_json(),
             "candidate_ideal": None

@@ -16,18 +16,17 @@ all-degenerate decomposition of r = 0 is representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BorderRankError, PreconditionError
 
 
-@dataclass(frozen=True)
 class MacaulayDecomposition:
     """r = sum C(a_i, i) with a_d > a_{d-1} > ... > a_1 >= 0 (unique)."""
 
-    r: int
-    d: int
-    coefficients: tuple  # (a_d, a_{d-1}, ..., a_1)
+    def __init__(self, r: int, d: int, coefficients: tuple):
+        self.r = r
+        self.d = d
+        self.coefficients = coefficients  # (a_d, a_{d-1}, ..., a_1)
 
     def exponent(self) -> int:
         """The Macaulay exponent r^<d> = sum C(a_i + 1, i + 1)."""
@@ -75,7 +74,6 @@ def macaulay_exponent(r: int, d: int) -> int:
     return macaulay_coefficients(r, d).exponent()
 
 
-@dataclass(frozen=True)
 class LexBarProfile:
     """The extremal fill of codimension r across a direct sum of pieces.
 
@@ -85,10 +83,11 @@ class LexBarProfile:
     and a single partial summand in between.
     """
 
-    degrees: tuple
-    n: int
-    codims: tuple
-    r: int
+    def __init__(self, degrees: tuple, n: int, codims: tuple, r: int):
+        self.degrees = degrees
+        self.n = n
+        self.codims = codims
+        self.r = r
 
     def growth(self) -> int:
         """Maximal codimension of W * S_1 inside the shifted direct sum."""

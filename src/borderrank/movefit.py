@@ -53,7 +53,6 @@ import collections
 import itertools
 import math
 import operator
-from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 from .apolarity import Tensor, monomial_catalecticant_rank
@@ -74,6 +73,7 @@ from .ring import (
     degrees_up_to,
     enumerate_monomials,
     generic_hilbert,
+    monomial_to_text,
     piece_dimension,
     positions,
     product_table,
@@ -109,24 +109,36 @@ _MEMO_ENTRIES = 1 << 17
 _SERIAL_SECONDS = 0.5
 
 
-@dataclass
 class SearchConfig:
-    r: int
-    horizon: int | None = None  # defaults to the total degree of F
-    symmetry_pruning: bool = True
-    parallel_width: int = 1
-    node_budget: int | None = None  # nodes of the whole run: canonical pieces
+    def __init__(self, r: int, horizon: int | None = None, symmetry_pruning: bool = True,
+                 parallel_width: int = 1, node_budget: int | None = None):
+        self.r = r
+        self.horizon = horizon  # defaults to the total degree of F
+        self.symmetry_pruning = symmetry_pruning
+        self.parallel_width = parallel_width
+        self.node_budget = node_budget  # nodes of the whole run: canonical pieces
+
+    def to_json(self) -> dict:
+        return {
+            "r": self.r,
+            "horizon": self.horizon,
+            "symmetry_pruning": self.symmetry_pruning,
+            "parallel_width": self.parallel_width,
+            "node_budget": self.node_budget,
+        }
 
 
-@dataclass
 class SearchStatistics:
-    nodes: int = 0
-    prunings: dict = field(default_factory=dict)
-    wall_time_seconds: float = 0.0
-    memo_hits: int = 0  # subtrees charged from the failure memo, not walked
-    symmetry_elements: int = 0  # group elements the symmetry test used
-    symmetry_fallback: bool = False  # neighbour transpositions, not the group
-    pooled: bool = False  # a pool was created: depends on the host's speed
+    def __init__(self, nodes: int, prunings: dict, wall_time_seconds: float,
+                 memo_hits: int, symmetry_elements: int, symmetry_fallback: bool,
+                 pooled: bool):
+        self.nodes = nodes
+        self.prunings = prunings
+        self.wall_time_seconds = wall_time_seconds
+        self.memo_hits = memo_hits  # subtrees charged from the failure memo, not walked
+        self.symmetry_elements = symmetry_elements  # elements the symmetry test used
+        self.symmetry_fallback = symmetry_fallback  # transpositions, not the group
+        self.pooled = pooled  # a pool was created: depends on the host's speed
 
     def to_json(self) -> dict:
         return {
@@ -140,19 +152,18 @@ class SearchStatistics:
         }
 
 
-@dataclass
 class SearchOutcome:
-    status: str  # Exhausted | Found | BudgetExceeded
-    r: int
-    horizon: int
-    candidate: MonomialIdeal | None
-    candidate_pieces: dict | None  # MultiDegree -> tuple[Monomial, ...]
-    note: str
-    statistics: SearchStatistics
+    def __init__(self, status: str, r: int, horizon: int, candidate: MonomialIdeal | None,
+                 candidate_pieces: dict | None, note: str, statistics: SearchStatistics):
+        self.status = status  # Exhausted | Found | BudgetExceeded
+        self.r = r
+        self.horizon = horizon
+        self.candidate = candidate
+        self.candidate_pieces = candidate_pieces  # MultiDegree -> tuple[Monomial, ...]
+        self.note = note
+        self.statistics = statistics
 
     def to_json(self) -> dict:
-        from .ring import monomial_to_text
-
         pieces = None
         if self.candidate_pieces is not None:
             pieces = {
@@ -176,7 +187,6 @@ class SearchOutcome:
 # Plan: everything the hot loop needs, as plain picklable data
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _Plan:
     """The fixed data of a search, and each level's tables once built.
 
@@ -188,17 +198,20 @@ class _Plan:
     methods, so a pool worker gets a copy by pickling: it holds the levels
     built before the split, and the worker builds the deeper ones itself."""
 
-    shape: FactorShape
-    a: Monomial  # the monomial whose apolar ideal is searched
-    degrees: list  # MultiDegree, ascending (total, lex)
-    reqs: list  # dim I_D forced by the Hilbert function
-    dims: list  # dim S_D
-    higher: list  # per degree: the indices of the degrees one higher
-    apolar_counts: list  # monomials outside the divisor set of a, per degree
-    group: list  # flat index maps of the group elements the symmetry test uses
-    symmetry_fallback: bool  # the group is transpositions, not the whole group
-    levels: list  # per degree: the tables of level(k), or None until then
-    shifts: dict  # (k, u) -> shift table from degree k into degree u, once built
+    def __init__(self, shape: FactorShape, a: Monomial, degrees: list, reqs: list,
+                 dims: list, higher: list, apolar_counts: list, group: list,
+                 symmetry_fallback: bool):
+        self.shape = shape
+        self.a = a  # the monomial whose apolar ideal is searched
+        self.degrees = degrees  # MultiDegree, ascending (total, lex)
+        self.reqs = reqs  # dim I_D forced by the Hilbert function
+        self.dims = dims  # dim S_D
+        self.higher = higher  # per degree: the indices of the degrees one higher
+        self.apolar_counts = apolar_counts  # monomials outside the divisor set of a
+        self.group = group  # flat index maps of the elements the symmetry test uses
+        self.symmetry_fallback = symmetry_fallback  # transpositions, not the group
+        self.levels = [None] * len(degrees)  # per degree: level(k)'s tables, once built
+        self.shifts = {}  # (k, u) -> shift table from degree k into u, once built
 
     def shift_table(self, k, u):
         """table[p]: the mask of the products of monomial p of degree k with
@@ -312,8 +325,6 @@ def _check_r_and_horizon(r: int, horizon: int) -> None:
 
 
 def _build_plan(F: Tensor, config: SearchConfig):
-    if not F.is_monomial:
-        raise PreconditionError("move-fit search needs a monomial tensor")
     a = F.support_exponents()
     shape = F.shape
     horizon = config.horizon if config.horizon is not None else sum(F.degree)
@@ -374,8 +385,6 @@ def _build_plan(F: Tensor, config: SearchConfig):
         apolar_counts=apolar_counts,
         group=group,
         symmetry_fallback=config.symmetry_pruning and _group_too_large(a),
-        levels=[None] * len(degrees),
-        shifts={},
     )
 
 
@@ -794,18 +803,28 @@ def _in_order(pool, state, pieces, workers):
         yield future.result()
 
 
-@dataclass
 class VerificationReport:
-    r: int
-    horizon: int
-    rows: list  # per-degree dicts
-    hilbert_ok: bool
-    containment: bool
-    saturation: dict
-    passed: bool  # Hilbert function and containment; saturation is informational
+    def __init__(self, r: int, horizon: int, rows: list, hilbert_ok: bool,
+                 containment: bool, saturation: dict, passed: bool):
+        self.r = r
+        self.horizon = horizon
+        self.rows = rows  # per-degree dicts
+        self.hilbert_ok = hilbert_ok
+        self.containment = containment
+        self.saturation = saturation
+        # Hilbert function and containment; saturation is informational
+        self.passed = passed
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "r": self.r,
+            "horizon": self.horizon,
+            "rows": self.rows,
+            "hilbert_ok": self.hilbert_ok,
+            "containment": self.containment,
+            "saturation": self.saturation,
+            "passed": self.passed,
+        }
 
 
 def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
@@ -866,6 +885,12 @@ def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
     )
 
 
+def _permuted(m: Monomial, order) -> list:
+    """The exponent blocks of m with variable p of factor j taken from
+    variable order[j][p]."""
+    return [[block[i] for i in o] for block, o in zip(m.exponents, order)]
+
+
 def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     """Run the move-fit search for border rank <= config.r.
 
@@ -879,9 +904,23 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     _SERIAL_SECONDS; from then on a level with two or more pieces left hands
     them to a pool of K processes, one per run, which is shut down here.
     statistics.pooled says if a pool was created.
+
+    The walk takes the variables of F in a canonical order, exponents
+    descending within each factor and ties kept in input order, and the
+    candidate is mapped back to the variables of F: the nodes of an
+    Exhausted run do not depend on the order, but its time does, by up to
+    10x.  So two inputs that differ by a relabelling that keeps variables of
+    equal exponent in order give the same status, nodes and prunings, and
+    candidates that differ by that relabelling.
     """
     t0 = perf_counter()
-    plan = _build_plan(F, config)
+    if not F.is_monomial:
+        raise PreconditionError("move-fit search needs a monomial tensor")
+    # order[j][p] is the input variable of factor j at canonical position p
+    a = F.support_exponents()
+    order = [sorted(range(len(b)), key=lambda i: -b[i]) for b in a.exponents]
+    back = [sorted(range(len(o)), key=o.__getitem__) for o in order]
+    plan = _build_plan(Tensor.monomial(F.shape, _permuted(a, order)), config)
     horizon = config.horizon if config.horizon is not None else sum(F.degree)
     workers = config.parallel_width if config.parallel_width > 1 else None
     switch = None if workers is None else t0 + _SERIAL_SECONDS
@@ -917,8 +956,12 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
         candidate_pieces = {}
         for degree, piece in zip(plan.degrees, pieces):
             mons = enumerate_monomials(F.shape, degree)
-            # _bits yields ascending positions, so the monomials come in grevlex order
-            candidate_pieces[degree] = tuple(mons[p] for p in _bits(piece))
+            candidate_pieces[degree] = tuple(
+                sorted(
+                    (Monomial(_permuted(mons[p], back)) for p in _bits(piece)),
+                    key=Monomial.grevlex_key,
+                )
+            )
         monomials = [m for piece in candidate_pieces.values() for m in piece]
         candidate = MonomialIdeal(F.shape, monomials)
         note = FOUND_NOTE

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 from types import MappingProxyType
@@ -35,14 +34,12 @@ MultiDegree = tuple  # tuple[int, ...]
 _BLOCK_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
 class FactorShape:
     """The product P^{a_1} x ... x P^{a_w}, recorded as (a_1, ..., a_w).
 
     Factor dimensions must be >= 0; a point factor P^0 has one variable.
+    Immutable, so it can key caches; equal and hashed by value.
     """
-
-    factors: tuple
 
     def __init__(self, factors: Sequence[int]):
         factors = tuple(int(a) for a in factors)
@@ -51,6 +48,23 @@ class FactorShape:
         if any(a < 0 for a in factors):
             raise ValueError("factor dimensions must be >= 0")
         object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: FactorShape is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: FactorShape is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
+
+    def __repr__(self):
+        return f"FactorShape(factors={self.factors!r})"
 
     @property
     def num_factors(self) -> int:
@@ -71,16 +85,14 @@ class FactorShape:
         return D
 
 
-@dataclass(frozen=True, order=False)
 class Monomial:
     """A monomial of the multigraded ring, as exponents grouped by factor.
 
     The same structure serves for divided-power monomials of the dual ring;
     the interpretation is up to the caller.  The multidegree is always
-    recomputed from the exponents, never stored.
+    recomputed from the exponents, never stored.  Immutable, so it can key
+    dicts; equal and hashed by value.
     """
-
-    exponents: tuple  # tuple[tuple[int, ...], ...]
 
     def __init__(self, exponents: Sequence[Sequence[int]]):
         exps = tuple(tuple(int(e) for e in block) for block in exponents)
@@ -91,7 +103,24 @@ class Monomial:
                 raise ValueError("empty variable block in monomial")
             if any(e < 0 for e in block):
                 raise ValueError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "exponents", exps)  # tuple[tuple[int, ...], ...]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Monomial is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Monomial is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self):
+        return hash(self.exponents)
+
+    def __repr__(self):
+        return f"Monomial(exponents={self.exponents!r})"
 
     @property
     def degree(self) -> MultiDegree:

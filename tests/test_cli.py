@@ -127,6 +127,9 @@ def test_search_flag_plumbing(capsys):
         "parallel_width": 2,
         "node_budget": 50000,
     }
+    # and in this order, which `SearchConfig.to_json` fixes
+    keys = ["r", "horizon", "symmetry_pruning", "parallel_width", "node_budget"]
+    assert list(config) == keys
     assert document["outcome"]["status"] == "Exhausted"
     # the growth rule is a bound, reported by `bounds`; search has no flag for it
     with pytest.raises(SystemExit) as exit_info:

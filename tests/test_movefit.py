@@ -325,13 +325,15 @@ def test_exhausted_nodes_do_not_depend_on_variable_order(n, orders, r, symmetry)
     # a node is a canonical piece that fits, so relabelling the variables
     # maps the orbits of fitting prefixes of one run onto those of the
     # other; a count of partial bit choices, or of pieces the symmetry test
-    # rejects, would depend on the order
+    # rejects, would depend on the order.  search walks one canonical order,
+    # so the walk runs here on the plan of each order as given
     counts = set()
     for exps in orders:
         F = Tensor.monomial(FactorShape([n]), [exps])
-        outcome = search(F, SearchConfig(r=r, symmetry_pruning=symmetry))
-        assert outcome.status == EXHAUSTED
-        counts.add(outcome.statistics.nodes)
+        plan = _build_plan(F, SearchConfig(r=r, symmetry_pruning=symmetry))
+        walk = movefit._Searcher(plan, None)
+        assert walk.descend([0] * len(plan.degrees), list(range(len(plan.group))), 0) is None
+        counts.add(walk.nodes)
     assert len(counts) == 1 and counts.pop() > 1
 
 
@@ -353,6 +355,72 @@ def test_shifts_of_apolar_monomials_stay_apolar():
                 for p, bits in enumerate(table):
                     if mask >> p & 1:
                         assert bits & ~levels[target][0] == 0
+
+
+def _relabelling(blocks, arranged):
+    """Per factor, sigma[i]: the variable of `arranged` that variable i of
+    `blocks` becomes, variables of equal exponent kept in order."""
+    sigmas = []
+    for block, target in zip(blocks, arranged):
+        slots = collections.defaultdict(collections.deque)
+        for j, e in enumerate(target):
+            slots[e].append(j)
+        sigmas.append([slots[e].popleft() for e in block])
+    return sigmas
+
+
+def _relabelled(sigmas, m):
+    blocks = []
+    for block, sigma in zip(m.exponents, sigmas):
+        moved = [0] * len(block)
+        for i, e in zip(sigma, block):
+            moved[i] = e
+        blocks.append(moved)
+    return Monomial(blocks)
+
+
+@pytest.mark.parametrize(
+    "factors, blocks, kwargs, status",
+    [
+        ([2], [(1, 3, 2)], {"r": 7}, FOUND),
+        ([4], [(1, 2, 1, 2, 1)], {"r": 23}, EXHAUSTED),
+        ([4], [(2, 2, 1, 1, 1)], {"r": 24, "node_budget": 50}, BUDGET_EXCEEDED),
+        ([2, 1], [(2, 1, 2), (0, 1)], {"r": 5}, EXHAUSTED),
+        ([2, 1], [(2, 2, 1), (1, 0)], {"r": 7}, FOUND),
+        ([1, 2], [(1, 2), (2, 1, 1)], {"r": 9}, FOUND),
+        ([1, 2], [(2, 1), (1, 2, 1)], {"r": 9, "node_budget": 30}, BUDGET_EXCEEDED),
+    ],
+)
+def test_search_commutes_with_relabelling(factors, blocks, kwargs, status):
+    # search walks the variables in one canonical order and maps the
+    # candidate back, so every arrangement of the exponents gives the same
+    # walk, and its candidate is the candidate of `blocks` relabelled by the
+    # relabelling that keeps variables of equal exponent in order
+    shape = FactorShape(factors)
+    base = search(Tensor.monomial(shape, blocks), SearchConfig(**kwargs))
+    assert base.status == status
+    arrangements = list(iter_product(*(sorted(set(permutations(b))) for b in blocks)))
+    assert len(arrangements) > 2
+    for arranged in arrangements:
+        F = Tensor.monomial(shape, arranged)
+        outcome = search(F, SearchConfig(**kwargs))
+        assert outcome.status == status, arranged
+        assert outcome.statistics.nodes == base.statistics.nodes, arranged
+        assert outcome.statistics.prunings == base.statistics.prunings, arranged
+        if status != FOUND:
+            assert outcome.candidate is None
+            continue
+        sigmas = _relabelling(blocks, arranged)
+        assert outcome.candidate_pieces == {
+            d: tuple(
+                sorted((_relabelled(sigmas, m) for m in mons), key=Monomial.grevlex_key)
+            )
+            for d, mons in base.candidate_pieces.items()
+        }, arranged
+        assert outcome.candidate == MonomialIdeal(
+            shape, [_relabelled(sigmas, g) for g in base.candidate.generators]
+        )
+        assert verify_candidate(outcome.candidate, F, kwargs["r"]).passed
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,46 @@ def test_monomial_multiplication_and_divisibility():
     assert not (m * n).divides(m)
     with pytest.raises(ShapeMismatchError):
         m * Monomial([(1, 0, 0)])
+
+
+def test_value_types_compare_and_hash_by_value():
+    # monomials key tensor terms and shapes key caches: values built from
+    # any sequences of integers are equal and hash alike, and never equal a
+    # value of another type holding the same data
+    m = Monomial([[2, 1], (0,)])
+    assert m == Monomial(((2, 1), (0,))) == Monomial([(2.0, True), [False]])
+    assert hash(m) == hash(Monomial(((2, 1), (0,))))
+    assert {m: "x"}[Monomial([(2, 1), (0,)])] == "x"
+    assert m != Monomial([(1, 2), (0,)])
+    assert m != ((2, 1), (0,)) and m != FactorShape([1, 0])
+    shape = FactorShape([2, 1])
+    assert shape == FactorShape((2, 1)) == FactorShape([2.0, True])
+    assert hash(shape) == hash(FactorShape((2, 1)))
+    assert shape != FactorShape([1, 2])
+    assert shape != (2, 1) and shape != Monomial([(2,), (1,)])
+    # error messages show values this way
+    assert repr(m) == "Monomial(exponents=((2, 1), (0,)))"
+    assert repr(shape) == "FactorShape(factors=(2, 1))"
+
+
+@pytest.mark.parametrize(
+    "value, field", [(Monomial([(2, 1), (0,)]), "exponents"), (FactorShape([2, 1]), "factors")]
+)
+def test_value_types_refuse_assignment_and_survive_pickling(value, field):
+    # a value's hash must not change while it keys a dict, and search plans
+    # reach pool workers pickled, shape and monomial included
+    before = getattr(value, field)
+    for name in (field, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert getattr(value, field) == before
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value and hash(copy) == hash(value)
+    with pytest.raises(AttributeError):
+        setattr(copy, field, ())
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,11 @@ def _loaded_by_import(module, names):
 
 def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
     # a short command is mostly start-up, so importing the CLI loads only
-    # what every command runs; the pool module loads when a pool starts
-    heavy = ["jsonschema", "concurrent.futures.process"]
+    # what every command runs; the pool module loads when a pool starts.
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize` and
+    # builds each decorated class's methods with `exec`, so the package's
+    # value classes are plain classes
+    heavy = ["jsonschema", "concurrent.futures.process", "dataclasses"]
     assert _loaded_by_import("borderrank.cli", heavy) == "[]"
 
 

@@ -167,15 +167,13 @@ def apolar_piece_dimension(F: Tensor, D) -> int:
 
 @lru_cache(maxsize=None)
 def _bounded_compositions_count(bounds, total: int) -> int:
-    # number of e with 0 <= e_i <= bounds_i and sum e_i = total, by a small DP
+    # number of e with 0 <= e_i <= bounds_i and sum e_i = total: the
+    # coefficient of x^total in prod (1 + x + ... + x^b), each factor
+    # multiplied in as a window sum over the prefix sums
     counts = [1] + [0] * total
     for b in bounds:
-        new = [0] * (total + 1)
-        for s in range(total + 1):
-            if counts[s]:
-                for e in range(min(b, total - s) + 1):
-                    new[s + e] += counts[s]
-        counts = new
+        prefix = [0, *itertools.accumulate(counts)]
+        counts = [prefix[s + 1] - prefix[max(s - b, 0)] for s in range(total + 1)]
     return counts[total]
 
 
@@ -217,12 +215,15 @@ def catalecticant_lower_bound(F: Tensor) -> int:
 
     For a monomial the rank at D is a product of per-factor counts (see
     monomial_catalecticant_rank), so its maximum is the product of their
-    maxima, and the box of degrees is never walked."""
+    maxima, and the box of degrees is never walked.  The count of a factor
+    of degree l at d is the coefficient of x^d in prod (1 + x + ... + x^b),
+    a symmetric unimodal polynomial of degree l, so it is largest at
+    d = l // 2."""
     if F.is_zero():
         raise PreconditionError("catalecticant bound needs a non-zero tensor")
     if F.is_monomial:
         return math.prod(
-            max(_bounded_compositions_count(block, d) for d in range(l + 1))
+            _bounded_compositions_count(block, l // 2)
             for block, l in zip(F.support_exponents().exponents, F.degree)
         )
     return max(

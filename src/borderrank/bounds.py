@@ -17,6 +17,7 @@ would overreach on monomials with one exponent equal to the probe degree.
 
 from __future__ import annotations
 
+import collections
 from functools import lru_cache
 
 from . import linalg
@@ -33,37 +34,26 @@ from .macaulay import lexbar_growth
 from .ring import FactorShape, Monomial, degree_sub, generic_hilbert, piece_dimension
 
 
-class BoundReport:
-    """A certified sandwich lower <= borderrank <= upper, with witnesses.
+class BoundReport(collections.namedtuple("BoundReport", [
+    "lower",
+    "lower_provenance",  # catalecticant | disjoint-module | closed-form
+    "lower_witness",
+    "upper",  # None for tensors where no upper bound is implemented
+    "upper_provenance",  # chart | closed-form | none
+    "upper_witness",
+    "components",  # every bound that was computed, for inspection
+])):
+    """A certified sandwich lower <= borderrank <= upper, with witnesses."""
 
-    upper is None for tensors where no upper bound is implemented."""
+    __slots__ = ()
 
-    def __init__(self, lower: int, lower_provenance: str, lower_witness: dict,
-                 upper: int | None, upper_provenance: str, upper_witness: dict,
-                 components: dict):
-        if upper is not None and lower > upper:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.upper is not None and self.lower > self.upper:
             raise BorderRankError(
-                f"bound sandwich inverted: lower {lower} > upper {upper}"
+                f"bound sandwich inverted: lower {self.lower} > upper {self.upper}"
             )
-        self.lower = lower
-        # catalecticant | disjoint-module | closed-form
-        self.lower_provenance = lower_provenance
-        self.lower_witness = lower_witness
-        self.upper = upper
-        self.upper_provenance = upper_provenance  # chart | closed-form | none
-        self.upper_witness = upper_witness
-        self.components = components  # every bound that was computed, for inspection
-
-    def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "lower_provenance": self.lower_provenance,
-            "lower_witness": self.lower_witness,
-            "upper": self.upper,
-            "upper_provenance": self.upper_provenance,
-            "upper_witness": self.upper_witness,
-            "components": self.components,
-        }
+        return self
 
 
 def _monomial_exponents(F: Tensor) -> Monomial:

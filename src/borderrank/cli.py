@@ -61,12 +61,16 @@ def _load_schema(name: str) -> dict:
 
 def _load_json_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}")
 
 
 # The shipped schemas are the single source of truth for input documents.  Their
@@ -189,7 +193,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "tensor": _tensor_text(F),
             "shape": list(F.shape.factors),
             "degree": list(F.degree),
-            "report": report.to_json(),
+            "report": report._asdict(),
         },
         args.output,
     )
@@ -211,7 +215,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "input": args.tensor,
         "tensor": _tensor_text(F),
         "shape": list(F.shape.factors),
-        "config": {**config.to_json(), "horizon": outcome.horizon},
+        "config": {**config._asdict(), "horizon": outcome.horizon},
         "outcome": {
             **outcome.to_json(),
             "candidate_ideal": None
@@ -241,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "tensor_input": args.tensor,
             "tensor": _tensor_text(F),
             "shape": list(F.shape.factors),
-            "report": report.to_json(),
+            "report": report._asdict(),
         },
         args.output,
     )

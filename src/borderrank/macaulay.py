@@ -16,17 +16,17 @@ all-degenerate decomposition of r = 0 is representable.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .errors import BorderRankError, PreconditionError
 
 
-class MacaulayDecomposition:
+class MacaulayDecomposition(NamedTuple):
     """r = sum C(a_i, i) with a_d > a_{d-1} > ... > a_1 >= 0 (unique)."""
 
-    def __init__(self, r: int, d: int, coefficients: tuple):
-        self.r = r
-        self.d = d
-        self.coefficients = coefficients  # (a_d, a_{d-1}, ..., a_1)
+    r: int
+    d: int
+    coefficients: tuple  # (a_d, a_{d-1}, ..., a_1)
 
     def exponent(self) -> int:
         """The Macaulay exponent r^<d> = sum C(a_i + 1, i + 1)."""
@@ -36,12 +36,8 @@ class MacaulayDecomposition:
         )
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "d": self.d,
-            "coefficients": list(self.coefficients),
-            "exponent": self.exponent(),
-        }
+        return {**self._asdict(), "coefficients": list(self.coefficients),
+                "exponent": self.exponent()}
 
 
 def macaulay_coefficients(r: int, d: int) -> MacaulayDecomposition:
@@ -74,7 +70,7 @@ def macaulay_exponent(r: int, d: int) -> int:
     return macaulay_coefficients(r, d).exponent()
 
 
-class LexBarProfile:
+class LexBarProfile(NamedTuple):
     """The extremal fill of codimension r across a direct sum of pieces.
 
     degrees are ascending; codims[i] is how much of summand i the Lex-bar
@@ -83,11 +79,10 @@ class LexBarProfile:
     and a single partial summand in between.
     """
 
-    def __init__(self, degrees: tuple, n: int, codims: tuple, r: int):
-        self.degrees = degrees
-        self.n = n
-        self.codims = codims
-        self.r = r
+    degrees: tuple
+    n: int
+    codims: tuple
+    r: int
 
     def growth(self) -> int:
         """Maximal codimension of W * S_1 inside the shifted direct sum."""
@@ -97,13 +92,8 @@ class LexBarProfile:
         )
 
     def to_json(self) -> dict:
-        return {
-            "degrees": list(self.degrees),
-            "n": self.n,
-            "codims": list(self.codims),
-            "r": self.r,
-            "growth": self.growth(),
-        }
+        return {**self._asdict(), "degrees": list(self.degrees),
+                "codims": list(self.codims), "growth": self.growth()}
 
 
 def _point_growth(c: int, n: int) -> int:

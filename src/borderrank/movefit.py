@@ -54,6 +54,7 @@ import itertools
 import math
 import operator
 from time import perf_counter
+from typing import NamedTuple
 
 from .apolarity import Tensor, monomial_catalecticant_rank
 from .errors import PreconditionError
@@ -109,59 +110,34 @@ _MEMO_ENTRIES = 1 << 17
 _SERIAL_SECONDS = 0.5
 
 
-class SearchConfig:
-    def __init__(self, r: int, horizon: int | None = None, symmetry_pruning: bool = True,
-                 parallel_width: int = 1, node_budget: int | None = None):
-        self.r = r
-        self.horizon = horizon  # defaults to the total degree of F
-        self.symmetry_pruning = symmetry_pruning
-        self.parallel_width = parallel_width
-        self.node_budget = node_budget  # nodes of the whole run: canonical pieces
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "horizon": self.horizon,
-            "symmetry_pruning": self.symmetry_pruning,
-            "parallel_width": self.parallel_width,
-            "node_budget": self.node_budget,
-        }
+# the result records declare their fields in the key order of the CLI's
+# documents, so each one's _asdict() is its JSON form
+class SearchConfig(NamedTuple):
+    r: int
+    horizon: int | None = None  # defaults to the total degree of F
+    symmetry_pruning: bool = True
+    parallel_width: int = 1
+    node_budget: int | None = None  # nodes of the whole run: canonical pieces
 
 
-class SearchStatistics:
-    def __init__(self, nodes: int, prunings: dict, wall_time_seconds: float,
-                 memo_hits: int, symmetry_elements: int, symmetry_fallback: bool,
-                 pooled: bool):
-        self.nodes = nodes
-        self.prunings = prunings
-        self.wall_time_seconds = wall_time_seconds
-        self.memo_hits = memo_hits  # subtrees charged from the failure memo, not walked
-        self.symmetry_elements = symmetry_elements  # elements the symmetry test used
-        self.symmetry_fallback = symmetry_fallback  # transpositions, not the group
-        self.pooled = pooled  # a pool was created: depends on the host's speed
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "prunings": dict(self.prunings),
-            "memo_hits": self.memo_hits,
-            "symmetry_elements": self.symmetry_elements,
-            "symmetry_fallback": self.symmetry_fallback,
-            "pooled": self.pooled,
-            "wall_time_seconds": round(self.wall_time_seconds, 6),
-        }
+class SearchStatistics(NamedTuple):
+    nodes: int
+    prunings: dict
+    memo_hits: int  # subtrees charged from the failure memo, not walked
+    symmetry_elements: int  # elements the symmetry test used
+    symmetry_fallback: bool  # transpositions, not the group
+    pooled: bool  # a pool was created: depends on the host's speed
+    wall_time_seconds: float  # rounded to microseconds
 
 
-class SearchOutcome:
-    def __init__(self, status: str, r: int, horizon: int, candidate: MonomialIdeal | None,
-                 candidate_pieces: dict | None, note: str, statistics: SearchStatistics):
-        self.status = status  # Exhausted | Found | BudgetExceeded
-        self.r = r
-        self.horizon = horizon
-        self.candidate = candidate
-        self.candidate_pieces = candidate_pieces  # MultiDegree -> tuple[Monomial, ...]
-        self.note = note
-        self.statistics = statistics
+class SearchOutcome(NamedTuple):
+    status: str  # Exhausted | Found | BudgetExceeded
+    r: int
+    horizon: int
+    candidate: MonomialIdeal | None
+    candidate_pieces: dict | None  # MultiDegree -> tuple[Monomial, ...]
+    note: str
+    statistics: SearchStatistics
 
     def to_json(self) -> dict:
         pieces = None
@@ -179,7 +155,7 @@ class SearchOutcome:
             else [monomial_to_text(g) for g in self.candidate.generators],
             "candidate_pieces": pieces,
             "note": self.note,
-            "statistics": self.statistics.to_json(),
+            "statistics": self.statistics._asdict(),
         }
 
 
@@ -803,28 +779,14 @@ def _in_order(pool, state, pieces, workers):
         yield future.result()
 
 
-class VerificationReport:
-    def __init__(self, r: int, horizon: int, rows: list, hilbert_ok: bool,
-                 containment: bool, saturation: dict, passed: bool):
-        self.r = r
-        self.horizon = horizon
-        self.rows = rows  # per-degree dicts
-        self.hilbert_ok = hilbert_ok
-        self.containment = containment
-        self.saturation = saturation
-        # Hilbert function and containment; saturation is informational
-        self.passed = passed
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "horizon": self.horizon,
-            "rows": self.rows,
-            "hilbert_ok": self.hilbert_ok,
-            "containment": self.containment,
-            "saturation": self.saturation,
-            "passed": self.passed,
-        }
+class VerificationReport(NamedTuple):
+    r: int
+    horizon: int
+    rows: list  # per-degree dicts
+    hilbert_ok: bool
+    containment: bool
+    saturation: dict
+    passed: bool  # Hilbert function and containment; saturation is informational
 
 
 def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
@@ -942,13 +904,13 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
             if searcher.pool is not None:
                 searcher.pool.shutdown(cancel_futures=True)
     stats = SearchStatistics(
-        searcher.nodes,
-        searcher.prunings,
-        perf_counter() - t0,
+        nodes=searcher.nodes,
+        prunings=dict(searcher.prunings),
         memo_hits=searcher.memo_hits,
         symmetry_elements=len(plan.group),
         symmetry_fallback=plan.symmetry_fallback,
         pooled=searcher.pool is not None,
+        wall_time_seconds=round(perf_counter() - t0, 6),
     )
 
     candidate = candidate_pieces = None

@@ -243,6 +243,32 @@ def test_monomial_catalecticant_bound_matches_degree_box():
         assert catalecticant_lower_bound(Tensor.monomial(FactorShape(factors), blocks)) == box
 
 
+def test_monomial_catalecticant_counts_are_the_product_coefficients():
+    # a factor's count at d is the coefficient of x^d in prod (1 + ... + x^b),
+    # multiplied out here term by term; the bound reads the middle degree
+    # only, so it must equal the product of the largest coefficients
+    rng = random.Random(24)
+    for _ in range(200):
+        factors = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+        blocks = [tuple(rng.randint(0, 12) for _ in range(n + 1)) for n in factors]
+        if not any(map(any, blocks)):
+            continue
+        largest = 1
+        for block in blocks:
+            poly = [1]
+            for b in block:
+                product = [0] * (len(poly) + b)
+                for i, c in enumerate(poly):
+                    for e in range(b + 1):
+                        product[i + e] += c
+                poly = product
+            a = Monomial([block])
+            assert [monomial_catalecticant_rank(a, (d,)) for d in range(len(poly))] == poly
+            largest *= max(poly)
+        F = Tensor.monomial(FactorShape(factors), blocks)
+        assert catalecticant_lower_bound(F) == largest, blocks
+
+
 @given(random_tensors())
 @settings(max_examples=30, deadline=None)
 def test_monomial_rank_fast_path_matches_matrix(F):

@@ -3,13 +3,18 @@
 import copy
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import borderrank
 from borderrank.apolarity import tensor_from_json
 from borderrank.cli import (
     JOBS_ENV_VAR,
@@ -71,6 +76,30 @@ def test_bounds_closed_form_product(capsys):
     document = parse_and_check(out)
     assert document["report"]["lower"] == document["report"]["upper"] == 8
     assert document["report"]["lower_provenance"] == "closed-form"
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_bounds_of_a_high_degree_monomial_is_quick(tmp_path, position):
+    # the catalecticant bound takes each factor's count at its middle degree
+    # alone, in time linear in the degree, so x0^(20000) x1 x2 is quick in
+    # every variable order; a walk over every degree takes minutes
+    exponents = [1, 1, 1]
+    exponents[position] = 20000
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps({
+        "shape": [2],
+        "degree": [20002],
+        "convention": "divided",
+        "terms": [{"exp": [exponents], "num": "1", "den": "1"}],
+    }))
+    env = {**os.environ, "PYTHONPATH": str(Path(borderrank.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "borderrank.cli", "bounds", str(tensor)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    report = parse_and_check(done.stdout)["report"]
+    assert report["lower"] == report["upper"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +362,76 @@ def test_macaulay_flag_validation(capsys):
 
 
 # ---------------------------------------------------------------------------
+# result records
+# ---------------------------------------------------------------------------
+
+_VERIFY_REPORT = ["r", "horizon", "rows", "hilbert_ok", "containment", "saturation", "passed"]
+
+
+@pytest.mark.parametrize(
+    "argv, records",
+    [
+        (
+            ["bounds", corpus("mono-4443.json")],
+            {
+                ("report",): [
+                    "lower", "lower_provenance", "lower_witness", "upper",
+                    "upper_provenance", "upper_witness", "components",
+                ],
+            },
+        ),
+        (
+            ["search", corpus("mono-21.json"), "--r", "2"],
+            {
+                ("config",): [
+                    "r", "horizon", "symmetry_pruning", "parallel_width", "node_budget",
+                ],
+                ("outcome",): [
+                    "status", "r", "horizon", "candidate_generators", "candidate_pieces",
+                    "note", "statistics", "candidate_ideal",
+                ],
+                ("outcome", "statistics"): [
+                    "nodes", "prunings", "memo_hits", "symmetry_elements",
+                    "symmetry_fallback", "pooled", "wall_time_seconds",
+                ],
+            },
+        ),
+        (
+            ["verify", corpus("ideal-tangent-p3.json"), corpus("mono-31-p3.json"),
+             "--r", "2"],
+            {("report",): _VERIFY_REPORT},
+        ),
+        (
+            ["verify", corpus("ideal-minrank-3x3x3.json"), corpus("minrank-3x3x3.json"),
+             "--r", "3"],
+            {("report",): _VERIFY_REPORT},
+        ),
+        (
+            ["macaulay", "--r", "15", "--d", "3"],
+            {("decomposition",): ["r", "d", "coefficients", "exponent"]},
+        ),
+        (
+            ["macaulay", "--r", "38", "--summands", "2,3,3,4", "--n", "3"],
+            {("lexbar",): ["degrees", "n", "codims", "r", "growth"]},
+        ),
+    ],
+    ids=["bounds", "search", "verify-monomial", "verify-graded", "macaulay-d",
+         "macaulay-summands"],
+)
+def test_records_keep_their_key_order(capsys, argv, records):
+    # each result record is written with its fields in declaration order;
+    # the schema's nested `type: object` refuses a record written as an array
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    document = parse_and_check(out)
+    for path, keys in records.items():
+        record = document
+        for key in path:
+            record = record[key]
+        assert list(record) == keys, path
+
+
+# ---------------------------------------------------------------------------
 # corpus
 # ---------------------------------------------------------------------------
 
@@ -419,6 +518,26 @@ def test_missing_file_is_parse_error(capsys):
     assert out == ""
     error = parse_and_check(err)
     assert "no such file" in error["error"]["message"]
+
+
+def test_directory_path_is_parse_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "bounds", str(tmp_path))
+    assert code == EXIT_PARSE
+    assert out == ""
+    error = parse_and_check(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == f"cannot read {tmp_path}: Is a directory"
+
+
+def test_non_utf8_file_is_parse_error(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"shape": [1], "note": "caf\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "bounds", str(latin))
+    assert code == EXIT_PARSE
+    assert out == ""
+    error = parse_and_check(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"{latin} is not UTF-8 text: ")
 
 
 def test_invalid_json_is_parse_error(tmp_path, capsys):

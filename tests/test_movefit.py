@@ -1279,7 +1279,7 @@ def test_verify_candidate_rows_and_defaults():
     assert zero_row["required_quotient"] == 1
     assert zero_row["actual_quotient"] == 1
     assert all("saturation_quotient" in row for row in report.rows)
-    data = report.to_json()
+    data = report._asdict()
     assert data["passed"] is True
 
 
@@ -1356,8 +1356,8 @@ def test_verify_report_survives_scaling_each_generator(ideal, tensor, r, horizon
             for k, (degree, poly) in enumerate(I.generators)
         ],
     )
-    expected = verify_candidate(I, F, r, horizon).to_json()
-    assert verify_candidate(scaled, F, r, horizon).to_json() == expected
+    expected = verify_candidate(I, F, r, horizon)._asdict()
+    assert verify_candidate(scaled, F, r, horizon)._asdict() == expected
 
 
 def test_verify_reduces_each_piece_once(monkeypatch):

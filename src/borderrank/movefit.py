@@ -53,11 +53,12 @@ import collections
 import itertools
 import math
 import operator
+import sys
 from time import perf_counter
 from typing import NamedTuple
 
 from .apolarity import Tensor, monomial_catalecticant_rank
-from .errors import PreconditionError
+from .errors import PreconditionError, ShapeMismatchError
 from .ideals import (
     MonomialIdeal,
     contained_in_apolar,
@@ -92,7 +93,7 @@ FOUND_NOTE = (
 
 _SYMMETRY_GROUP_CAP = 720
 
-# refuse a search whose plan tables are estimated above this many bytes
+# refuse a search whose plan lists or tables are estimated above this many bytes
 _PLAN_BYTES_LIMIT = 1 << 30
 
 # how many spans of a split level a process pool may have submitted
@@ -106,7 +107,7 @@ _MEMO_ENTRIES = 1 << 17
 
 # a search at width K > 1 walks in this process for this many seconds before
 # a level may hand its pieces to a pool, so a shorter run pays no pool
-# start-up (see _walk)
+# start-up (see descend)
 _SERIAL_SECONDS = 0.5
 
 
@@ -164,7 +165,8 @@ class SearchOutcome(NamedTuple):
 # ---------------------------------------------------------------------------
 
 class _Plan:
-    """The fixed data of a search, and each level's tables once built.
+    """The fixed data of the search of config in the apolar ideal of the
+    monomial a, and each level's tables once built.
 
     The degrees, reqs, dims and the group are worked out when the plan is
     made; a level's tables are built the first time the walk reaches it (see
@@ -174,18 +176,74 @@ class _Plan:
     methods, so a pool worker gets a copy by pickling: it holds the levels
     built before the split, and the worker builds the deeper ones itself."""
 
-    def __init__(self, shape: FactorShape, a: Monomial, degrees: list, reqs: list,
-                 dims: list, higher: list, apolar_counts: list, group: list,
-                 symmetry_fallback: bool):
+    def __init__(self, shape: FactorShape, a: Monomial, config: SearchConfig):
         self.shape = shape
-        self.a = a  # the monomial whose apolar ideal is searched
-        self.degrees = degrees  # MultiDegree, ascending (total, lex)
-        self.reqs = reqs  # dim I_D forced by the Hilbert function
-        self.dims = dims  # dim S_D
-        self.higher = higher  # per degree: the indices of the degrees one higher
-        self.apolar_counts = apolar_counts  # monomials outside the divisor set of a
-        self.group = group  # flat index maps of the elements the symmetry test uses
-        self.symmetry_fallback = symmetry_fallback  # transpositions, not the group
+        self.a = a
+        horizon = a.total_degree if config.horizon is None else config.horizon
+        self.horizon = horizon
+        _check_r_and_horizon(config.r, horizon)
+        dim_L = piece_dimension(shape, a.degree)
+        if config.r > dim_L:
+            raise PreconditionError(
+                f"r = {config.r} exceeds dim S_L = {dim_L}; the hypothesis "
+                "br(F) <= r is vacuous there"
+            )
+        if config.parallel_width < 1:
+            raise PreconditionError("parallel width must be >= 1")
+        if config.node_budget is not None and config.node_budget < 1:
+            raise PreconditionError("node budget must be >= 1")
+        # building the per-level lists peaks near 1 KiB a level (measured on
+        # one to four factors), so the levels are counted before they are listed
+        w = shape.num_factors
+        count = math.comb(horizon + w, w) - 1
+        if count << 10 > _PLAN_BYTES_LIMIT:
+            raise PreconditionError(
+                f"the plan would list {count:,} degrees, about {count >> 10:,} MiB "
+                f"at 1 KiB a degree, over the limit of {_PLAN_BYTES_LIMIT >> 20:,} "
+                "MiB; lower the horizon"
+            )
+
+        # ascending (total, lex); degree 0 is left out: I_0 = 0 for every r >= 1
+        self.degrees = degrees = degrees_up_to(w, horizon)[1:]
+        deg_index = {d: k for k, d in enumerate(degrees)}
+        # per degree: the indices of the degrees one higher, factor by factor
+        self.higher = higher = [
+            [
+                deg_index[up]
+                for j in range(w)
+                if (up := degree_add(d, shape.unit_degree(j))) in deg_index
+            ]
+            for d in degrees
+        ]
+        # flat index maps of the elements the symmetry test uses, and whether
+        # they are the transpositions, not the group
+        self.group, self.symmetry_fallback = (
+            _variable_permutations(a) if config.symmetry_pruning else ([], False)
+        )
+        self.dims = dims = [piece_dimension(shape, d) for d in degrees]  # dim S_D
+        # dim I_D forced by the Hilbert function
+        self.reqs = [dim - generic_hilbert(config.r, shape, d) for d, dim in zip(degrees, dims)]
+        # the monomials outside the divisor set of a
+        self.apolar_counts = [
+            dim - monomial_catalecticant_rank(a, d) for d, dim in zip(degrees, dims)
+        ]
+        # a table entry is an int as wide as the degree it points into: dim_t bits
+        # for each target t, one or two degrees higher, and a segment of dim_k + 1
+        # bits per group element
+        reach = [{*h, *(u for t in h for u in higher[t])} for h in higher]
+        table_bytes = sum(
+            dim * (sum(dims[t] for t in reach[k]) + len(self.group) * (dim + 1))
+            for k, dim in enumerate(dims)
+        ) // 8
+        # a search the apolar counts settle builds no table (see search)
+        if table_bytes > _PLAN_BYTES_LIMIT and all(
+            map(operator.ge, self.apolar_counts, self.reqs)
+        ):
+            raise PreconditionError(
+                f"the search tables would take about {table_bytes >> 20:,} MiB, "
+                f"over the limit of {_PLAN_BYTES_LIMIT >> 20:,} MiB; "
+                "lower the horizon"
+            )
         self.levels = [None] * len(degrees)  # per degree: level(k)'s tables, once built
         self.shifts = {}  # (k, u) -> shift table from degree k into u, once built
 
@@ -252,23 +310,13 @@ class _Plan:
         return tables
 
 
-def _group_too_large(a: Monomial) -> bool:
-    """Whether the permutations of the variables fixing the exponent vector
-    of a, factor by factor, number over _SYMMETRY_GROUP_CAP."""
-    order = math.prod(
-        math.factorial(count)
-        for block in a.exponents
-        for count in collections.Counter(block).values()
-    )
-    return order > _SYMMETRY_GROUP_CAP
-
-
 def _variable_permutations(a: Monomial):
-    """Permutations of the variables, factor by factor, fixing the exponent
-    vector of a, identity excluded.  An element g maps a flat exponent tuple
-    f to tuple(f[x] for x in g).  Above _SYMMETRY_GROUP_CAP elements only
-    the transpositions of neighbours in each class are returned: a
-    generating set is still a sound (weaker) pruning group."""
+    """(elements, fallback): the permutations of the variables, factor by
+    factor, fixing the exponent vector of a, identity excluded.  An element
+    g maps a flat exponent tuple f to tuple(f[x] for x in g).  Above
+    _SYMMETRY_GROUP_CAP elements only the transpositions of neighbours in
+    each class are returned, with fallback True: a generating set is still a
+    sound (weaker) pruning group."""
     classes = {}
     flat_index = itertools.count()
     for j, block in enumerate(a.exponents):
@@ -283,13 +331,13 @@ def _variable_permutations(a: Monomial):
             g[src] = dst
         return tuple(g)
 
-    if _group_too_large(a):
-        return [moved([(s, t), (t, s)]) for c in classes for s, t in zip(c, c[1:])]
+    if math.prod(math.factorial(len(c)) for c in classes) > _SYMMETRY_GROUP_CAP:
+        return [moved([(s, t), (t, s)]) for c in classes for s, t in zip(c, c[1:])], True
     elements = (
         moved(pair for c, image in zip(classes, images) for pair in zip(c, image))
         for images in itertools.product(*map(itertools.permutations, classes))
     )
-    return [g for g in elements if g != identity]
+    return [g for g in elements if g != identity], False
 
 
 def _check_r_and_horizon(r: int, horizon: int) -> None:
@@ -300,68 +348,9 @@ def _check_r_and_horizon(r: int, horizon: int) -> None:
         raise PreconditionError(f"r must be >= 1, got {r}")
 
 
-def _build_plan(F: Tensor, config: SearchConfig):
-    a = F.support_exponents()
-    shape = F.shape
-    horizon = config.horizon if config.horizon is not None else sum(F.degree)
-    _check_r_and_horizon(config.r, horizon)
-    dim_L = piece_dimension(shape, F.degree)
-    if config.r > dim_L:
-        raise PreconditionError(
-            f"r = {config.r} exceeds dim S_L = {dim_L}; the hypothesis "
-            "br(F) <= r is vacuous there"
-        )
-    if config.parallel_width < 1:
-        raise PreconditionError("parallel width must be >= 1")
-    if config.node_budget is not None and config.node_budget < 1:
-        raise PreconditionError("node budget must be >= 1")
-
-    # degree 0 is left out: I_0 = 0 for every r >= 1
-    degrees = degrees_up_to(shape.num_factors, horizon)[1:]
-    deg_index = {d: k for k, d in enumerate(degrees)}
-    # per degree: the indices of the degrees one higher, factor by factor
-    higher = [
-        [
-            deg_index[up]
-            for j in range(shape.num_factors)
-            if (up := degree_add(d, shape.unit_degree(j))) in deg_index
-        ]
-        for d in degrees
-    ]
-    group = _variable_permutations(a) if config.symmetry_pruning else []
-
-    dims = [piece_dimension(shape, d) for d in degrees]
-    reqs = [dim - generic_hilbert(config.r, shape, d) for d, dim in zip(degrees, dims)]
-    apolar_counts = [
-        dim - monomial_catalecticant_rank(a, d) for d, dim in zip(degrees, dims)
-    ]
-    # a table entry is an int as wide as the degree it points into: dim_t bits
-    # for each target t, one or two degrees higher, and a segment of dim_k + 1
-    # bits per group element
-    reach = [{*h, *(u for t in h for u in higher[t])} for h in higher]
-    table_bytes = sum(
-        dim * (sum(dims[t] for t in reach[k]) + len(group) * (dim + 1))
-        for k, dim in enumerate(dims)
-    ) // 8
-    # a search the apolar counts settle builds no table (see search)
-    if table_bytes > _PLAN_BYTES_LIMIT and all(map(operator.ge, apolar_counts, reqs)):
-        raise PreconditionError(
-            f"the search tables would take about {table_bytes >> 20:,} MiB, "
-            f"over the limit of {_PLAN_BYTES_LIMIT >> 20:,} MiB; "
-            "lower the horizon"
-        )
-
-    return _Plan(
-        shape=shape,
-        a=a,
-        degrees=degrees,
-        reqs=reqs,
-        dims=dims,
-        higher=higher,
-        apolar_counts=apolar_counts,
-        group=group,
-        symmetry_fallback=config.symmetry_pruning and _group_too_large(a),
-    )
+# the benchmark's traced run (perfbench/traced_cli.py) times the plan build
+# under this name
+_build_plan = _Plan
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +437,10 @@ class _Searcher:
         self.memo = {} if memo is None else memo
         self.switch = switch  # perf_counter() time the pool may take over at
         self.pool = None
+        # descend refuses a level this deep on entry: with descend and assign
+        # two frames a level, the caller and a level's own calls are left 100
+        # frames (the CLI and the deepest calls inside a level take under 20)
+        self.deepest = sys.getrecursionlimit() // 2 - 50
         self.nodes = 0
         self.prunings = {}
         self.memo_hits = 0
@@ -458,6 +451,13 @@ class _Searcher:
         if self.budget is not None and self.nodes > self.budget:
             self.nodes = self.budget + 1
             raise _BudgetHit()
+
+    def _absorb(self, nodes, prunings):
+        """Count the nodes and the (cause, count) prunings of a subtree
+        walked elsewhere: by a pool worker, or earlier (see descend)."""
+        for cause, count in prunings:
+            self.prunings[cause] = self.prunings.get(cause, 0) + count
+        self._charge(nodes)
 
     def _prune(self, cause):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
@@ -645,46 +645,45 @@ class _Searcher:
         Exhausted run are the serial walk's."""
         if k == len(self.plan.degrees):
             return []
+        if k >= self.deepest:
+            raise PreconditionError(
+                f"the walk reached degree {self.plan.degrees[k]}, past the {self.deepest} "
+                f"levels a recursion limit of {sys.getrecursionlimit()} allows; lower the horizon"
+            )
         key = (k, tuple(carried[k:]), tuple(active))
         spent = self.memo.get(key)
         if spent is not None:
-            nodes, prunings = spent
             self.memo_hits += 1
-            for cause, count in prunings:
-                self.prunings[cause] = self.prunings.get(cause, 0) + count
-            self._charge(nodes)
+            self._absorb(*spent)
             return None
         nodes, prunings = self.nodes, dict(self.prunings)
-        result = self._walk(carried, active, k)
-        if result is None:
-            if len(self.memo) >= _MEMO_ENTRIES:
-                self.memo.clear()
-            self.memo[key] = (
-                self.nodes - nodes,
-                [
-                    (cause, count - prunings.get(cause, 0))
-                    for cause, count in self.prunings.items()
-                    if count != prunings.get(cause, 0)
-                ],
-            )
-        return result
-
-    def _walk(self, carried, active, k):
-        """descend without the memo."""
         width = self.plan.dims[k] + 1
         act = sum(1 << g * width for g in active)
         pieces = self.fitting(carried, k, act)
         for entry in pieces:
-            if self.switch is not None and perf_counter() >= self.switch:
-                # the pool takes this piece and the rest, if any is left
-                following = next(pieces, None)
-                if following is not None:
-                    return self.split(
-                        carried, act, k, itertools.chain((entry, following), pieces)
-                    )
-            result = self.assign(carried, act, k, *entry)
+            if (
+                self.switch is not None
+                and perf_counter() >= self.switch
+                and (following := next(pieces, None)) is not None
+            ):
+                # the pool takes this piece and the rest
+                result = self.split(
+                    carried, act, k, itertools.chain((entry, following), pieces)
+                )
+            else:
+                result = self.assign(carried, act, k, *entry)
             if result is not None:
                 return result
+        if len(self.memo) >= _MEMO_ENTRIES:
+            self.memo.clear()
+        self.memo[key] = (
+            self.nodes - nodes,
+            [
+                (cause, count - prunings.get(cause, 0))
+                for cause, count in self.prunings.items()
+                if count != prunings.get(cause, 0)
+            ],
+        )
         return None
 
     def split(self, carried, act, k, pieces):
@@ -716,9 +715,7 @@ class _Searcher:
             self.pool, state, pieces, self.workers
         ):
             self.memo_hits += memo_hits
-            self._charge(nodes)
-            for cause, count in prunings.items():
-                self.prunings[cause] = self.prunings.get(cause, 0) + count
+            self._absorb(nodes, prunings.items())
             if found is not None:
                 return found
         return None
@@ -799,6 +796,8 @@ def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
     but a candidate need not be saturated.  An r or a horizon below 1 is
     refused, as search refuses it.
     """
+    if I.shape != F.shape:
+        raise ShapeMismatchError("ideal and tensor shapes differ")
     if horizon is None:
         horizon = sum(F.degree)
     _check_r_and_horizon(r, horizon)
@@ -882,8 +881,7 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     a = F.support_exponents()
     order = [sorted(range(len(b)), key=lambda i: -b[i]) for b in a.exponents]
     back = [sorted(range(len(o)), key=o.__getitem__) for o in order]
-    plan = _build_plan(Tensor.monomial(F.shape, _permuted(a, order)), config)
-    horizon = config.horizon if config.horizon is not None else sum(F.degree)
+    plan = _Plan(F.shape, Monomial(_permuted(a, order)), config)
     workers = config.parallel_width if config.parallel_width > 1 else None
     switch = None if workers is None else t0 + _SERIAL_SECONDS
     searcher = _Searcher(plan, config.node_budget, workers, switch=switch)
@@ -930,7 +928,7 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     elif status == EXHAUSTED:
         note = (
             f"no ideal with the generic Hilbert function for r = {config.r} "
-            f"exists inside the apolar ideal up to total degree {horizon}; "
+            f"exists inside the apolar ideal up to total degree {plan.horizon}; "
             f"hence the border rank exceeds {config.r}"
         )
     else:
@@ -938,7 +936,7 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
     return SearchOutcome(
         status=status,
         r=config.r,
-        horizon=horizon,
+        horizon=plan.horizon,
         candidate=candidate,
         candidate_pieces=candidate_pieces,
         note=note,

@@ -137,15 +137,6 @@ class Monomial:
     def matches_shape(self, shape: FactorShape) -> bool:
         return tuple(len(b) - 1 for b in self.exponents) == shape.factors
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        _check_same_structure(self, other)
-        return Monomial(
-            tuple(
-                tuple(e + f for e, f in zip(b1, b2))
-                for b1, b2 in zip(self.exponents, other.exponents)
-            )
-        )
-
     def divides(self, other: "Monomial") -> bool:
         _check_same_structure(self, other)
         return all(
@@ -192,8 +183,9 @@ def degree_le(D: MultiDegree, E: MultiDegree) -> bool:
 def piece_dimension(shape: FactorShape, D: Sequence[int]):
     """dim of the graded piece S_D: the product of binomials C(a_j + d_j, a_j).
 
-    Degrees with any negative entry give 0 rather than an error; catalecticant
-    loops probe L - D freely and rely on this.  Exact big-integer arithmetic.
+    Degrees with any negative entry give 0 rather than an error, though no
+    caller in the package passes one (catalecticant checks L - D first).
+    Exact big-integer arithmetic.
     """
     D = shape.check_degree(D)
     dim = 1

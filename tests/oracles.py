@@ -7,8 +7,8 @@ the tensor and graded-ideal JSON writers, minimal generator counts of
 presented ideals and of ideals known by their pieces, the colon (I : m) and
 (I : B) of a monomial ideal, its saturation as the fixpoint of I -> (I : B)
 and the test for it, grevlex lex-segments, the text parser for monomials,
-single variables, and the move-fit piece enumerator without look-ahead and
-the entry test it is filtered by.
+single variables and products of monomials, and the move-fit piece
+enumerator without look-ahead and the entry test it is filtered by.
 """
 
 from __future__ import annotations
@@ -86,6 +86,13 @@ def variable(shape: FactorShape, factor: int, index: int) -> Monomial:
     exps = [[0] * (a + 1) for a in shape.factors]
     exps[factor][index] = 1
     return Monomial(exps)
+
+
+def times(m: Monomial, n: Monomial) -> Monomial:
+    """The product of two monomials on one shape."""
+    if [len(b) for b in m.exponents] != [len(b) for b in n.exponents]:
+        raise ShapeMismatchError(f"monomials {m} and {n} live on different shapes")
+    return Monomial([[e + f for e, f in zip(b, c)] for b, c in zip(m.exponents, n.exponents)])
 
 
 _VAR_RE = re.compile(r"^([a-z])(\d+)(?:\^(\d+))?$")

@@ -34,7 +34,7 @@ from borderrank.movefit import (
 )
 from borderrank.ring import FactorShape, enumerate_monomials, piece_dimension
 
-from oracles import is_saturated, variable
+from oracles import is_saturated, times, variable
 from test_movefit import _corpus_json, _oracle_exists
 
 
@@ -222,7 +222,7 @@ def test_criterion_8_property_suites():
             best = 0
             for kept in combinations(mons, dim - c):
                 prods = {
-                    m * variable(shape, 0, i)
+                    times(m, variable(shape, 0, i))
                     for m in kept
                     for i in range(3)
                 }

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -54,6 +55,15 @@ def corpus(filename: str) -> str:
     return _corpus_path(filename)
 
 
+def cli_process(*argv, timeout):
+    """A fresh `borderrank` CLI process, killed after timeout seconds."""
+    env = {**os.environ, "PYTHONPATH": str(Path(borderrank.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "borderrank.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -92,11 +102,7 @@ def test_bounds_of_a_high_degree_monomial_is_quick(tmp_path, position):
         "convention": "divided",
         "terms": [{"exp": [exponents], "num": "1", "den": "1"}],
     }))
-    env = {**os.environ, "PYTHONPATH": str(Path(borderrank.__file__).parent.parent)}
-    done = subprocess.run(
-        [sys.executable, "-m", "borderrank.cli", "bounds", str(tensor)],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    done = cli_process("bounds", str(tensor), timeout=10)
     assert done.returncode == EXIT_OK, done.stderr
     report = parse_and_check(done.stdout)["report"]
     assert report["lower"] == report["upper"] == 4
@@ -105,6 +111,40 @@ def test_bounds_of_a_high_degree_monomial_is_quick(tmp_path, position):
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
+
+def test_search_deep_horizons_end_cleanly():
+    # the walk takes two frames a level, so mono-21 passes the 330 levels
+    # that three frames a level allowed; a level past the depth bound is
+    # refused on entry with exit 3, where the stack would overflow
+    def run(horizon):
+        return cli_process(
+            "search", corpus("mono-21.json"), "--r", "2", "--horizon", str(horizon), timeout=60
+        )
+
+    deep = run(1000)
+    assert deep.returncode == EXIT_PRECONDITION, deep.stderr
+    message = parse_and_check(deep.stderr)["error"]["message"]
+    assert "lower the horizon" in message
+    bound = int(re.search(r"degree \((\d+),\)", message).group(1)) - 1
+    assert bound >= 400
+    done = run(bound)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert parse_and_check(done.stdout)["outcome"]["status"] == "Found"
+    past = run(bound + 1)
+    assert past.returncode == EXIT_PRECONDITION
+    assert parse_and_check(past.stderr)["error"]["message"] == message
+
+
+def test_search_counts_the_degrees_before_listing_them():
+    # 5 * 10^9 degrees on P^2 x P^1: refused at once, not listed
+    done = cli_process(
+        "search", corpus("mono-211x31.json"), "--r", "3", "--horizon", "100000", timeout=20
+    )
+    assert done.returncode == EXIT_PRECONDITION
+    error = parse_and_check(done.stderr)["error"]
+    assert error["type"] == "PreconditionError"
+    assert "5,000,150,000 degrees" in error["message"] and "1 KiB a degree" in error["message"]
+
 
 def test_search_found_document(capsys):
     code, out, err = run_cli(capsys, "search", corpus("mono-21.json"), "--r", "2")
@@ -264,6 +304,24 @@ def test_verify_shape_mismatch_is_precondition(capsys):
     assert code == EXIT_PRECONDITION
     error = parse_and_check(err)
     assert error["error"]["type"] == "ShapeMismatchError"
+
+
+def test_verify_compares_shapes_first(tmp_path, capsys):
+    # an ideal on P^2 against a tensor on P^1 x P^0: the shapes differ, and
+    # no degree of one shape is read on the other
+    ideal, tensor = tmp_path / "ideal.json", tmp_path / "tensor.json"
+    ideal.write_text(json.dumps({"shape": [2], "monomial_generators": [[[1, 1, 0]]]}))
+    tensor.write_text(json.dumps({
+        "shape": [1, 0],
+        "degree": [2, 1],
+        "convention": "divided",
+        "terms": [{"exp": [[1, 1], [1]], "num": "1", "den": "1"}],
+    }))
+    code, out, err = run_cli(capsys, "verify", str(ideal), str(tensor), "--r", "2")
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    error = parse_and_check(err)["error"]
+    assert error == {"type": "ShapeMismatchError", "message": "ideal and tensor shapes differ"}
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from borderrank.macaulay import (
     macaulay_exponent,
 )
 from borderrank.ring import FactorShape, enumerate_monomials, piece_dimension
-from oracles import lex_segment, variable
+from oracles import lex_segment, times, variable
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def _monomial_growth(kept, n, d):
     prods = set()
     for m in kept:
         for i in range(n + 1):
-            prods.add(m * variable(shape, 0, i))
+            prods.add(times(m, variable(shape, 0, i)))
     return piece_dimension(shape, (d + 1,)) - len(prods)
 
 

@@ -46,7 +46,7 @@ def test_linalg_has_no_float_or_true_division():
 
 # names the README's Library example calls, or an error message tells users
 # to call, without any caller inside the package
-_PUBLIC_WITHOUT_CALLERS = {"Tensor.monomial", "Tensor.zero"}
+_PUBLIC_WITHOUT_CALLERS = {"Tensor.zero"}
 
 
 def _definitions(tree):

@@ -182,11 +182,11 @@ def monomial_catalecticant_rank(a: Monomial, D) -> int:
 
     The matrix is a partial permutation matrix, so the rank is the number of
     monomials e <= a componentwise with deg e = D: a bounded counting problem,
-    solved per factor.
+    solved per factor; none lies past a's own degree in some factor.
     """
     rank = 1
     for block, d in zip(a.exponents, D):
-        if d < 0:
+        if not 0 <= d <= sum(block):
             return 0
         rank *= _bounded_compositions_count(block, d)
     return rank

@@ -29,9 +29,9 @@ from .apolarity import (
     is_concise,
 )
 from .errors import BorderRankError, PreconditionError, UnsupportedShapeError
-from .ideals import times_variables
 from .macaulay import lexbar_growth
-from .ring import FactorShape, Monomial, degree_sub, generic_hilbert, piece_dimension
+from .ring import FactorShape, Monomial, degree_add, degree_sub, generic_hilbert
+from .ring import piece_dimension, product_table
 
 
 class BoundReport(collections.namedtuple("BoundReport", [
@@ -221,6 +221,24 @@ def minimal_border_rank_quotient_test(F: Tensor):
     quotient_dim = piece_dimension(F.shape, F.degree) - len(reduced)
     threshold = F.shape.factors[i] + 1  # dim S_{e_i}
     return quotient_dim, (HOLDS if quotient_dim >= threshold else NOT_MINIMAL)
+
+
+def times_variables(shape: FactorShape, rows, E, j: int) -> list:
+    """Int rows spanning V * S_{e_j} in S_{E + e_j}, where V is spanned by int
+    rows over the grevlex basis of S_E: every row times every variable of
+    factor j."""
+    unit = shape.unit_degree(j)
+    size = piece_dimension(shape, degree_add(E, unit))
+    shifts = product_table(shape, E, unit)
+    products = []
+    for row in rows:
+        for shifted in shifts:
+            prod = [0] * size
+            for col, c in enumerate(row):
+                if c:
+                    prod[shifted[col]] = c
+            products.append(prod)
+    return products
 
 
 def _products(F: Tensor, j: int) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import importlib.util
 import json
 import os
 import re
@@ -18,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-from .apolarity import Tensor, tensor_from_json
-from .bounds import bounds_report, closed_form_border_rank
 from .errors import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -31,10 +30,28 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .ideals import ideal_from_json, ideal_to_json
-from .macaulay import lexbar_profile, macaulay_coefficients
-from .movefit import BUDGET_EXCEEDED, SearchConfig, search, verify_candidate
-from .ring import monomial_to_text
+
+
+def _lazy(name: str):
+    """The package module `name`: entered in sys.modules now, compiled and run
+    when an attribute of it is first read; one imported already is returned."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# each command runs only the modules it reads, yet all seven are in sys.modules
+# once this one is, as the benchmark's tracer needs (so no command imports one)
+ring, linalg, macaulay, apolarity, ideals, bounds, movefit = map(
+    _lazy, "ring linalg macaulay apolarity ideals bounds movefit".split()
+)
 
 JOBS_ENV_VAR = "BORDERRANK_JOBS"
 
@@ -151,23 +168,23 @@ def _validate(data: dict, schema_name: str, path: str) -> None:
         raise ParseError(f"{path} fails {schema_name} at {where}: {first[1]}")
 
 
-def load_tensor(path: str) -> Tensor:
+def load_tensor(path: str) -> apolarity.Tensor:
     data = _load_json_file(path)
     _validate(data, "tensor.schema.json", path)
-    return tensor_from_json(data)
+    return apolarity.tensor_from_json(data)
 
 
 def load_ideal(path: str):
     data = _load_json_file(path)
     _validate(data, "ideal.schema.json", path)
-    return ideal_from_json(data)
+    return ideals.ideal_from_json(data)
 
 
-def _tensor_text(F: Tensor) -> str:
+def _tensor_text(F: apolarity.Tensor) -> str:
     parts = []
     for mon, coeff in F.terms():
         prefix = "" if coeff == 1 else f"({coeff})*"
-        parts.append(prefix + monomial_to_text(mon))
+        parts.append(prefix + ring.monomial_to_text(mon))
     return " + ".join(parts) if parts else "0"
 
 
@@ -185,7 +202,7 @@ def _emit(document: dict, output: str | None) -> None:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     F = load_tensor(args.tensor)
-    report = bounds_report(F)
+    report = bounds.bounds_report(F)
     _emit(
         {
             "command": "bounds",
@@ -201,7 +218,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    config = SearchConfig(
+    config = movefit.SearchConfig(
         r=args.r,
         horizon=args.horizon,
         symmetry_pruning=not args.no_symmetry,
@@ -209,7 +226,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         node_budget=args.budget,
     )
     F = load_tensor(args.tensor)
-    outcome = search(F, config)
+    outcome = movefit.search(F, config)
     document = {
         "command": "search",
         "input": args.tensor,
@@ -220,11 +237,11 @@ def cmd_search(args: argparse.Namespace) -> int:
             **outcome.to_json(),
             "candidate_ideal": None
             if outcome.candidate is None
-            else ideal_to_json(outcome.candidate),
+            else ideals.ideal_to_json(outcome.candidate),
         },
     }
     _emit(document, args.output)
-    if outcome.status == BUDGET_EXCEEDED:
+    if outcome.status == movefit.BUDGET_EXCEEDED:
         _print_error(
             "BudgetExceededError",
             "node budget exhausted; the emitted outcome is partial",
@@ -237,7 +254,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     I = load_ideal(args.ideal)
     F = load_tensor(args.tensor)
-    report = verify_candidate(I, F, args.r, args.horizon)
+    report = movefit.verify_candidate(I, F, args.r, args.horizon)
     _emit(
         {
             "command": "verify",
@@ -265,9 +282,9 @@ def cmd_macaulay(args: argparse.Namespace) -> int:
             raise ParseError(f"bad --summands value {args.summands!r}")
     document = {"command": "macaulay", "decomposition": None, "lexbar": None}
     if args.d is not None:
-        document["decomposition"] = macaulay_coefficients(args.r, args.d).to_json()
+        document["decomposition"] = macaulay.macaulay_coefficients(args.r, args.d).to_json()
     if summands is not None:
-        document["lexbar"] = lexbar_profile(summands, args.n, args.r).to_json()
+        document["lexbar"] = macaulay.lexbar_profile(summands, args.n, args.r).to_json()
     _emit(document, args.output)
     return EXIT_OK
 
@@ -293,26 +310,26 @@ def _run_corpus_case(case: dict, jobs: int) -> dict:
     start = time.perf_counter()
     if case["command"] == "search":
         F = load_tensor(_corpus_path(case["tensor"]))
-        config = SearchConfig(
+        config = movefit.SearchConfig(
             r=case["r"],
             horizon=case.get("horizon"),
             parallel_width=jobs,
         )
-        outcome = search(F, config)
+        outcome = movefit.search(F, config)
         actual = {"status": outcome.status}
     elif case["command"] == "bounds":
         F = load_tensor(_corpus_path(case["tensor"]))
-        report = bounds_report(F)
+        report = bounds.bounds_report(F)
         actual = {"lower": report.lower, "upper": report.upper}
         if "catalecticant" in expected:
             actual["catalecticant"] = report.components["catalecticant"]["value"]
     elif case["command"] == "closed-form":
         F = load_tensor(_corpus_path(case["tensor"]))
-        actual = {"value": closed_form_border_rank(F)}
+        actual = {"value": bounds.closed_form_border_rank(F)}
     elif case["command"] == "verify":
         I = load_ideal(_corpus_path(case["ideal"]))
         F = load_tensor(_corpus_path(case["tensor"]))
-        report = verify_candidate(I, F, case["r"], case.get("horizon"))
+        report = movefit.verify_candidate(I, F, case["r"], case.get("horizon"))
         actual = {
             "passed": report.passed,
             "saturated": report.saturation["saturated"],

@@ -43,12 +43,12 @@ def _minimalize(generators):
     # filter in ascending total degree so divisors are seen before their
     # multiples; equal-degree distinct monomials never divide each other
     gens = sorted(set(generators), key=lambda m: (m.total_degree, m.grevlex_key()))
-    kept = []
+    kept = {}  # flat exponents -> generator: the caller checked that all fit one shape
     for g in gens:
-        if not any(h.divides(g) for h in kept):
-            kept.append(g)
-    kept.sort(key=Monomial.grevlex_key)
-    return tuple(kept)
+        flat = g.flat()
+        if not any(all(map(operator.le, h, flat)) for h in kept):
+            kept[flat] = g
+    return tuple(sorted(kept.values(), key=Monomial.grevlex_key))
 
 
 class MonomialIdeal:
@@ -234,28 +234,6 @@ def contained_in_apolar(I, F: Tensor) -> bool:
         return all(F.coefficient(m) == 0 for m in monomial_piece(I, L))
     values = linalg.integral([F.coefficient(m) for m in enumerate_monomials(F.shape, L)])
     return not any(sum(map(operator.mul, row, values)) for row in I.piece_rows(L))
-
-
-# ---------------------------------------------------------------------------
-# Products with the variables of a factor
-# ---------------------------------------------------------------------------
-
-def times_variables(shape: FactorShape, rows, E, j: int) -> list:
-    """Int rows spanning V * S_{e_j} in S_{E + e_j}, where V is spanned by int
-    rows over the grevlex basis of S_E: every row times every variable of
-    factor j."""
-    unit = shape.unit_degree(j)
-    size = piece_dimension(shape, degree_add(E, unit))
-    shifts = product_table(shape, E, unit)
-    products = []
-    for row in rows:
-        for shifted in shifts:
-            prod = [0] * size
-            for col, c in enumerate(row):
-                if c:
-                    prod[shifted[col]] = c
-            products.append(prod)
-    return products
 
 
 # ---------------------------------------------------------------------------

@@ -794,13 +794,22 @@ def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
     F.  A candidate passes on these two; saturation is reported alongside
     (exactly for monomial ideals, by the degreewise colon probe otherwise)
     but a candidate need not be saturated.  An r or a horizon below 1 is
-    refused, as search refuses it.
+    refused, as search refuses it, and so is a horizon with over a million
+    monomials up to it.
     """
     if I.shape != F.shape:
         raise ShapeMismatchError("ideal and tensor shapes differ")
     if horizon is None:
         horizon = sum(F.degree)
     _check_r_and_horizon(r, horizon)
+    # the degrees list C(horizon + N, N) monomials in all, for N variables, so they
+    # are counted first; a monomial ideal reads a million in about 25 s (2 vCPUs)
+    N = sum(F.shape.factors) + F.shape.num_factors
+    if (count := math.comb(horizon + N, N)) > 10**6:
+        raise PreconditionError(
+            f"verify would read {count:,} monomials up to degree {horizon}, over "
+            "the limit of 1,000,000; lower the horizon"
+        )
 
     rows = []
     hilbert_ok = True

@@ -4,7 +4,8 @@ None of these is reached by the CLI or by the library example in the
 README, so they live with the tests: row reduction on dense int rows, the
 hook action on tensors, the apolar ideal of a monomial by its generators,
 the tensor and graded-ideal JSON writers, minimal generator counts of
-presented ideals and of ideals known by their pieces, the colon (I : m) and
+presented ideals and of ideals known by their pieces, the minimal
+generators of a monomial ideal by pairwise division, the colon (I : m) and
 (I : B) of a monomial ideal, its saturation as the fixpoint of I -> (I : B)
 and the test for it, grevlex lex-segments, the text parser for monomials,
 single variables and products of monomials, and the move-fit piece
@@ -20,13 +21,13 @@ from math import gcd
 
 from borderrank import linalg
 from borderrank.apolarity import Tensor, poly_degree
+from borderrank.bounds import times_variables
 from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
 from borderrank.ideals import (
     GradedIdeal,
     MonomialIdeal,
     intersect,
     monomial_piece,
-    times_variables,
 )
 from borderrank.movefit import _bits, _image
 from borderrank.ring import (
@@ -262,6 +263,18 @@ def minimal_generator_count(I, D) -> int:
         for shifted in product_table(shape, lower, unit):
             products.update(shifted[p] for p in lower_positions)
     return dim_piece - len(products)
+
+
+def minimalize_by_divides(generators) -> tuple:
+    """The minimal generators in canonical grevlex order, by
+    `Monomial.divides` on every pair kept so far."""
+    gens = sorted(set(generators), key=lambda m: (m.total_degree, m.grevlex_key()))
+    kept = []
+    for g in gens:
+        if not any(h.divides(g) for h in kept):
+            kept.append(g)
+    kept.sort(key=Monomial.grevlex_key)
+    return tuple(kept)
 
 
 def colon(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:

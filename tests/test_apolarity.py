@@ -103,7 +103,7 @@ def test_catalecticant_rank_binary_cubic():
 def test_monomial_catalecticant_rank_is_bounded_count():
     # the fast path counts exponent vectors e <= a with |e| = D
     a = Monomial([(4, 4, 4, 3)])
-    for d in range(0, 16):
+    for d in range(0, 18):
         explicit = sum(
             1
             for e in enumerate_monomials(FactorShape([3]), (d,))

@@ -1,5 +1,6 @@
 """The benchmark's traced run wraps named layer functions; each must exist,
-and must be imported by the time `borderrank.cli` is."""
+and its module must be entered in `sys.modules` by the time `borderrank.cli`
+is imported."""
 
 import importlib
 import importlib.util

@@ -26,6 +26,7 @@ from borderrank.bounds import (
     disjoint_module_obstruction,
     minimal_border_rank_generator_test,
     minimal_border_rank_quotient_test,
+    times_variables,
     upper_bound_monomial,
 )
 from borderrank.errors import (
@@ -33,7 +34,6 @@ from borderrank.errors import (
     PreconditionError,
     UnsupportedShapeError,
 )
-from borderrank.ideals import times_variables
 from borderrank.movefit import EXHAUSTED, FOUND, SearchConfig, search
 from borderrank.ring import (
     FactorShape,

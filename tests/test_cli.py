@@ -372,6 +372,22 @@ def test_verify_refuses_empty_runs(capsys, flags, message):
     assert error["error"]["message"] == message
 
 
+@pytest.mark.parametrize("horizon", ["70", "100000"])
+def test_verify_oversized_horizon_is_precondition(horizon):
+    # up to degree 70 on P^3 lie C(74, 4) = 1,150,626 monomials, just over
+    # the limit; verify counts them before it lists any, so even a horizon
+    # of 100000 is refused at once
+    done = cli_process(
+        "verify", corpus("ideal-tangent-p3.json"), corpus("mono-31-p3.json"),
+        "--r", "2", "--horizon", horizon, timeout=10,
+    )
+    assert done.returncode == EXIT_PRECONDITION
+    assert done.stdout == ""
+    error = parse_and_check(done.stderr)["error"]
+    assert error["type"] == "PreconditionError"
+    assert "over the limit of 1,000,000" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # macaulay
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from oracles import (
     graded_ideal_to_json,
     is_saturated,
     minimal_generator_count,
+    minimalize_by_divides,
     piece_generator_count,
     saturate_by_colons,
 )
@@ -141,6 +142,22 @@ def test_saturate_matches_colon_fixpoint():
             gens.append(rng.choice(enumerate_monomials(shape, D)))
         I = MonomialIdeal(shape, gens)
         assert saturate(I) == saturate_by_colons(I), (shape.factors, gens)
+
+
+def test_minimal_generators_match_pairwise_division():
+    # _minimalize compares flat exponents, since MonomialIdeal has checked
+    # that every generator fits the shape
+    import random
+
+    rng = random.Random(5)
+    for factors in ([3], [2, 1]):
+        shape = FactorShape(factors)
+        for _ in range(300):
+            gens = []
+            for _ in range(rng.randint(0, 12)):
+                D = tuple(rng.randint(0, 3) for _ in factors)
+                gens.append(rng.choice(enumerate_monomials(shape, D)))
+            assert MonomialIdeal(shape, gens).generators == minimalize_by_divides(gens)
 
 
 def test_saturation_idempotent_property():

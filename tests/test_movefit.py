@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import borderrank
-from borderrank import cli, linalg, movefit
+from borderrank import apolarity, cli, linalg, movefit
 from borderrank.apolarity import Tensor, catalecticant_lower_bound, tensor_from_json
 from borderrank.bounds import bounds_report, disjoint_module_obstruction
 from borderrank.errors import EXIT_PRECONDITION, PreconditionError
@@ -616,6 +616,26 @@ def test_apolar_counts_match_level_masks(factors, blocks, horizon):
     assert plan.apolar_counts == [mask.bit_count() for mask in masks]
 
 
+def test_plan_counts_no_divisor_past_the_monomial(monkeypatch):
+    # no divisor of a lies past a's own degree, so the plan's apolar counts
+    # read dim S_D there without counting, and its build is linear in the
+    # horizon
+    calls = []
+    count = apolarity._bounded_compositions_count
+
+    def counted(bounds, total):
+        calls.append(total)
+        return count(bounds, total)
+
+    monkeypatch.setattr(apolarity, "_bounded_compositions_count", counted)
+    a = Monomial([(2, 1)])
+    for horizon in (500, 2000):
+        calls.clear()
+        plan = _Plan(FactorShape([1]), a, SearchConfig(r=2, horizon=horizon))
+        assert sorted(calls) == [1, 2, 3]
+        assert plan.apolar_counts[3:] == plan.dims[3:]
+
+
 def test_levels_are_built_on_first_visit(monkeypatch, tmp_path, capsys):
     # a level's tables are built once, when fitting first reaches it
     level, fitting = movefit._Plan.level, movefit._Searcher.fitting
@@ -1106,6 +1126,40 @@ def test_pool_matches_serial_under_start_method(tmp_path, method):
     )
     assert done.returncode == 0, done.stderr
     pooled = json.loads(done.stdout)
+    assert pooled["status"] == serial["status"] == FOUND
+    assert pooled["candidate_pieces"] == serial["candidate_pieces"]
+    assert pooled["statistics"]["nodes"] == serial["statistics"]["nodes"]
+
+
+_START_METHOD_CLI_RUN = """
+import multiprocessing, sys
+from borderrank import cli
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    # movefit is loaded here, through the CLI's lazy entry, as a command loads it
+    cli.movefit._SERIAL_SECONDS = 0
+    sys.exit(cli.main(["search", sys.argv[2], "--r", "24", "--jobs", "2"]))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_cli_pool_matches_serial_under_start_method(tmp_path, method):
+    # the CLI enters the package modules lazily; its workers, which import
+    # the script and unpickle functions of `borderrank.movefit` by name, must
+    # find the one module the parent ran
+    path = cli._corpus_path("mono-22111.json")
+    serial = search(cli.load_tensor(path), SearchConfig(r=24)).to_json()
+    script = tmp_path / "pooled.py"
+    script.write_text(_START_METHOD_CLI_RUN)
+    env = {**os.environ, "PYTHONPATH": str(Path(borderrank.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, str(script), method, path],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    pooled = json.loads(done.stdout)["outcome"]
+    assert pooled["statistics"]["pooled"] is True
     assert pooled["status"] == serial["status"] == FOUND
     assert pooled["candidate_pieces"] == serial["candidate_pieces"]
     assert pooled["statistics"]["nodes"] == serial["statistics"]["nodes"]

@@ -1,10 +1,13 @@
 """Rules on the package source itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "borderrank"
 
@@ -117,20 +120,26 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
-def _loaded_by_import(module, names):
-    """The names among `names` in sys.modules after a fresh interpreter
-    imports `module` alone."""
-    code = f"import sys, {module}; print([m for m in {names!r} if m in sys.modules])"
+def _fresh(*argv) -> str:
+    """The stdout of a fresh interpreter run with argv, the package on its path."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     pythonpath = os.pathsep.join(filter(None, paths))
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
         check=True,
+        timeout=120,
     )
     return result.stdout.strip()
+
+
+def _loaded_by_import(module, names):
+    """The names among `names` in sys.modules after a fresh interpreter
+    imports `module` alone."""
+    code = f"import sys, {module}; print([m for m in {names!r} if m in sys.modules])"
+    return _fresh("-c", code)
 
 
 def test_cli_import_loads_neither_jsonschema_nor_the_process_pool():
@@ -148,3 +157,65 @@ def test_movefit_import_loads_neither_bounds_nor_macaulay():
     # only `bounds` runs
     heavy = ["borderrank.bounds", "borderrank.macaulay"]
     assert _loaded_by_import("borderrank.movefit", heavy) == "[]"
+
+
+def test_bounds_import_loads_neither_ideals_nor_movefit():
+    # the products with a factor's variables live in `bounds`, so a bounds
+    # command compiles neither module
+    heavy = ["borderrank.ideals", "borderrank.movefit"]
+    assert _loaded_by_import("borderrank.bounds", heavy) == "[]"
+
+
+# the package modules a command ran: the CLI enters the others in sys.modules
+# too, but a lazily loaded module runs only once an attribute of it is read
+_RAN_BY_COMMAND = """
+import json, sys, types
+from borderrank import cli
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(
+    name.removeprefix("borderrank.") for name, module in sys.modules.items()
+    if name.startswith("borderrank.") and type(module) is types.ModuleType
+)))
+"""
+MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+
+
+@pytest.mark.parametrize(
+    "argv, not_run",
+    [
+        (["macaulay", "--r", "15", "--d", "3"], MODULES - {"cli", "errors", "macaulay"}),
+        (["bounds", "mono-222.json"], {"ideals", "movefit"}),
+        (["bounds", "minrank-3x3x3.json"], {"ideals", "movefit"}),
+        (["search", "mono-222.json", "--r", "7"], {"bounds", "macaulay"}),
+        (["verify", "ideal-tangent-p3.json", "mono-31-p3.json", "--r", "2"],
+         {"bounds", "macaulay"}),
+        (["verify", "ideal-minrank-3x3x3.json", "minrank-3x3x3.json", "--r", "3"],
+         {"bounds", "macaulay"}),
+    ],
+    ids=["macaulay", "bounds", "bounds-tensor", "search", "verify", "verify-graded"],
+)
+def test_each_command_runs_only_the_modules_it_reads(tmp_path, argv, not_run):
+    argv = [str(PACKAGE / "corpus" / a) if a.endswith(".json") else a for a in argv]
+    output = ["--output", str(tmp_path / "document.json")]
+    ran = set(json.loads(_fresh("-c", _RAN_BY_COMMAND, *argv, *output)))
+    assert {"cli", "errors"} <= ran <= MODULES
+    assert ran & not_run == set()
+
+
+def test_cli_keeps_the_modules_imported_before_it():
+    # a second `borderrank.movefit` beside the first would break pickling by
+    # reference, and the classes the modules share would differ
+    code = """
+import sys
+import borderrank, borderrank.ring, borderrank.movefit
+before = {n: m for n, m in sys.modules.items() if n.startswith("borderrank.")}
+from borderrank import cli
+names = ["ring", "linalg", "macaulay", "apolarity", "ideals", "bounds", "movefit"]
+print([n for n in names if not (
+    before.get("borderrank." + n, getattr(cli, n)) is getattr(cli, n)
+    is sys.modules["borderrank." + n] is getattr(borderrank, n)
+)])
+print(cli.movefit.MonomialIdeal is cli.ideals.MonomialIdeal)
+print(cli.bounds.Monomial is cli.ring.Monomial)
+"""
+    assert _fresh("-c", code).splitlines() == ["[]", "True", "True"]

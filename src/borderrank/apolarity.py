@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .errors import ParseError, PreconditionError, ShapeMismatchError
+from .errors import PreconditionError, ShapeMismatchError
 from .ring import (
     FactorShape,
     Monomial,
@@ -28,10 +28,8 @@ from .ring import (
     degree_le,
     degree_sub,
     enumerate_monomials,
-    monomial_from_json,
     piece_dimension,
     product_table,
-    shape_from_json,
 )
 
 # A polynomial is a dict {Monomial: Fraction}; zero coefficients are dropped.
@@ -236,30 +234,22 @@ def catalecticant_lower_bound(F: Tensor) -> int:
 # JSON format
 # ---------------------------------------------------------------------------
 
+def poly_from_json(terms) -> Poly:
+    """The polynomial of a list of {exp, num, den} terms, repeated monomials
+    summed.  Precondition: the terms passed their document's schema."""
+    poly = {}
+    for term in terms:
+        m = Monomial(term["exp"])
+        poly[m] = poly.get(m, 0) + Fraction(int(term["num"]), int(term["den"]))
+    return poly
+
+
 def tensor_from_json(data: dict) -> Tensor:
-    try:
-        shape_list = data["shape"]
-        degree = tuple(data["degree"])
-        convention = data.get("convention", "divided")
-        raw_terms = data["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"tensor JSON missing field: {exc}") from exc
-    if convention not in ("divided", "plain"):
-        raise ParseError(f"unknown coefficient convention {convention!r}")
-    shape = shape_from_json(shape_list)
-    coeffs = {}
-    for term in raw_terms:
-        try:
-            mon = monomial_from_json({"exponents": term["exp"]})
-            coeff = Fraction(int(term["num"]), int(term["den"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad tensor term {term!r}: {exc}") from exc
-        if convention == "plain":
-            # ordinary monomial x^a equals (prod a_i!) times the divided power x^(a)
-            for e in mon.flat():
-                coeff *= math.factorial(e)
-        coeffs[mon] = coeffs.get(mon, Fraction(0)) + coeff
-    try:
-        return Tensor(shape, degree, coeffs, allow_zero=True)
-    except (PreconditionError, ShapeMismatchError) as exc:
-        raise ParseError(str(exc)) from exc
+    """The tensor of a document.  Precondition: it passed tensor.schema.json;
+    the constructor still checks that its terms fit its shape and degree."""
+    coeffs = poly_from_json(data["terms"])
+    if data["convention"] == "plain":
+        # ordinary monomial x^a equals (prod a_i!) times the divided power x^(a)
+        for m in coeffs:
+            coeffs[m] *= math.prod(map(math.factorial, m.flat()))
+    return Tensor(FactorShape(data["shape"]), data["degree"], coeffs, allow_zero=True)

@@ -76,20 +76,6 @@ def _load_schema(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def _load_json_file(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}")
-
-
 # The shipped schemas are the single source of truth for input documents.  Their
 # keywords keep their draft 2020-12 meaning and `jsonschema`'s visiting order;
 # any other keyword, or other form of one, is refused, so no edit goes unseen.
@@ -168,16 +154,34 @@ def _validate(data: dict, schema_name: str, path: str) -> None:
         raise ParseError(f"{path} fails {schema_name} at {where}: {first[1]}")
 
 
+def _load(path: str, schema_name: str, parse):
+    """The one input check: the document at path, validated against its
+    schema and built by parse.  A document that fits its schema but not its
+    own shape or degree, which only the constructors see, is a parse error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}")
+    _validate(data, schema_name, path)
+    try:
+        return parse(data)
+    except (PreconditionError, ShapeMismatchError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def load_tensor(path: str) -> apolarity.Tensor:
-    data = _load_json_file(path)
-    _validate(data, "tensor.schema.json", path)
-    return apolarity.tensor_from_json(data)
+    return _load(path, "tensor.schema.json", apolarity.tensor_from_json)
 
 
 def load_ideal(path: str):
-    data = _load_json_file(path)
-    _validate(data, "ideal.schema.json", path)
-    return ideals.ideal_from_json(data)
+    return _load(path, "ideal.schema.json", ideals.ideal_from_json)
 
 
 def _tensor_text(F: apolarity.Tensor) -> str:
@@ -186,6 +190,15 @@ def _tensor_text(F: apolarity.Tensor) -> str:
         prefix = "" if coeff == 1 else f"({coeff})*"
         parts.append(prefix + ring.monomial_to_text(mon))
     return " + ".join(parts) if parts else "0"
+
+
+def _check_output(output: str | None) -> None:
+    """Refuse an --output path that cannot be written before the work, not after."""
+    parent = os.path.dirname(output or "") or "."
+    if output and os.path.isdir(output):
+        raise ParseError(f"cannot write --output {output}: it is a directory")
+    if output and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ParseError(f"cannot write --output {output}: no writable directory {parent}")
 
 
 def _emit(document: dict, output: str | None) -> None:
@@ -202,12 +215,13 @@ def _emit(document: dict, output: str | None) -> None:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     F = load_tensor(args.tensor)
+    text = _tensor_text(F)  # a tensor the text format cannot name stops here
     report = bounds.bounds_report(F)
     _emit(
         {
             "command": "bounds",
             "input": args.tensor,
-            "tensor": _tensor_text(F),
+            "tensor": text,
             "shape": list(F.shape.factors),
             "degree": list(F.degree),
             "report": report._asdict(),
@@ -226,11 +240,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         node_budget=args.budget,
     )
     F = load_tensor(args.tensor)
+    text = _tensor_text(F)
     outcome = movefit.search(F, config)
     document = {
         "command": "search",
         "input": args.tensor,
-        "tensor": _tensor_text(F),
+        "tensor": text,
         "shape": list(F.shape.factors),
         "config": {**config._asdict(), "horizon": outcome.horizon},
         "outcome": {
@@ -254,13 +269,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     I = load_ideal(args.ideal)
     F = load_tensor(args.tensor)
+    text = _tensor_text(F)
     report = movefit.verify_candidate(I, F, args.r, args.horizon)
     _emit(
         {
             "command": "verify",
             "input": args.ideal,
             "tensor_input": args.tensor,
-            "tensor": _tensor_text(F),
+            "tensor": text,
             "shape": list(F.shape.factors),
             "report": report._asdict(),
         },
@@ -476,6 +492,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args.output)
         return _DISPATCH[args.command](args)
     except ParseError as exc:
         _print_error(type(exc).__name__, str(exc), EXIT_PARSE)

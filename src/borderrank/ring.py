@@ -25,7 +25,7 @@ from itertools import product as iter_product
 from types import MappingProxyType
 from typing import Sequence
 
-from .errors import ParseError, ShapeMismatchError
+from .errors import PreconditionError, ShapeMismatchError
 
 # A multidegree is an element of Pic(X) = Z^w, stored as a plain tuple.
 MultiDegree = tuple  # tuple[int, ...]
@@ -276,13 +276,15 @@ def product_table(shape: FactorShape, D: Sequence[int], E: Sequence[int]) -> tup
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON formats
+# Text format
 # ---------------------------------------------------------------------------
 
 def monomial_to_text(m: Monomial) -> str:
     """Render like `a0^2*a1|b0^3`; factors separated by `|`, trivial factor `1`."""
     if len(m.exponents) > len(_BLOCK_LETTERS):
-        raise ValueError("text format supports at most 26 factors")
+        raise PreconditionError(
+            f"the text format names at most 26 factors, got {len(m.exponents)}"
+        )
     segments = []
     for j, block in enumerate(m.exponents):
         letter = _BLOCK_LETTERS[j]
@@ -294,26 +296,3 @@ def monomial_to_text(m: Monomial) -> str:
                 parts.append(f"{letter}{i}^{e}")
         segments.append("*".join(parts) if parts else "1")
     return "|".join(segments)
-
-
-def monomial_to_json(m: Monomial) -> dict:
-    return {"exponents": [list(block) for block in m.exponents]}
-
-
-def monomial_from_json(data: dict) -> Monomial:
-    if not isinstance(data, dict) or "exponents" not in data:
-        raise ParseError(f"monomial JSON needs an 'exponents' key, got {data!r}")
-    try:
-        return Monomial(data["exponents"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad monomial JSON {data!r}: {exc}") from exc
-
-
-def shape_from_json(data) -> FactorShape:
-    """The shape of a tensor or ideal document: a non-empty list of integers
-    >= 0.  Point factors (0) are accepted, as the schemas allow them."""
-    if not isinstance(data, (list, tuple)) or not data or not all(
-        type(a) in (int, float) and a >= 0 and a % 1 == 0 for a in data
-    ):
-        raise ParseError(f"shape must be a non-empty list of integers >= 0: {data!r}")
-    return FactorShape(data)

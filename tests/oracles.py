@@ -37,7 +37,6 @@ from borderrank.ring import (
     degree_is_effective,
     degree_sub,
     enumerate_monomials,
-    monomial_to_json,
     positions,
     product_table,
 )
@@ -190,7 +189,7 @@ def tensor_to_json(F: Tensor) -> dict:
     for mon, coeff in F.terms():
         terms.append(
             {
-                "exp": monomial_to_json(mon)["exponents"],
+                "exp": list(map(list, mon.exponents)),
                 "num": str(coeff.numerator),
                 "den": str(coeff.denominator),
             }
@@ -212,7 +211,7 @@ def graded_ideal_to_json(I: GradedIdeal) -> dict:
     for degree, poly in I.generators:
         terms = [
             {
-                "exp": monomial_to_json(m)["exponents"],
+                "exp": list(map(list, m.exponents)),
                 "num": str(c.numerator),
                 "den": str(c.denominator),
             }

@@ -19,7 +19,7 @@ from borderrank.apolarity import (
     monomial_catalecticant_rank,
     tensor_from_json,
 )
-from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
+from borderrank.errors import PreconditionError, ShapeMismatchError
 from borderrank.ring import (
     FactorShape,
     Monomial,
@@ -309,26 +309,3 @@ def test_tensor_json_plain_convention():
     }
     F = tensor_from_json(data)
     assert F.coefficient(Monomial([(2, 1)])) == 2
-
-
-def test_tensor_json_errors():
-    with pytest.raises(ParseError):
-        tensor_from_json({"shape": [1], "degree": [1]})  # missing terms
-    with pytest.raises(ParseError):
-        tensor_from_json(
-            {
-                "shape": [1],
-                "degree": [1],
-                "convention": "weird",
-                "terms": [],
-            }
-        )
-    with pytest.raises(ParseError):
-        tensor_from_json(
-            {
-                "shape": [1],
-                "degree": [1],
-                "convention": "divided",
-                "terms": [{"exp": [[1, 0]], "num": "1", "den": "0"}],
-            }
-        )

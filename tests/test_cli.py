@@ -631,6 +631,53 @@ def test_schema_violation_is_parse_error(tmp_path, capsys):
     assert "tensor.schema.json" in message
 
 
+def test_tensor_json_errors(tmp_path, capsys):
+    # the schema refuses each before a tensor is built
+    for document, where in [
+        ({"shape": [1], "degree": [1]}, "(root): 'convention' is a required property"),
+        (
+            {"shape": [1], "degree": [1], "convention": "weird", "terms": []},
+            "convention: 'weird' is not one of ['divided', 'plain']",
+        ),
+        (
+            _tensor_with(terms=[{"exp": [[1, 0]], "num": "1", "den": "0"}]),
+            "terms/0/den: '0' does not match '^[1-9][0-9]*$'",
+        ),
+    ]:
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "bounds", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert json.loads(err)["error"] == {
+            "type": "ParseError",
+            "message": f"{path} fails tensor.schema.json at {where}",
+        }
+
+
+def test_ideal_json_errors(tmp_path, capsys):
+    # the schema refuses each before an ideal is built; behind its oneOf,
+    # the failure is reported at the root
+    for document in [
+        {"monomial_generators": []},
+        {"shape": [2]},
+        {
+            "shape": [1],
+            "generators": [{"degree": [1], "terms": [{"exp": [[1, 0]], "num": "1"}]}],
+        },
+    ]:
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(
+            capsys, "verify", str(path), corpus("mono-21.json"), "--r", "2"
+        )
+        assert (code, out) == (EXIT_PARSE, "")
+        assert json.loads(err)["error"] == {
+            "type": "ParseError",
+            "message": f"{path} fails ideal.schema.json at (root): {document!r} is not "
+            "valid under any of the given schemas",
+        }
+
+
 # ---------------------------------------------------------------------------
 # In-tree input validation, against jsonschema
 # ---------------------------------------------------------------------------
@@ -744,6 +791,130 @@ def test_validator_refuses_unknown_keywords(monkeypatch):
     monkeypatch.setattr("borderrank.cli._load_schema", lambda name: schema)
     with pytest.raises(BorderRankError, match="maxItems"):
         _validate(_TENSOR, "tensor.schema.json", "t")
+
+
+def _graded(degree, *terms):
+    """An ideal on P^1 with one generator tagged degree, of (exp, num) terms."""
+    terms = [{"exp": exp, "num": num, "den": "1"} for exp, num in terms]
+    return {"shape": [1], "generators": [{"degree": degree, "terms": terms}]}
+
+
+# documents that fit their schema but not their own shape or degree: only the
+# constructors see these, and the CLI reports their refusal as a parse error
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            _tensor_with(terms=[{"exp": [[1, 1, 0]], "num": "1", "den": "1"}]),
+            "term Monomial(exponents=((1, 1, 0),)) does not fit shape (1,)",
+        ),
+        (
+            _tensor_with(degree=[2, 0]),
+            "multidegree (2, 0) has 2 entries, shape (1,) has 1 factors",
+        ),
+        (
+            _tensor_with(degree=[3]),
+            "term Monomial(exponents=((1, 1),)) has degree (2,), tensor degree is (3,)",
+        ),
+        (_graded([1], ([[1, 0]], "0")), "zero polynomial cannot be an ideal generator"),
+        (
+            _graded([1], ([[1, 0]], "1"), ([[2, 0]], "1")),
+            "inhomogeneous polynomial with degrees {(1,), (2,)}",
+        ),
+        (
+            _graded([2], ([[1, 0]], "1")),
+            "generator tagged (2,) but is homogeneous of (1,)",
+        ),
+        (
+            _graded([1, 0], ([[1, 0]], "1")),
+            "multidegree (1, 0) has 2 entries, shape (1,) has 1 factors",
+        ),
+    ],
+    ids=[
+        "term-off-shape",
+        "degree-length",
+        "term-degree",
+        "zero-generator",
+        "inhomogeneous-generator",
+        "generator-tag",
+        "generator-tag-length",
+    ],
+)
+def test_schema_valid_faults_are_parse_errors(tmp_path, capsys, document, message):
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    if "generators" in document:
+        argv = ["verify", str(path), corpus("mono-21.json"), "--r", "2"]
+    else:
+        argv = ["bounds", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == json.dumps(
+        {"error": {"type": "ParseError", "message": message}, "exit_code": EXIT_PARSE}
+    ) + "\n"
+
+
+def _floated(value):
+    """value with every int in it written as a float, as JSON allows."""
+    if isinstance(value, dict):
+        return {key: _floated(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_floated(item) for item in value]
+    return float(value) if type(value) is int else value
+
+
+@pytest.mark.parametrize(
+    "ideal, tensor",
+    [("ideal-tangent-p3.json", "mono-31-p3.json"), ("ideal-cubic-p4.json", "cubic-p4.json")],
+    ids=["monomial", "graded"],
+)
+def test_integral_floats_give_the_integer_documents(tmp_path, capsys, ideal, tensor):
+    # the schema admits 2.0 where it asks for an integer, and the parsers
+    # trust it: the constructors' int() make the documents the integer form's
+    def documents(transform):
+        paths = []
+        for name in (ideal, tensor):
+            with open(corpus(name)) as fh:
+                paths.append(tmp_path / f"{transform.__name__}-{name}")
+                paths[-1].write_text(json.dumps(transform(json.load(fh))))
+        out = []
+        for argv in (["bounds", str(paths[1])], ["verify", *map(str, paths), "--r", "5"]):
+            code, text, _ = run_cli(capsys, *argv)
+            assert code == EXIT_OK
+            document = parse_and_check(text)
+            out.append({k: v for k, v in document.items() if "input" not in k})
+        return out
+
+    floated = documents(_floated)
+    for name in (ideal, tensor):
+        shape = json.loads((tmp_path / f"_floated-{name}").read_text())["shape"]
+        assert type(shape[0]) is float
+    assert floated == documents(copy.deepcopy)
+
+
+@pytest.mark.parametrize("command", ["bounds", "search", "verify"])
+def test_more_factors_than_the_text_format_names_is_precondition(tmp_path, command):
+    # the schema admits any number of factors, but documents name them a..z;
+    # a 27th is refused before the work, which on verify runs over a minute
+    tensor, ideal = tmp_path / "tensor.json", tmp_path / "ideal.json"
+    tensor.write_text(json.dumps({
+        "shape": [1] * 27,
+        "degree": [1] * 27,
+        "convention": "divided",
+        "terms": [{"exp": [[1, 0]] * 27, "num": "1", "den": "1"}],
+    }))
+    ideal.write_text(json.dumps({"shape": [1] * 27, "monomial_generators": [[[0, 1]] * 27]}))
+    argv = {
+        "bounds": ["bounds", str(tensor)],
+        "search": ["search", str(tensor), "--r", "2", "--horizon", "1"],
+        "verify": ["verify", str(ideal), str(tensor), "--r", "2", "--horizon", "1"],
+    }[command]
+    done = cli_process(*argv, timeout=30)
+    assert (done.returncode, done.stdout) == (EXIT_PRECONDITION, "")
+    assert json.loads(done.stderr)["error"] == {
+        "type": "PreconditionError",
+        "message": "the text format names at most 26 factors, got 27",
+    }
 
 
 def _dense_tensor(shape, degree, coefficients):
@@ -867,6 +1038,26 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     document = parse_and_check(target.read_text())
     assert document["decomposition"]["exponent"] == 22
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unusable_output_is_parse_error_before_the_work(tmp_path, capsys, monkeypatch, where):
+    # refused before the command works, so no result is computed only to be lost
+    def work(*args):
+        raise AssertionError("the command worked before it checked --output")
+
+    monkeypatch.setattr("borderrank.bounds.bounds_report", work)
+    if where == "directory":
+        target, why = tmp_path, "it is a directory"
+    else:
+        target = tmp_path / "missing" / "report.json"
+        why = f"no writable directory {tmp_path / 'missing'}"
+    code, out, err = run_cli(capsys, "bounds", corpus("mono-21.json"), "--output", str(target))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert json.loads(err)["error"] == {
+        "type": "ParseError",
+        "message": f"cannot write --output {target}: {why}",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Monomial and graded ideals: pieces, colon, saturation, apolar containment."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from borderrank.apolarity import (
     apolar_piece,
     tensor_from_json,
 )
-from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
+from borderrank.cli import _corpus_path, main
+from borderrank.errors import EXIT_PARSE, PreconditionError, ShapeMismatchError
 from borderrank.ideals import (
     GradedIdeal,
     MonomialIdeal,
@@ -358,33 +360,32 @@ def test_graded_ideal_json_round_trip():
         ideal_to_json(J)
 
 
-def test_ideal_json_errors():
-    with pytest.raises(ParseError):
-        ideal_from_json({"monomial_generators": []})  # missing shape
-    with pytest.raises(ParseError):
-        ideal_from_json({"shape": [2]})  # neither generator key
-    with pytest.raises(ParseError):
-        ideal_from_json(
-            {
-                "shape": [1],
-                "generators": [
-                    {"degree": [1], "terms": [{"exp": [[1, 0]], "num": "1"}]}
-                ],
-            }
-        )
-
-
 @pytest.mark.parametrize("bad", [[-1], [], "ab", [1.5], [True], 3, None])
-def test_bad_shapes_are_parse_errors(bad):
-    # tensor and ideal documents share one shape parser
-    with pytest.raises(ParseError):
-        ideal_from_json({"shape": bad, "monomial_generators": []})
-    with pytest.raises(ParseError):
-        tensor_from_json({"shape": bad, "degree": [1], "terms": []})
+def test_bad_shapes_are_parse_errors(tmp_path, capsys, bad):
+    # the schemas refuse a bad shape in tensor and ideal documents alike,
+    # before the CLI builds anything from them
+    tensor, ideal = tmp_path / "tensor.json", tmp_path / "ideal.json"
+    tensor.write_text(
+        json.dumps({"shape": bad, "degree": [1], "convention": "divided", "terms": []})
+    )
+    ideal.write_text(json.dumps({"shape": bad, "monomial_generators": []}))
+    mono21 = _corpus_path("mono-21.json")
+    for argv, schema in [
+        (["bounds", str(tensor)], "tensor.schema.json"),
+        (["verify", str(ideal), mono21, "--r", "2"], "ideal.schema.json"),
+    ]:
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ParseError"
+        assert f" fails {schema} at " in error["message"]
 
 
 def test_point_factor_shapes_parse():
     # the schemas allow P^0 factors
     I = ideal_from_json({"shape": [2, 0], "monomial_generators": []})
-    F = tensor_from_json({"shape": [2, 0], "degree": [1, 0], "terms": []})
+    F = tensor_from_json(
+        {"shape": [2, 0], "degree": [1, 0], "convention": "divided", "terms": []}
+    )
     assert I.shape.factors == F.shape.factors == (2, 0)

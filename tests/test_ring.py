@@ -18,8 +18,6 @@ from borderrank.ring import (
     degree_sub,
     degrees_up_to,
     enumerate_monomials,
-    monomial_from_json,
-    monomial_to_json,
     monomial_to_text,
     piece_dimension,
 )
@@ -239,15 +237,6 @@ def test_text_parse_errors():
         monomial_from_text(shape, "a5|1")  # index out of range
     with pytest.raises(ParseError):
         monomial_from_text(shape, "a0^|1")  # malformed power
-
-
-def test_json_round_trip():
-    m = Monomial([(2, 0, 1), (0, 3)])
-    assert monomial_from_json(monomial_to_json(m)) == m
-    with pytest.raises(ParseError):
-        monomial_from_json({"nope": 1})
-    with pytest.raises(ParseError):
-        monomial_from_json({"exponents": [[-1]]})
 
 
 # ---------------------------------------------------------------------------

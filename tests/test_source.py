@@ -100,6 +100,31 @@ def test_package_names_have_package_callers():
     assert not unreached, "no caller in src/: " + ", ".join(unreached)
 
 
+def test_only_the_cli_decides_what_is_a_parse_error():
+    # the schema is the one structural check on an input document: the
+    # parsers build what it accepted, with no check of their own, and the
+    # CLI alone turns a constructor's refusal into a parse error
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, text in sources.items() if "ParseError" in text] == [
+        "cli.py",
+        "errors.py",
+    ]
+    gone = ("shape_from_json", "monomial_from_json", "monomial_to_json")
+    assert [name for name in gone if any(name in text for text in sources.values())] == []
+    parsers = [
+        node
+        for name in ("apolarity.py", "ideals.py")
+        for node in ast.walk(ast.parse(sources[name]))
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_from_json")
+    ]
+    assert sorted(node.name for node in parsers) == [
+        "ideal_from_json",
+        "poly_from_json",
+        "tensor_from_json",
+    ]
+    assert not any(isinstance(node, ast.Try) for p in parsers for node in ast.walk(p))
+
+
 def test_package_imports_only_the_standard_library():
     # the CLI installs with no runtime dependency: `jsonschema` belongs to
     # the test extra, and the package validates its inputs itself

@@ -2,8 +2,9 @@
 
 MonomialIdeal keeps a minimal generating set and supports the exact
 combinatorial operations (pieces, intersection, saturation against the
-irrelevant ideal).  GradedIdeal is a list of homogeneous generators with
-degree tags; its graded pieces are computed per degree by exact row
+irrelevant ideal one factor at a time, containment in an apolar ideal read
+off the tensor's support).  GradedIdeal is a list of homogeneous generators
+with degree tags; its graded pieces are computed per degree by exact row
 reduction, with no Gröbner machinery, and each reduced piece is kept on the
 ideal.
 
@@ -15,6 +16,7 @@ saturated, while finding none is inconclusive.
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 
@@ -186,28 +188,29 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def saturate(I: MonomialIdeal) -> MonomialIdeal:
-    """(I : B^∞), the smallest saturated ideal containing I, in one pass.
+    """(I : B^∞), the smallest saturated ideal containing I.
 
-    B is generated by the monomials b of degree (1, ..., 1), one variable
-    from each factor, and (I : B^∞) is the intersection of the (I : b^∞).
-    Those are generated by the generators of I with the exponents of the
-    variables of b set to zero."""
-    result = None
-    for b in enumerate_monomials(I.shape, (1,) * I.shape.num_factors):
-        piece = MonomialIdeal(
-            I.shape,
+    B is the product of the irrelevant ideals m_j of the factors, so
+    (I : B^∞) = ((I : m_1^∞) ... : m_w^∞), and (I : m_j^∞) is the
+    intersection of the (I : x^∞) over the variables x of factor j, each
+    generated by the generators of I with the exponent of x set to zero:
+    one colon per variable, not one per monomial of degree (1, ..., 1)."""
+    for j, a in enumerate(I.shape.factors):
+        I = functools.reduce(
+            intersect,
             [
-                Monomial(
-                    tuple(
-                        tuple(0 if f else e for e, f in zip(gb, bb))
-                        for gb, bb in zip(g.exponents, b.exponents)
-                    )
-                )
-                for g in I.generators
+                MonomialIdeal(I.shape, [_without(g, j, i) for g in I.generators])
+                for i in range(a + 1)
             ],
         )
-        result = piece if result is None else intersect(result, piece)
-    return result
+    return I
+
+
+def _without(g: Monomial, j: int, i: int) -> Monomial:
+    """g with the exponent of variable i of factor j set to zero."""
+    blocks = list(g.exponents)
+    blocks[j] = blocks[j][:i] + (0,) + blocks[j][i + 1 :]
+    return Monomial(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +218,19 @@ def saturate(I: MonomialIdeal) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 def contained_in_apolar(I, F: Tensor) -> bool:
-    """I ⊆ F^⊥, decided degreewise at L = deg F.
-
-    Containment of a homogeneous ideal in F^⊥ only needs checking in degree
-    L: lower-degree elements annihilate F iff all their degree-L multiples
-    do, and generators of degree not <= L annihilate F outright because
-    nothing of degree L minus theirs survives in the dual.
-    """
+    """I ⊆ F^⊥.  A monomial m sends F to Σ_{m | a} c_a x^(a - m) over the
+    support of F, whose terms are distinct, so a monomial ideal lies in F^⊥
+    iff no generator divides a monomial of the support.  A graded ideal is
+    checked in degree L = deg F: lower-degree elements annihilate F iff
+    all their degree-L multiples do, and generators of degree not <= L
+    annihilate F outright, as nothing of degree L minus theirs survives."""
     if not isinstance(I, (MonomialIdeal, GradedIdeal)):
         raise PreconditionError(f"unsupported ideal type {type(I).__name__}")
     if I.shape != F.shape:
         raise ShapeMismatchError("ideal and tensor shapes differ")
-    L = F.degree
     if isinstance(I, MonomialIdeal):
-        return all(F.coefficient(m) == 0 for m in monomial_piece(I, L))
+        return not any(g.divides(m) for m, _ in F.terms() for g in I.generators)
+    L = F.degree
     values = linalg.integral([F.coefficient(m) for m in enumerate_monomials(F.shape, L)])
     return not any(sum(map(operator.mul, row, values)) for row in I.piece_rows(L))
 

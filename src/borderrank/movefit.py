@@ -57,15 +57,9 @@ import sys
 from time import perf_counter
 from typing import NamedTuple
 
+from . import ideals
 from .apolarity import Tensor, monomial_catalecticant_rank
 from .errors import PreconditionError, ShapeMismatchError
-from .ideals import (
-    MonomialIdeal,
-    contained_in_apolar,
-    hilbert_function,
-    saturate,
-    saturation_defect,
-)
 from .ring import (
     FactorShape,
     Monomial,
@@ -135,7 +129,7 @@ class SearchOutcome(NamedTuple):
     status: str  # Exhausted | Found | BudgetExceeded
     r: int
     horizon: int
-    candidate: MonomialIdeal | None
+    candidate: ideals.MonomialIdeal | None
     candidate_pieces: dict | None  # MultiDegree -> tuple[Monomial, ...]
     note: str
     statistics: SearchStatistics
@@ -249,14 +243,22 @@ class _Plan:
 
     def shift_table(self, k, u):
         """table[p]: the mask of the products of monomial p of degree k with
-        every monomial of degree u - k, built on the first call."""
+        every monomial of degree u - k, u one or two degrees higher, built on
+        the first call.  Two degrees up, the shifts into a degree t between
+        are shifted into u again: every monomial of degree u - k is a
+        variable of degree t - k times one of degree u - t."""
         table = self.shifts.get((k, u))
         if table is None:
-            d = self.degrees[k]
-            products = product_table(self.shape, d, degree_sub(self.degrees[u], d))
-            # distinct monomials of S_{u-k} give distinct products, so the
-            # sum of their bits is their union
-            table = self.shifts[k, u] = [sum(1 << x for x in c) for c in zip(*products)]
+            if u in self.higher[k]:
+                d = self.degrees[k]
+                products = product_table(self.shape, d, degree_sub(self.degrees[u], d))
+                # distinct monomials of S_{u-k} give distinct products, so the
+                # sum of their bits is their union
+                table = [sum(1 << x for x in c) for c in zip(*products)]
+            else:
+                t = next(t for t in self.higher[k] if u in self.higher[t])
+                table = [_image(m, self.shift_table(t, u)) for m in self.shift_table(k, t)]
+            self.shifts[k, u] = table
         return table
 
     def level(self, k):
@@ -813,10 +815,10 @@ def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
 
     rows = []
     hilbert_ok = True
-    sat_I = saturate(I) if isinstance(I, MonomialIdeal) else None
+    sat_I = ideals.saturate(I) if isinstance(I, ideals.MonomialIdeal) else None
     for D in degrees_up_to(F.shape.num_factors, horizon):
         dim_s = piece_dimension(F.shape, D)
-        dim_ideal, dim_quotient = hilbert_function(I, D)
+        dim_ideal, dim_quotient = ideals.hilbert_function(I, D)
         required_quotient = generic_hilbert(r, F.shape, D)
         row = {
             "degree": list(D),
@@ -828,16 +830,16 @@ def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
             "ok": dim_quotient == required_quotient,
         }
         if sat_I is not None:
-            row["saturation_quotient"] = hilbert_function(sat_I, D)[1]
+            row["saturation_quotient"] = ideals.hilbert_function(sat_I, D)[1]
         hilbert_ok = hilbert_ok and row["ok"]
         rows.append(row)
 
-    containment = contained_in_apolar(I, F)
+    containment = ideals.contained_in_apolar(I, F)
 
-    if isinstance(I, MonomialIdeal):
+    if isinstance(I, ideals.MonomialIdeal):
         saturation = {"kind": "exact", "saturated": sat_I == I}
     else:
-        defect = saturation_defect(I, max_total_degree=horizon)
+        defect = ideals.saturation_defect(I, max_total_degree=horizon)
         saturation = {
             "kind": "degreewise-probe",
             "saturated": False if defect is not None else None,
@@ -932,7 +934,7 @@ def search(F: Tensor, config: SearchConfig) -> SearchOutcome:
                 )
             )
         monomials = [m for piece in candidate_pieces.values() for m in piece]
-        candidate = MonomialIdeal(F.shape, monomials)
+        candidate = ideals.MonomialIdeal(F.shape, monomials)
         note = FOUND_NOTE
     elif status == EXHAUSTED:
         note = (

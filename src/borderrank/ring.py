@@ -8,7 +8,8 @@ vector.  This module holds the purely combinatorial layer: shapes,
 multidegrees, monomials, graded-piece dimensions and enumeration, and the
 grevlex order used everywhere downstream.  It is also the one place that
 decides where a monomial, or a product of two, sits in a grevlex basis
-(positions, product_table); the other modules read those tables.
+(positions, product_table); the other modules read those tables.  A basis
+is built as flat exponent tuples in order, never as Monomials to sort.
 
 Variable order is factor-major: all variables of factor 0 first, then
 factor 1, and so on.  Nothing in the mathematics forces a cross-factor
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Sequence
 
@@ -230,14 +231,16 @@ def _effective_degree(shape: FactorShape, D: Sequence[int]) -> MultiDegree:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(factors: tuple, D: tuple) -> tuple:
-    block_choices = [_compositions(d, a + 1) for a, d in zip(factors, D)]
-    mons = [Monomial(blocks) for blocks in iter_product(*block_choices)]
-    mons.sort(key=Monomial.grevlex_key)
-    return tuple(mons)
+    cuts = list(accumulate((a + 1 for a in factors), initial=0))
+    return tuple(
+        Monomial([f[i:j] for i, j in zip(cuts, cuts[1:])])
+        for f in _positions_cached(factors, D)
+    )
 
 
 def enumerate_monomials(shape: FactorShape, D: Sequence[int]) -> tuple:
-    """All monomials of multidegree D, sorted descending in grevlex.
+    """All monomials of multidegree D, descending in grevlex: the basis that
+    positions and product_table index, as Monomials.
 
     The result length always equals piece_dimension(shape, D).
     """
@@ -246,8 +249,12 @@ def enumerate_monomials(shape: FactorShape, D: Sequence[int]) -> tuple:
 
 @lru_cache(maxsize=None)
 def _positions_cached(factors: tuple, D: tuple) -> MappingProxyType:
-    mons = _enumerate_cached(factors, D)
-    return MappingProxyType({m.flat(): p for p, m in enumerate(mons)})
+    # descending grevlex at one total degree ascends in the reversed tuple: the last
+    # block varies slowest, each through the reversals of the (lex) _compositions
+    basis = [()]
+    for a, d in zip(factors, D):
+        basis = [f + c[::-1] for c in _compositions(d, a + 1) for f in basis]
+    return MappingProxyType(dict(zip(basis, range(len(basis)))))
 
 
 def positions(shape: FactorShape, D: Sequence[int]) -> MappingProxyType:
@@ -269,7 +276,7 @@ def _product_table_cached(factors: tuple, D: tuple, E: tuple) -> tuple:
 
 def product_table(shape: FactorShape, D: Sequence[int], E: Sequence[int]) -> tuple:
     """table[u][p]: the position in S_{D+E} of monomial p of S_D times
-    monomial u of S_E, all positions in the grevlex bases."""
+    monomial u of S_E, all positions in the flat grevlex bases."""
     return _product_table_cached(
         shape.factors, _effective_degree(shape, D), _effective_degree(shape, E)
     )

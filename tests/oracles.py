@@ -3,13 +3,15 @@
 None of these is reached by the CLI or by the library example in the
 README, so they live with the tests: row reduction on dense int rows, the
 hook action on tensors, the apolar ideal of a monomial by its generators,
-the tensor and graded-ideal JSON writers, minimal generator counts of
-presented ideals and of ideals known by their pieces, the minimal
-generators of a monomial ideal by pairwise division, the colon (I : m) and
-(I : B) of a monomial ideal, its saturation as the fixpoint of I -> (I : B)
-and the test for it, grevlex lex-segments, the text parser for monomials,
-single variables and products of monomials, and the move-fit piece
-enumerator without look-ahead and the entry test it is filtered by.
+the grevlex basis by sorting Monomials, containment of a monomial ideal in
+an apolar ideal by listing its degree-L piece, the tensor and graded-ideal
+JSON writers, minimal generator counts of presented ideals and of ideals
+known by their pieces, the minimal generators of a monomial ideal by
+pairwise division, the colon (I : m) and (I : B) of a monomial ideal, its
+saturation as the fixpoint of I -> (I : B) and the test for it, grevlex
+lex-segments, the text parser for monomials, single variables and products
+of monomials, and the move-fit piece enumerator without look-ahead and the
+entry test it is filtered by.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iter_product
 from math import gcd
 
 from borderrank import linalg
@@ -33,6 +36,7 @@ from borderrank.movefit import _bits, _image
 from borderrank.ring import (
     _BLOCK_LETTERS,
     FactorShape,
+    _compositions,
     Monomial,
     degree_is_effective,
     degree_sub,
@@ -86,6 +90,14 @@ def variable(shape: FactorShape, factor: int, index: int) -> Monomial:
     exps = [[0] * (a + 1) for a in shape.factors]
     exps[factor][index] = 1
     return Monomial(exps)
+
+
+def enumerate_by_sorting(shape: FactorShape, D) -> tuple:
+    """The monomials of multidegree D as ring.enumerate_monomials once built
+    them: every product of one composition per factor, as a Monomial, sorted
+    by Monomial.grevlex_key."""
+    blocks = [_compositions(d, a + 1) for a, d in zip(shape.factors, D)]
+    return tuple(sorted(map(Monomial, iter_product(*blocks)), key=Monomial.grevlex_key))
 
 
 def times(m: Monomial, n: Monomial) -> Monomial:
@@ -219,6 +231,12 @@ def graded_ideal_to_json(I: GradedIdeal) -> dict:
         ]
         gens.append({"degree": list(degree), "terms": terms})
     return {"shape": list(I.shape.factors), "generators": gens}
+
+
+def contained_in_apolar_by_listing(I: MonomialIdeal, F: Tensor) -> bool:
+    """I ⊆ F^⊥ as ideals.contained_in_apolar once decided it for a monomial
+    ideal: every monomial of I in degree L = deg F has coefficient 0 in F."""
+    return all(F.coefficient(m) == 0 for m in monomial_piece(I, F.degree))
 
 
 def piece_generator_count(shape: FactorShape, D, piece_rows) -> int:

@@ -917,6 +917,30 @@ def test_more_factors_than_the_text_format_names_is_precondition(tmp_path, comma
     }
 
 
+def test_verify_on_many_factors_saturates_factor_by_factor(tmp_path):
+    # (x_{1,1}, ..., x_{20,1}) against x_{1,0} ... x_{20,0} on twenty P^1
+    # factors: saturation takes one colon per variable, not one per monomial
+    # of degree (1, ..., 1), and containment reads the tensor's one term, not
+    # the 2^20 monomials of its degree.  It runs in about 0.2 s (2 vCPUs);
+    # the bound is 10 s
+    w = 20
+    tensor, ideal = tmp_path / "tensor.json", tmp_path / "ideal.json"
+    tensor.write_text(json.dumps({
+        "shape": [1] * w,
+        "degree": [1] * w,
+        "convention": "divided",
+        "terms": [{"exp": [[1, 0]] * w, "num": "1", "den": "1"}],
+    }))
+    gens = [[[0, 1] if j == i else [0, 0] for j in range(w)] for i in range(w)]
+    ideal.write_text(json.dumps({"shape": [1] * w, "monomial_generators": gens}))
+    done = cli_process("verify", str(ideal), str(tensor), "--r", "1", "--horizon", "1",
+                       timeout=10)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    report = parse_and_check(done.stdout)["report"]
+    assert report["containment"] is report["passed"] is True
+    assert report["saturation"] == {"kind": "exact", "saturated": True}
+
+
 def _dense_tensor(shape, degree, coefficients):
     """Every monomial of the multidegree, with cycling coefficients, in the
     form of the benchmark's dense tensors."""

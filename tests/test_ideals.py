@@ -31,6 +31,7 @@ from borderrank.ring import FactorShape, Monomial, enumerate_monomials, piece_di
 from oracles import (
     apolar_of_monomial,
     colon,
+    contained_in_apolar_by_listing,
     graded_ideal_to_json,
     is_saturated,
     minimal_generator_count,
@@ -131,7 +132,8 @@ def test_saturation_multi_factor():
 
 
 def test_saturate_matches_colon_fixpoint():
-    # one intersection of the (I : b^inf) is the fixpoint of I -> (I : B)
+    # the colons by each factor's variables, factor by factor, give the
+    # fixpoint of I -> (I : B)
     import random
 
     rng = random.Random(11)
@@ -142,6 +144,17 @@ def test_saturate_matches_colon_fixpoint():
         for _ in range(rng.randint(0, 4)):
             D = tuple(rng.randint(0, 3) for _ in shape.factors)
             gens.append(rng.choice(enumerate_monomials(shape, D)))
+        I = MonomialIdeal(shape, gens)
+        assert saturate(I) == saturate_by_colons(I), (shape.factors, gens)
+    # four to six factors, point factors among them: the factor-by-factor
+    # colons against the fixpoint of the colon by all of B at once
+    shapes = [[1, 1, 1, 1], [2, 0, 1, 1], [1, 1, 0, 1, 1], [1, 0, 1, 1, 0, 1]]
+    for _ in range(60):
+        shape = FactorShape(rng.choice(shapes))
+        gens = [
+            Monomial([[rng.randint(0, 2) for _ in range(a + 1)] for a in shape.factors])
+            for _ in range(rng.randint(0, 4))
+        ]
         I = MonomialIdeal(shape, gens)
         assert saturate(I) == saturate_by_colons(I), (shape.factors, gens)
 
@@ -216,6 +229,31 @@ def test_contained_in_apolar_monomial():
     assert contained_in_apolar(good, F)
     bad = MonomialIdeal(P2, [mono(1, 1, 0)])
     assert not contained_in_apolar(bad, F)
+
+
+def test_contained_in_apolar_matches_listing_the_piece():
+    # a monomial ideal is read against the tensor's support; the reference
+    # lists its degree-L piece and looks each monomial up in the tensor
+    import random
+
+    rng = random.Random(28)
+    shapes = [[1], [2], [0, 2], [1, 1], [2, 1], [1, 0, 1], [1, 1, 1]]
+    seen = set()
+    for _ in range(300):
+        shape = FactorShape(rng.choice(shapes))
+        L = tuple(rng.randint(0, 3) for _ in shape.factors)
+        basis = enumerate_monomials(shape, L)
+        support = rng.sample(basis, rng.randint(0, min(3, len(basis))))
+        F = Tensor(shape, L, {m: rng.choice([-2, -1, 1, 3]) for m in support}, allow_zero=True)
+        gens = [
+            Monomial([[rng.randint(0, 2) for _ in range(a + 1)] for a in shape.factors])
+            for _ in range(rng.randint(0, 4))
+        ]
+        I = MonomialIdeal(shape, gens)
+        expected = contained_in_apolar_by_listing(I, F)
+        assert contained_in_apolar(I, F) == expected, (shape.factors, L, support, gens)
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_contained_in_apolar_high_degree_generator():

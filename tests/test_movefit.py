@@ -589,6 +589,31 @@ def test_plan_tables_match_monomial_reference(factors, blocks, horizon):
 
 
 @pytest.mark.parametrize(
+    "factors, blocks",
+    [
+        ([4], [(2, 2, 1, 1, 1)]),
+        ([2, 1], [(1, 1, 0), (1, 1)]),
+        ([1, 0, 2], [(1, 1), (2,), (1, 0, 1)]),
+    ],
+)
+def test_two_degree_shifts_equal_product_table_masks(factors, blocks):
+    # a shift table two degrees up is the one-degree table into a degree
+    # between, shifted again; it must equal the masks of the products with
+    # every monomial of degree two that ring.product_table lists
+    shape = FactorShape(factors)
+    F = Tensor.monomial(shape, blocks)
+    plan = _Plan(shape, F.support_exponents(), SearchConfig(r=2))
+    twos = {(k, u) for k in range(len(plan.degrees)) for t in plan.higher[k]
+            for u in plan.higher[t]}
+    assert twos
+    for k, u in twos:
+        d = plan.degrees[k]
+        products = product_table(shape, d, tuple(y - x for x, y in zip(d, plan.degrees[u])))
+        assert plan.shift_table(k, u) == [sum(1 << row[p] for row in products)
+                                          for p in range(len(products[0]))]
+
+
+@pytest.mark.parametrize(
     "factors, blocks, horizon",
     [
         # the shapes of the two plan-table tests above

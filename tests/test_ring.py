@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,10 @@ from borderrank.ring import (
     enumerate_monomials,
     monomial_to_text,
     piece_dimension,
+    positions,
+    product_table,
 )
-from oracles import monomial_from_text, times, variable
+from oracles import enumerate_by_sorting, monomial_from_text, times, variable
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +178,22 @@ def test_enumeration_matches_dimension():
             assert m1.grevlex_key() < m2.grevlex_key()
     with pytest.raises(ValueError):
         enumerate_monomials(shape, (1, -1))
+
+
+def test_flat_bases_match_sorted_monomials():
+    # the flat bases are built in grevlex order; the reference sorts Monomials
+    rng = random.Random(28)
+    for _ in range(300):
+        shape = FactorShape([rng.randint(0, 3) for _ in range(rng.randint(1, 3))])
+        D = tuple(rng.randint(0, 3) for _ in shape.factors)
+        E = tuple(rng.randint(0, 2) for _ in shape.factors)
+        basis = enumerate_by_sorting(shape, D)
+        assert enumerate_monomials(shape, D) == basis
+        assert list(positions(shape, D)) == [m.flat() for m in basis]
+        index = {m: p for p, m in enumerate(enumerate_by_sorting(shape, degree_add(D, E)))}
+        assert product_table(shape, D, E) == tuple(
+            tuple(index[times(m, u)] for m in basis) for u in enumerate_by_sorting(shape, E)
+        )
 
 
 def test_degrees_up_to_matches_brute_force():

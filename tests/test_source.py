@@ -212,12 +212,18 @@ MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
         (["bounds", "mono-222.json"], {"ideals", "movefit"}),
         (["bounds", "minrank-3x3x3.json"], {"ideals", "movefit"}),
         (["search", "mono-222.json", "--r", "7"], {"bounds", "macaulay"}),
+        # an Exhausted search reads no ideal and reduces no row
+        (["search", "mono-2211.json", "--r", "11", "--horizon", "5"],
+         {"bounds", "macaulay", "ideals", "linalg"}),
+        # a Found one builds its candidate, a monomial ideal, but reduces no row
+        (["search", "mono-222.json", "--r", "9"], {"bounds", "macaulay", "linalg"}),
         (["verify", "ideal-tangent-p3.json", "mono-31-p3.json", "--r", "2"],
          {"bounds", "macaulay"}),
         (["verify", "ideal-minrank-3x3x3.json", "minrank-3x3x3.json", "--r", "3"],
          {"bounds", "macaulay"}),
     ],
-    ids=["macaulay", "bounds", "bounds-tensor", "search", "verify", "verify-graded"],
+    ids=["macaulay", "bounds", "bounds-tensor", "search", "search-exhausted", "search-found",
+         "verify", "verify-graded"],
 )
 def test_each_command_runs_only_the_modules_it_reads(tmp_path, argv, not_run):
     argv = [str(PACKAGE / "corpus" / a) if a.endswith(".json") else a for a in argv]
@@ -240,7 +246,7 @@ print([n for n in names if not (
     before.get("borderrank." + n, getattr(cli, n)) is getattr(cli, n)
     is sys.modules["borderrank." + n] is getattr(borderrank, n)
 )])
-print(cli.movefit.MonomialIdeal is cli.ideals.MonomialIdeal)
+print(cli.movefit.ideals is cli.ideals)
 print(cli.bounds.Monomial is cli.ring.Monomial)
 """
     assert _fresh("-c", code).splitlines() == ["[]", "True", "True"]

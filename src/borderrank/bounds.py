@@ -95,11 +95,8 @@ def disjoint_module_obstruction(F: Tensor, r: int, max_degree: int):
     n = F.shape.factors[0]
     for d in range(1, max_degree + 1):
         present = [e for e in exps if d - e - 1 >= 0]
-        if not present or any(
-            present[i] + present[j] + 2 <= d
-            for i in range(len(present))
-            for j in range(i + 1, len(present))
-        ):
+        # two modules overlap when e + e' + 2 <= d, the two smallest first
+        if not present or len(present) > 1 and sum(sorted(present)[:2]) + 2 <= d:
             continue
         dim_s, dim_perp, codim = {}, {}, {}
         for t in (d, d + 1):

@@ -84,19 +84,15 @@ class GradedIdeal:
     """An ideal presented by homogeneous generators tagged with multidegrees."""
 
     def __init__(self, shape: FactorShape, generators):
-        # generators: iterable of (degree, poly) or bare poly dicts
+        # generators: iterable of (degree, poly) pairs
         self.shape = shape
         tagged = []
-        for gen in generators:
-            if isinstance(gen, tuple):
-                degree, poly = gen
-            else:
-                degree, poly = None, gen
+        for degree, poly in generators:
             poly = {m: Fraction(c) for m, c in dict(poly).items() if Fraction(c) != 0}
             if not poly:
                 raise PreconditionError("zero polynomial cannot be an ideal generator")
             actual = poly_degree(poly)
-            if degree is not None and shape.check_degree(degree) != actual:
+            if shape.check_degree(degree) != actual:
                 raise PreconditionError(
                     f"generator tagged {tuple(degree)} but is homogeneous of {actual}"
                 )

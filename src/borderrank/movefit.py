@@ -43,8 +43,9 @@ two degrees up and passes the symmetry test, so an Exhausted run counts one
 node per orbit of fitting prefixes, whatever the order of the variables; the
 node budget counts these nodes.  At width K > 1 the walk is the same until a
 serial period is over; from then on a level with two or more pieces left
-hands them to one process pool per run in spans, each piece with the images
-fitting built for it, so a worker only assigns them.
+hands them to one process pool per run in spans, each piece with its
+images one degree up and the active permutations that fix it, so a worker
+only counts and descends them.
 """
 
 from __future__ import annotations
@@ -464,13 +465,10 @@ class _Searcher:
     def _prune(self, cause):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
 
-    def fitting(self, carried, k, act):
-        """Every piece at level k that fits and that the symmetry cut keeps,
-        with its images in the target levels, in lexicographic order of the
-        added bits.  act holds the lowest bit of the segment of each active
-        group element (see _Plan.level); while one is, G, the packed images
-        of the piece under the group, rides after the target images as one
-        more image, under a cap it never reaches.
+    def fitting(self, carried, k, active):
+        """The nodes of level k in lexicographic order of the added bits:
+        each piece that fits and that the symmetry test keeps, with its
+        images one degree up and the active elements that fix it.
 
         A piece is the mandatory set M = carried[k] plus need = req_k - |M|
         of the n free bits of the apolar mask, and fits when its image in
@@ -497,36 +495,42 @@ class _Searcher:
         completion contains forced[skips][i] (see _look_ahead), and the
         entry is cut when that already overflows a target.  At skips = 0
         the one completion is piece | rest[i], its image is exactly the
-        image so far joined to forced[0][i], and it is yielded at once: it
-        is the one piece the take-chain below the entry would yield, at the
+        image so far joined to forced[0][i], and it is taken whole: it is
+        the one piece the take-chain below the entry would reach, at the
         same point of the walk.  A monomial of degree D + E is the product
         of at most one monomial of degree D with each monomial of degree E,
         so it is hit at most dim S_E times: by one bit per variable of a
         factor one degree up, by up to dim S_{u-k} bits two degrees up.
 
         Symmetry: pieces are ordered as sets by their lowest differing bit,
-        the set that holds it being the smaller, and assign rejects a piece
-        Q with g(Q) < Q for an active g.  Every active g fixes M (see
-        descend), so segment g of G starts as M and gains g(p) with each
-        bit p taken: it is g(piece).  With A the bits taken, g(piece) ^ piece
-        is g(A) ^ A, and as many bits of A leave as g(A) brings in, so its
-        lowest bit x, if any, lies below c = free[i], under which every bit
-        is decided.  Every completion Q has the bits of the piece below c,
-        and g(Q) contains g(piece).  So when x lies in g(piece), it lies in
-        g(Q) and not in Q, and a bit y < x of g(Q) ^ Q would lie in the
-        piece and g(piece) alike or in neither, hence in g(Q) and not in Q.
-        Either way the lowest bit of g(Q) ^ Q lies in g(Q): g(Q) < Q, and
-        assign would reject every completion, so the entry is cut.  Skipping
-        a bit changes neither the piece nor G, so the test runs when a bit
-        is taken.  One test covers every segment: Y = (G ^ piece * act) |
-        guard has a set bit in each segment, Y & ~(Y - act) holds the lowest
-        one of each active segment and nothing else, and one of those that
-        lies in G cuts the entry.  The cut drops only pieces that assign
-        rejects, so the pieces it keeps come in the same order."""
+        the set that holds it being the smaller, and a whole piece Q with
+        g(Q) < Q for an active g is rejected.  Every active g fixes M (see
+        descend), so G, the images of the piece under the active elements
+        packed as in _Plan.level, starts as M in each active segment and
+        gains g(p) with each bit p taken, or with the bits of a completion:
+        segment g of G is g(piece).  The test on a whole piece reads, per
+        segment, the lowest bit of g(piece) ^ piece: in g(piece) it
+        rejects, and where the two are equal the element still fixes the
+        piece and stays active at the next level.  A partial piece is cut
+        when every completion would be rejected.  With A the bits taken,
+        g(piece) ^ piece is g(A) ^ A, and as many bits of A leave as g(A)
+        brings in, so its lowest bit x, if any, lies below c = free[i],
+        under which every bit is decided.  Every completion Q has the bits
+        of the piece below c, and g(Q) contains g(piece).  So when x lies
+        in g(piece), it lies in g(Q) and not in Q, and a bit y < x of
+        g(Q) ^ Q would lie in the piece and g(piece) alike or in neither,
+        hence in g(Q) and not in Q.  Either way g(Q) < Q, so the entry is
+        cut.  Skipping a bit changes neither the piece nor G, so the test
+        runs when a bit is taken.  One test covers every segment: Y = (G ^
+        piece * act) | guard has a set bit in each segment, Y & ~(Y - act)
+        holds the lowest one of each active segment and nothing else, and
+        one of those that lies in G rejects.  A cut drops only pieces the
+        test on whole pieces rejects, so the nodes come in the same order."""
         mask, targets, symmetry, feeds = self.plan.level(k)
         M = carried[k]
         images = [carried[t] | _image(M, table) for t, table, _ in targets]
-        for i, feed in enumerate(feeds, len(self.plan.higher[k])):
+        ups = len(self.plan.higher[k])
+        for i, feed in enumerate(feeds, ups):
             for t, table in feed:
                 images[i] |= _image(carried[t], table)
         caps = [cap for _, _, cap in targets]
@@ -538,8 +542,11 @@ class _Searcher:
         n = len(free)
         forced, rest = _look_ahead(targets, free, need) if 1 < need <= n else ((), ())
         depth = len(forced)
-        if act:
+        act = 0
+        if active:
             sym, _, guard = symmetry
+            # the lowest bit of the segment of each active element
+            act = sum(1 << g * (len(sym) + 1) for g in active)
             targets = [*targets, (None, sym, guard.bit_length())]
             images.append(M * act)
         # the entry at depth d is (i, piece, images) with d bits chosen, all
@@ -549,68 +556,62 @@ class _Searcher:
         while stack:
             i, piece, images = stack.pop()
             d = len(stack)
-            if d == need:
-                yield piece, images
-                continue
             skips = n - need + d - i  # free bits of free[i:] left out
-            if skips < 0:
-                continue  # too few free bits left
-            if skips < depth:
-                # every completion hits forced[skips][i]; with no skips left
-                # the one completion takes all of free[i:]
-                grown = list(map(operator.or_, images, forced[skips][i]))
-                if any(map(operator.gt, map(int.bit_count, grown), caps)):
-                    self._prune("mandatory_overflow")
-                    continue
-                if not skips:
-                    if act:
-                        grown.append(images[-1] | _image(rest[i], sym))
-                    yield piece | rest[i], grown
-                    continue
-            stack.append((i + 1, piece, images))
-            p = free[i]
-            grown = []
-            for (t, table, cap), img in zip(targets, images):
-                img |= table[p]
-                if img.bit_count() > cap:
-                    self._prune("mandatory_overflow")
-                    break
-                grown.append(img)
-            else:
-                taken = piece | 1 << p
-                if act:
-                    G = grown[-1]
-                    Y = G ^ taken * act | guard
-                    if Y & ~(Y - act) & G:
-                        self._prune("symmetry")
+            if d < need:
+                if skips < 0:
+                    continue  # too few free bits left
+                if skips < depth:
+                    # every completion hits forced[skips][i]
+                    grown = list(map(operator.or_, images, forced[skips][i]))
+                    if any(map(operator.gt, map(int.bit_count, grown), caps)):
+                        self._prune("mandatory_overflow")
                         continue
-                stack.append((i + 1, taken, grown))
+                if skips or not depth:  # else forced[0] gives the one completion
+                    stack.append((i + 1, piece, images))
+                    p = free[i]
+                    grown = []
+                    for (t, table, cap), img in zip(targets, images):
+                        img |= table[p]
+                        if img.bit_count() > cap:
+                            self._prune("mandatory_overflow")
+                            break
+                        grown.append(img)
+                    else:
+                        taken = piece | 1 << p
+                        if act:
+                            G = grown[-1]
+                            Y = G ^ taken * act | guard
+                            if Y & ~(Y - act) & G:
+                                self._prune("symmetry")
+                                continue
+                        stack.append((i + 1, taken, grown))
+                    continue
+                # with no skips left the one completion takes all of free[i:]
+                if act:
+                    grown.append(images[-1] | _image(rest[i], sym))
+                piece, images = piece | rest[i], grown
+            fixing = ()
+            if act:
+                G = images[-1]
+                Y = G ^ piece * act | guard
+                low = Y & ~(Y - act)
+                if low & G:
+                    self._prune("symmetry")
+                    continue
+                # shifted down by dim, a guard bit starts its segment, and
+                # no other bit of low does
+                marks = bin(low >> len(sym))[:1:-1][:: len(sym) + 1]
+                fixing = [g for g, bit in enumerate(marks) if bit == "1"]
+            yield piece, images[:ups], fixing
 
-    def assign(self, carried, act, k, piece: int, images):
-        """Apply the symmetry test to piece at level k, count it as a node,
-        and descend; returns the pieces from level k on of a Found, else
-        None.  The test is fitting's, on G = images[-1]: a segment whose
-        lowest bit of g(piece) ^ piece lies in g(piece) rejects the piece,
-        and the segments that read their guard bit, where g(piece) = piece,
-        are the elements active at the next level."""
-        symmetry = self.plan.level(k)[2]
-        active = ()
-        if act:
-            sym, _, guard = symmetry
-            G = images[-1]
-            Y = G ^ piece * act | guard
-            low = Y & ~(Y - act)
-            if low & G:
-                self._prune("symmetry")
-                return None
-            # shifted down by dim, a guard bit starts its segment, and no
-            # other bit of low does
-            marks = bin(low >> len(sym))[:1:-1][:: len(sym) + 1]
-            active = [g for g, bit in enumerate(marks) if bit == "1"]
+    def assign(self, carried, k, piece: int, images, active):
+        """Count the node piece at level k as one, carry its images one
+        degree up, and descend with the active elements that fix it;
+        returns the pieces from level k on of a Found, else None."""
         self._charge(1)
         carried = list(carried)
         for t, img in zip(self.plan.higher[k], images):
-            carried[t] = img  # the images two degrees up are not carried
+            carried[t] = img
         rest = self.descend(carried, active, k + 1)
         return None if rest is None else [piece, *rest]
 
@@ -622,19 +623,18 @@ class _Searcher:
         (k, carried[k:], active), with the nodes and prunings it spent, and
         a later entry into the same state charges those and fails at once
         (nogood recording).  This is sound because the walk below level k
-        reads nothing else.  fitting(carried, k, act) reads carried[k], the
-        carried images of its targets one and two degrees up and of the
+        reads nothing else.  fitting(carried, k, active) reads carried[k],
+        the carried images of its targets one and two degrees up and of the
         degrees between, which lie above k, the active elements and the
-        plan.  assign tests the piece at its own level against the active
-        elements, and hands the next level a copy of carried that differs
-        only at the targets one degree up.  Found pieces travel
-        back up the return path, so no level reads the pieces chosen below
-        k.  The subtree therefore repeats the same walk: the same pieces,
-        nodes, prunings and failure.  Only failures are stored, so the first
-        Found stays the leftmost one.  Charging the stored nodes at once
-        stops a budget on the node where the walk would stop, since _charge
-        clamps to budget + 1; only the prunings of that last, partial
-        subtree differ.  A stop leaves the subtrees still open unrecorded.
+        plan, and assign hands the next level a copy of carried that differs
+        only at the targets one degree up.  Found pieces travel back up the
+        return path, so no level reads the pieces chosen below k.  The
+        subtree therefore repeats the same walk: the same pieces, nodes,
+        prunings and failure.  Only failures are stored, so the first Found
+        stays the leftmost one.  Charging the stored nodes at once stops a
+        budget on the node where the walk would stop, since _charge clamps
+        to budget + 1; only the prunings of that last, partial subtree
+        differ.  A stop leaves the subtrees still open unrecorded.
 
         Every active element fixes the pieces chosen so far and the apolar
         masks, so it fixes the carried images, and in particular the
@@ -659,9 +659,7 @@ class _Searcher:
             self._absorb(*spent)
             return None
         nodes, prunings = self.nodes, dict(self.prunings)
-        width = self.plan.dims[k] + 1
-        act = sum(1 << g * width for g in active)
-        pieces = self.fitting(carried, k, act)
+        pieces = self.fitting(carried, k, active)
         for entry in pieces:
             if (
                 self.switch is not None
@@ -669,11 +667,9 @@ class _Searcher:
                 and (following := next(pieces, None)) is not None
             ):
                 # the pool takes this piece and the rest
-                result = self.split(
-                    carried, act, k, itertools.chain((entry, following), pieces)
-                )
+                result = self.split(carried, k, itertools.chain((entry, following), pieces))
             else:
-                result = self.assign(carried, act, k, *entry)
+                result = self.assign(carried, k, *entry)
             if result is not None:
                 return result
         if len(self.memo) >= _MEMO_ENTRIES:
@@ -688,15 +684,14 @@ class _Searcher:
         )
         return None
 
-    def split(self, carried, act, k, pieces):
-        """Explore the pieces left at level k on the pool, in spans, and
+    def split(self, carried, k, pieces):
+        """Explore the nodes left at level k on the pool, in spans, and
         charge the span results in span order.
 
-        pieces yields two or more pieces, each with the images fitting
-        built for it, which the span carries to the worker together with
-        the level's (carried, act, k, budget left).  The stream is read
-        lazily: a level can have more fitting pieces than could ever be
-        listed, and a Found run needs only the first few.  Each span runs
+        pieces yields two or more of fitting's nodes, which the spans carry
+        to the workers with the level's (carried, k, budget left).  The
+        stream is read lazily: a level can have more nodes than could ever
+        be listed, and a Found run needs only the first few.  Each span runs
         one searcher with the budget left when the level splits.  A span
         that passes it reports that budget + 1 nodes, so the charge stops
         the run on the node where a serial walk would stop, and the status,
@@ -712,7 +707,7 @@ class _Searcher:
                 initargs=(self.plan, self.memo),
             )
         left = None if self.budget is None else self.budget - self.nodes
-        state = carried, act, k, left
+        state = carried, k, left
         for found, nodes, prunings, memo_hits in _in_order(
             self.pool, state, pieces, self.workers
         ):
@@ -734,20 +729,20 @@ def _init_worker(*state):
 
 
 def _run_chunk(state, pieces):
-    """Assign the given (piece, images) pairs of a split level, as fitting
-    yielded them, in order, with one searcher and the worker's memo; state
-    is the level's (carried, act, k, budget left when it split).
+    """Assign the given nodes of a split level, as fitting yielded them, in
+    order, with one searcher and the worker's memo; state is the level's
+    (carried, k, budget left when it split).
 
     Returns the pieces from level k on of the first Found (or None), and
     the nodes, prunings and memo hits spent; past the budget the nodes read
     budget + 1."""
-    carried, act, k, budget = state
+    carried, k, budget = state
     plan, memo = _WORKER_STATE
     searcher = _Searcher(plan, budget, memo=memo)
     result = None
     try:
-        for piece, images in pieces:
-            result = searcher.assign(carried, act, k, piece, images)
+        for entry in pieces:
+            result = searcher.assign(carried, k, *entry)
             if result is not None:
                 break
     except _BudgetHit:
@@ -756,14 +751,13 @@ def _run_chunk(state, pieces):
 
 
 def _in_order(pool, state, pieces, workers):
-    """_run_chunk over the level state and consecutive spans of the (piece,
-    images) pairs, read lazily, on the pool; results in span order.  A span
-    holds one piece for every 4 * workers pieces merged before it, and at
-    least one, and at most _SPANS_AHEAD spans wait unmerged.  So two pieces
-    already keep two workers busy, N pieces make O(workers * log N) spans,
-    and the pieces read ahead stay within a multiple of those merged,
-    however slowly they come: a run that stops early reads few it never
-    needed."""
+    """_run_chunk over the level state and consecutive spans of the nodes,
+    read lazily, on the pool; results in span order.  A span holds one
+    piece for every 4 * workers pieces merged before it, and at least one,
+    and at most _SPANS_AHEAD spans wait unmerged.  So two pieces already
+    keep two workers busy, N pieces make O(workers * log N) spans, and the
+    pieces read ahead stay within a multiple of those merged, however slowly
+    they come: a run that stops early reads few it never needed."""
     pending = collections.deque()
     merged = 0
     while True:

@@ -428,19 +428,16 @@ def entry_overflows(plan, carried, t):
 
 
 def take_skip_fitting(plan, carried, k):
-    """The pieces of movefit's _Searcher.fitting, with their images, found
-    by the plain take/skip walk and kept when the levels one degree up,
-    entered in order with no more than their mandatory sets, all pass their
-    entry tests.  The images two degrees up are what those levels carry
-    there then.  Cuts are not counted."""
-    ups = sorted(plan.higher[k])
-    twos = [u for u, _, _ in plan.level(k)[1][len(ups):]]
+    """The pieces of movefit's _Searcher.fitting with no symmetry, with
+    their images one degree up, found by the plain take/skip walk and kept
+    when the levels one degree up, entered in order with no more than their
+    mandatory sets, all pass their entry tests.  Cuts are not counted."""
     for piece, images in take_skip_walk(plan, carried, k):
         after = carried_after(plan, carried, k, images)
-        for t in ups:
+        for t in sorted(plan.higher[k]):
             if entry_overflows(plan, after, t):
                 break
             for u in plan.higher[t]:
                 after[u] |= shifted(plan, after[t], t, u)
         else:
-            yield piece, images + [after[u] for u in twos]
+            yield piece, images

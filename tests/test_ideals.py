@@ -205,16 +205,17 @@ def test_graded_ideal_pieces_match_monomial_ideal():
     # a monomial ideal presented as a GradedIdeal gives the same Hilbert data
     gens = [mono(2, 0, 0), mono(0, 1, 1)]
     I = MonomialIdeal(P2, gens)
-    J = GradedIdeal(P2, [{g: Fraction(1)} for g in gens])
+    J = GradedIdeal(P2, [(g.degree, {g: Fraction(1)}) for g in gens])
     for d in range(0, 5):
         assert hilbert_function(I, (d,)) == hilbert_function(J, (d,))
 
 
 def test_graded_ideal_validation():
+    # a zero generator, an inhomogeneous one, and one under the wrong tag
     with pytest.raises(PreconditionError):
-        GradedIdeal(P2, [{}])
+        GradedIdeal(P2, [((1,), {})])
     with pytest.raises(PreconditionError):
-        GradedIdeal(P2, [{mono(1, 0, 0): Fraction(1), mono(2, 0, 0): Fraction(1)}])
+        GradedIdeal(P2, [((1,), {mono(1, 0, 0): Fraction(1), mono(2, 0, 0): Fraction(1)})])
     with pytest.raises(PreconditionError):
         GradedIdeal(P2, [((2,), {mono(1, 0, 0): Fraction(1)})])
 
@@ -276,12 +277,12 @@ def test_contained_in_apolar_graded():
     good = GradedIdeal(
         shape,
         [
-            {Monomial([(1, 1)]): Fraction(1)},
-            {Monomial([(2, 0)]): Fraction(1), Monomial([(0, 2)]): Fraction(1)},
+            ((2,), {Monomial([(1, 1)]): Fraction(1)}),
+            ((2,), {Monomial([(2, 0)]): Fraction(1), Monomial([(0, 2)]): Fraction(1)}),
         ],
     )
     assert contained_in_apolar(good, F)
-    bad = GradedIdeal(shape, [{Monomial([(2, 0)]): Fraction(1)}])
+    bad = GradedIdeal(shape, [((2,), {Monomial([(2, 0)]): Fraction(1)})])
     assert not contained_in_apolar(bad, F)
 
 
@@ -308,7 +309,7 @@ def test_minimal_generator_count_monomial():
 def test_minimal_generator_count_graded_matches_monomial():
     gens = [mono(2, 0, 0), mono(1, 1, 0)]
     I = MonomialIdeal(P2, gens)
-    J = GradedIdeal(P2, [{g: Fraction(1)} for g in gens])
+    J = GradedIdeal(P2, [(g.degree, {g: Fraction(1)}) for g in gens])
     for d in range(1, 5):
         assert minimal_generator_count(I, (d,)) == minimal_generator_count(
             J, (d,)
@@ -336,7 +337,7 @@ def test_iterated_colon_grows_toward_saturation():
     shape = FactorShape([1, 1])
     x0y0 = Monomial([(1, 0), (1, 0)])
     x0y1 = Monomial([(1, 0), (0, 1)])
-    I = GradedIdeal(shape, [{x0y0: 1}, {x0y1: 1}])
+    I = GradedIdeal(shape, [((1, 1), {x0y0: 1}), ((1, 1), {x0y1: 1})])
     # x0 enters (I : B) in degree (1, 0)
     base = iterated_colon_piece(I, (1, 0), 0)
     grown = iterated_colon_piece(I, (1, 0), 1)
@@ -352,7 +353,7 @@ def test_iterated_colon_grows_toward_saturation():
 
 def test_saturation_defect_none_for_saturated():
     shape = FactorShape([1, 1])
-    I = GradedIdeal(shape, [{Monomial([(1, 0), (0, 0)]): 1}])
+    I = GradedIdeal(shape, [((1, 0), {Monomial([(1, 0), (0, 0)]): 1})])
     assert saturation_defect(I, 3) is None
 
 
@@ -361,9 +362,7 @@ def test_saturation_defect_graded():
     shape = FactorShape([1, 1])
     x0y0 = Monomial([(1, 0), (1, 0)])
     x0y1 = Monomial([(1, 0), (0, 1)])
-    J = GradedIdeal(
-        shape, [{x0y0: Fraction(1)}, {x0y1: Fraction(2)}]
-    )
+    J = GradedIdeal(shape, [((1, 1), {x0y0: Fraction(1)}), ((1, 1), {x0y1: Fraction(2)})])
     defect = saturation_defect(J, 2)
     assert defect is not None
     assert defect["degree"] == (1, 0)
@@ -385,9 +384,7 @@ def test_graded_ideal_json_round_trip():
     shape = FactorShape([1])
     J = GradedIdeal(
         shape,
-        [
-            {Monomial([(2, 0)]): Fraction(1), Monomial([(0, 2)]): Fraction(-1, 3)},
-        ],
+        [((2,), {Monomial([(2, 0)]): Fraction(1), Monomial([(0, 2)]): Fraction(-1, 3)})],
     )
     data = graded_ideal_to_json(J)
     K = ideal_from_json(data)

@@ -40,7 +40,14 @@ from borderrank.ring import (
     piece_dimension,
     product_table,
 )
-from oracles import carried_after, entry_overflows, take_skip_fitting, times, variable
+from oracles import (
+    carried_after,
+    entry_overflows,
+    shifted,
+    take_skip_fitting,
+    times,
+    variable,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,65 +154,62 @@ def test_status_matches_brute_force_oracle():
     assert checked > 500
 
 
-def _segment_maps(plan, k, act):
-    """{g: [g(p) for every position p]} at level k for each active g, read
-    from segment g of the packed symmetry table."""
-    table, rep, _ = plan.level(k)[2]
+def _segment_maps(plan, k, elements):
+    """{g: [g(p) for every position p]} at level k for each of the group
+    elements, read from segment g of the packed symmetry table."""
+    table = plan.level(k)[2][0]
     width = len(table) + 1
     mask = (1 << width) - 1
     return {
-        g: [(entry >> g * width & mask).bit_length() - 1 for entry in table]
-        for g in range(rep.bit_count())
-        if act >> g * width & 1
+        g: [(entry >> g * width & mask).bit_length() - 1 for entry in table] for g in elements
     }
+
+
+def _canonical_nodes(plan, k, active, pieces):
+    """The (piece, images, fixing) nodes of the (piece, images) pairs that no
+    active g maps below themselves, fixing the active g with g(piece) = piece."""
+    maps = _segment_maps(plan, k, active) if active else {}
+    for piece, images in pieces:
+        own = sorted(movefit._bits(piece))
+        mapped = {g: sorted(image[p] for p in own) for g, image in maps.items()}
+        if all(m >= own for m in mapped.values()):
+            yield piece, images, [g for g, m in mapped.items() if m == own]
 
 
 def test_fitting_matches_take_skip_oracle(monkeypatch):
     # the look-ahead cuts only partial pieces with no fitting completion and
-    # emits a forced completion whole, so with no active group element every
-    # call must give exactly the pieces, images and order of the plain
-    # take/skip walk.  The symmetry cut drops only pieces that some active g
-    # maps below themselves, so with active elements the pieces are the
-    # oracle's in the oracle's order, less some of those, and the last image
-    # is g(piece) in each active segment
+    # takes a forced completion whole, and the symmetry cut drops only
+    # pieces that some active g maps below themselves, so every call must
+    # give exactly the oracle's pieces that no active g maps below
+    # themselves, in the oracle's order, with the images one degree up and
+    # the active elements that fix each piece
     fitting = movefit._Searcher.fitting
     checked = collections.Counter()
 
-    def compared(self, carried, k, act):
-        pieces = list(fitting(self, carried, k, act))
+    def compared(self, carried, k, active):
+        nodes = [
+            (piece, images, list(fixing))
+            for piece, images, fixing in fitting(self, carried, k, active)
+        ]
         oracle = list(take_skip_fitting(self.plan, carried, k))
-        if not act:
-            assert pieces == oracle
-            checked[min(len(pieces), 2)] += 1
-            return iter(pieces)
-        maps = _segment_maps(self.plan, k, act)
-        width = self.plan.dims[k] + 1
-        for piece, images in pieces:
-            for g, image in maps.items():
-                segment = images[-1] >> g * width & (1 << width) - 1
-                assert segment == sum(1 << image[p] for p in movefit._bits(piece))
-
-        def canonical(entry):
-            # no active g maps the piece below itself
-            own = sorted(movefit._bits(entry[0]))
-            return all(sorted(image[p] for p in own) >= own for image in maps.values())
-
-        kept = [(piece, images[:-1]) for piece, images in pieces]
-        left = iter(oracle)
-        assert all(entry in left for entry in kept)  # a subsequence of the oracle's
-        assert list(filter(canonical, kept)) == list(filter(canonical, oracle))
-        checked["symmetry"] += 1
-        checked["cut"] += len(kept) < len(oracle)
-        return iter(pieces)
+        assert nodes == list(_canonical_nodes(self.plan, k, active, oracle))
+        checked[min(len(nodes), 2)] += 1
+        if active:
+            checked["symmetry"] += 1
+            checked["cut"] += len(nodes) < len(oracle)
+            checked["fixing"] += sum(1 for *_, fixing in nodes if fixing)
+        return iter(nodes)
 
     monkeypatch.setattr(movefit._Searcher, "fitting", compared)
     _benchmark_and_sweep_searches()
     # calls with no fitting piece, with one, and with several, and calls
-    # with active elements, in some of which the cut dropped pieces.  Calls
-    # with none are the fewest, since a piece whose next degree fails its
-    # entry test is cut, so the walk seldom enters a level with no piece
+    # with active elements, in some of which pieces were rejected and some
+    # of whose nodes keep elements active.  Calls with none are the fewest,
+    # since a piece whose next degree fails its entry test is cut, so the
+    # walk seldom enters a level with no piece
     assert checked[0] > 100 and checked[1] > 1_000 and checked[2] > 1_000
     assert checked["symmetry"] > 1_000 and checked["cut"] > 100
+    assert checked["fixing"] > 1_000
 
 
 def _benchmark_and_sweep_searches():
@@ -234,13 +238,13 @@ def test_fitting_pieces_pass_the_next_entry_test(monkeypatch):
     fitting = movefit._Searcher.fitting
     checked = collections.Counter()
 
-    def checking(self, carried, k, act):
-        for piece, images in fitting(self, carried, k, act):
+    def checking(self, carried, k, active):
+        for piece, images, fixing in fitting(self, carried, k, active):
             after = carried_after(self.plan, carried, k, images)
             for t in self.plan.higher[k]:
                 assert not entry_overflows(self.plan, after, t)
                 checked[self.plan.shape.num_factors] += 1
-            yield piece, images
+            yield piece, images, fixing
 
     monkeypatch.setattr(movefit._Searcher, "fitting", checking)
     _benchmark_and_sweep_searches()
@@ -672,9 +676,9 @@ def test_levels_are_built_on_first_visit(monkeypatch, tmp_path, capsys):
         sizes.add(len(plan.levels))
         return level(plan, k)
 
-    def visiting(searcher, carried, k, act):
+    def visiting(searcher, carried, k, active):
         reached.append(k)
-        return fitting(searcher, carried, k, act)
+        return fitting(searcher, carried, k, active)
 
     monkeypatch.setattr(movefit._Plan, "level", building)
     monkeypatch.setattr(movefit._Searcher, "fitting", visiting)
@@ -1204,18 +1208,19 @@ def test_found_reads_branching_level_lazily(width):
 @pytest.mark.parametrize(
     "n, exps, kwargs, status",
     [
-        (2, (2, 2, 2), {"r": 8, "horizon": 5}, EXHAUSTED),
-        (3, (2, 2, 1, 1), {"r": 11, "horizon": 5}, EXHAUSTED),
-        (4, (1, 1, 1, 1, 1), {"r": 15}, EXHAUSTED),
+        (2, (4, 4, 2), {"r": 14}, EXHAUSTED),
+        (3, (2, 2, 2, 1), {"r": 15}, EXHAUSTED),
+        (4, (2, 2, 1, 1, 1), {"r": 21}, EXHAUSTED),
         (4, (2, 2, 1, 1, 1), {"r": 23, "node_budget": 2}, BUDGET_EXCEEDED),
     ],
 )
 @pytest.mark.usefixtures("pool_at_once")
 def test_pool_merges_like_serial(submitted, n, exps, kwargs, status):
-    # the first three cases branch on levels of two to five pieces; at
-    # width 2 even those go through the pool, and the merged status and
-    # nodes must equal the serial run's.  The pool reads pieces ahead of the
-    # serial walk, so prunings are equal only when both runs read them all
+    # the first three cases have 8, 6 and 27 nodes, on levels of a few
+    # nodes each; at width 2 even those go through the pool, and the merged
+    # status and nodes must equal the serial run's.  The pool reads pieces
+    # ahead of the serial walk, so prunings are equal only when both runs
+    # read them all
     F = Tensor.monomial(FactorShape([n]), [exps])
     serial = search(F, SearchConfig(**kwargs))
     pooled = search(F, SearchConfig(parallel_width=2, **kwargs))
@@ -1224,6 +1229,29 @@ def test_pool_merges_like_serial(submitted, n, exps, kwargs, status):
     assert pooled.statistics.nodes == serial.statistics.nodes
     if status == EXHAUSTED:
         assert pooled.statistics.prunings == serial.statistics.prunings
+
+
+@pytest.mark.usefixtures("pool_at_once")
+def test_pool_spans_carry_only_what_the_next_level_reads(submitted):
+    # a span carries its level's carried images, degree and budget left, and
+    # each node as its piece, its images one degree up and the active
+    # elements that fix the piece: no images two degrees up, no packed
+    # images under the group, and no mask of the active elements
+    F = Tensor.monomial(FactorShape([4]), [(2, 2, 1, 1, 1)])
+    config = SearchConfig(r=23, parallel_width=2)
+    assert search(F, config).statistics.pooled is True
+    plan = _Plan(F.shape, F.support_exponents(), config)
+    group = range(len(plan.group))
+    fixing = collections.Counter()
+    for (carried, k, left), span in submitted:
+        assert len(carried) == len(plan.degrees) and left is None
+        maps = _segment_maps(plan, k, group)
+        for piece, images, active in span:
+            assert images == [carried[t] | shifted(plan, piece, k, t) for t in plan.higher[k]]
+            own = sorted(movefit._bits(piece))
+            assert all(sorted(maps[g][p] for p in own) == own for g in active)
+            fixing[bool(active)] += 1
+    assert len(submitted) >= 2 and fixing[True] and fixing[False]
 
 
 @pytest.mark.parametrize("exps, r", [((1, 1, 1, 1, 1), 15), ((2, 2, 1, 1, 1), 24)])
@@ -1307,7 +1335,7 @@ def test_pool_restarts_on_the_serial_memo(tmp_path, method, exps, kwargs, readin
     assert result["memos"] and all(result["memos"])
 
 
-@pytest.mark.parametrize("readings", [100, 500, 800])
+@pytest.mark.parametrize("readings", [100, 500, 600])
 def test_pooled_run_generates_no_piece_twice(monkeypatch, readings):
     # the pool takes over where the serial walk stands, so this process
     # yields no piece twice: at most the pieces of the width-1 run, wherever

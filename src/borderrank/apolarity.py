@@ -118,6 +118,12 @@ class Tensor:
 # Catalecticants
 # ---------------------------------------------------------------------------
 
+def integral_coefficients(F: Tensor) -> list:
+    """F's coefficients over the grevlex basis of S_L, scaled by the one
+    positive rational that makes them coprime ints."""
+    return linalg.integral([F.coefficient(m) for m in enumerate_monomials(F.shape, F.degree)])
+
+
 def catalecticant(F: Tensor, D) -> list:
     """Rows of the matrix of S_D -> dual_{L-D}, theta |-> theta ⌟ F.
 
@@ -132,9 +138,7 @@ def catalecticant(F: Tensor, D) -> list:
     comp = degree_sub(F.degree, D)
     if not degree_is_effective(comp):
         return [[] for _ in range(piece_dimension(F.shape, D))]
-    values = linalg.integral(
-        [F.coefficient(m) for m in enumerate_monomials(F.shape, F.degree)]
-    )
+    values = integral_coefficients(F)
     return [[values[i] for i in row] for row in product_table(F.shape, comp, D)]
 
 

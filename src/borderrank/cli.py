@@ -1,6 +1,9 @@
 """Command-line front end: bounds, search, verify, macaulay, corpus.
 
-Each invocation writes exactly one JSON document to stdout (or --output).
+Each invocation writes exactly one JSON document to stdout (or --output):
+every `cmd_*` returns (document, exit code), and `main` alone writes it.
+`corpus run` runs each case as the argv of the command it names, through the
+same parser and `cmd_*`, and reads the expected values from that document.
 Errors are mirrored as machine-readable JSON on stderr with distinct exit
 codes: 2 for parse/validation problems, 3 for violated preconditions, 4 for
 budget exhaustion (the outcome document is still written), 1 for anything
@@ -184,12 +187,20 @@ def load_ideal(path: str):
     return _load(path, "ideal.schema.json", ideals.ideal_from_json)
 
 
-def _tensor_text(F: apolarity.Tensor) -> str:
-    parts = []
-    for mon, coeff in F.terms():
-        prefix = "" if coeff == 1 else f"({coeff})*"
-        parts.append(prefix + ring.monomial_to_text(mon))
-    return " + ".join(parts) if parts else "0"
+def _tensor_head(args: argparse.Namespace, **inputs) -> tuple:
+    """(F, head): the tensor at args.tensor and the keys its command's document
+    opens with; inputs, when given, name the input files instead of `input`."""
+    F = load_tensor(args.tensor)
+    terms = [
+        ("" if coeff == 1 else f"({coeff})*") + ring.monomial_to_text(mon)
+        for mon, coeff in F.terms()
+    ]  # a tensor the text format cannot name stops here
+    return F, {
+        "command": args.command,
+        **(inputs or {"input": args.tensor}),
+        "tensor": " + ".join(terms) if terms else "0",
+        "shape": list(F.shape.factors),
+    }
 
 
 def _check_output(output: str | None) -> None:
@@ -201,37 +212,17 @@ def _check_output(output: str | None) -> None:
         raise ParseError(f"cannot write --output {output}: no writable directory {parent}")
 
 
-def _emit(document: dict, output: str | None) -> None:
-    text = json.dumps(document, indent=2, sort_keys=False)
-    if output:
-        Path(output).write_text(text + "\n")
-    else:
-        print(text)
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (document, exit code), and main writes the document
 # ---------------------------------------------------------------------------
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    F = load_tensor(args.tensor)
-    text = _tensor_text(F)  # a tensor the text format cannot name stops here
+def cmd_bounds(args: argparse.Namespace) -> tuple:
+    F, head = _tensor_head(args)
     report = bounds.bounds_report(F)
-    _emit(
-        {
-            "command": "bounds",
-            "input": args.tensor,
-            "tensor": text,
-            "shape": list(F.shape.factors),
-            "degree": list(F.degree),
-            "report": report._asdict(),
-        },
-        args.output,
-    )
-    return EXIT_OK
+    return {**head, "degree": list(F.degree), "report": report._asdict()}, EXIT_OK
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: argparse.Namespace) -> tuple:
     config = movefit.SearchConfig(
         r=args.r,
         horizon=args.horizon,
@@ -239,14 +230,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         parallel_width=_jobs(args.jobs),
         node_budget=args.budget,
     )
-    F = load_tensor(args.tensor)
-    text = _tensor_text(F)
+    F, head = _tensor_head(args)
     outcome = movefit.search(F, config)
     document = {
-        "command": "search",
-        "input": args.tensor,
-        "tensor": text,
-        "shape": list(F.shape.factors),
+        **head,
         "config": {**config._asdict(), "horizon": outcome.horizon},
         "outcome": {
             **outcome.to_json(),
@@ -255,37 +242,17 @@ def cmd_search(args: argparse.Namespace) -> int:
             else ideals.ideal_to_json(outcome.candidate),
         },
     }
-    _emit(document, args.output)
-    if outcome.status == movefit.BUDGET_EXCEEDED:
-        _print_error(
-            "BudgetExceededError",
-            "node budget exhausted; the emitted outcome is partial",
-            EXIT_BUDGET,
-        )
-        return EXIT_BUDGET
-    return EXIT_OK
+    return document, EXIT_BUDGET if outcome.status == movefit.BUDGET_EXCEEDED else EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple:
     I = load_ideal(args.ideal)
-    F = load_tensor(args.tensor)
-    text = _tensor_text(F)
+    F, head = _tensor_head(args, input=args.ideal, tensor_input=args.tensor)
     report = movefit.verify_candidate(I, F, args.r, args.horizon)
-    _emit(
-        {
-            "command": "verify",
-            "input": args.ideal,
-            "tensor_input": args.tensor,
-            "tensor": text,
-            "shape": list(F.shape.factors),
-            "report": report._asdict(),
-        },
-        args.output,
-    )
-    return EXIT_OK
+    return {**head, "report": report._asdict()}, EXIT_OK
 
 
-def cmd_macaulay(args: argparse.Namespace) -> int:
+def cmd_macaulay(args: argparse.Namespace) -> tuple:
     if args.d is None and args.summands is None:
         raise ParseError("macaulay needs --d and/or --summands")
     summands = None
@@ -301,8 +268,7 @@ def cmd_macaulay(args: argparse.Namespace) -> int:
         document["decomposition"] = macaulay.macaulay_coefficients(args.r, args.d).to_json()
     if summands is not None:
         document["lexbar"] = macaulay.lexbar_profile(summands, args.n, args.r).to_json()
-    _emit(document, args.output)
-    return EXIT_OK
+    return document, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -321,51 +287,46 @@ def _corpus_path(filename: str) -> str:
     return str(_corpus_dir() / filename)
 
 
+# the command each catalog command runs as; a closed-form case reads `bounds`
+_CASE_COMMANDS = {"search": "search", "bounds": "bounds", "verify": "verify",
+                  "closed-form": "bounds"}
+# where each expected value of a case lies in its command's document
+_CASE_VALUES = {
+    "status": lambda doc: doc["outcome"]["status"],
+    "lower": lambda doc: doc["report"]["lower"],
+    "upper": lambda doc: doc["report"]["upper"],
+    "catalecticant": lambda doc: doc["report"]["components"]["catalecticant"]["value"],
+    "value": lambda doc: doc["report"]["components"]["closed_form"]["value"],
+    "passed": lambda doc: doc["report"]["passed"],
+    "saturated": lambda doc: doc["report"]["saturation"]["saturated"],
+    "generator_count": lambda doc: len(load_ideal(doc["input"]).generators),
+}
+
+
 def _run_corpus_case(case: dict, jobs: int) -> dict:
-    expected = case["expected"]
+    """Run a case as the argv of its command, through the parser and the
+    command itself, and read its expected keys from the document."""
     start = time.perf_counter()
-    if case["command"] == "search":
-        F = load_tensor(_corpus_path(case["tensor"]))
-        config = movefit.SearchConfig(
-            r=case["r"],
-            horizon=case.get("horizon"),
-            parallel_width=jobs,
-        )
-        outcome = movefit.search(F, config)
-        actual = {"status": outcome.status}
-    elif case["command"] == "bounds":
-        F = load_tensor(_corpus_path(case["tensor"]))
-        report = bounds.bounds_report(F)
-        actual = {"lower": report.lower, "upper": report.upper}
-        if "catalecticant" in expected:
-            actual["catalecticant"] = report.components["catalecticant"]["value"]
-    elif case["command"] == "closed-form":
-        F = load_tensor(_corpus_path(case["tensor"]))
-        actual = {"value": bounds.closed_form_border_rank(F)}
-    elif case["command"] == "verify":
-        I = load_ideal(_corpus_path(case["ideal"]))
-        F = load_tensor(_corpus_path(case["tensor"]))
-        report = movefit.verify_candidate(I, F, case["r"], case.get("horizon"))
-        actual = {
-            "passed": report.passed,
-            "saturated": report.saturation["saturated"],
-        }
-        if "generator_count" in expected:
-            actual["generator_count"] = len(I.generators)
-    else:
+    command = _CASE_COMMANDS.get(case["command"])
+    if command is None:
         raise PreconditionError(f"unknown corpus command {case['command']!r}")
+    argv = [command, *(_corpus_path(case[k]) for k in ("ideal", "tensor") if k in case)]
+    for key in ("r", "horizon"):
+        argv += [f"--{key}", str(case[key])] if key in case else []
+    if command == "search":
+        argv += ["--jobs", str(jobs)]
+    args = _build_parser().parse_args(argv)
+    document, _ = _DISPATCH[command](args)
+    actual = {key: _CASE_VALUES[key](document) for key in case["expected"]}
     return {
-        "name": case["name"],
-        "class": case["class"],
-        "command": case["command"],
-        "expected": expected,
+        **{k: case[k] for k in ("name", "class", "command", "expected")},
         "actual": actual,
-        "pass": actual == expected,
+        "pass": actual == case["expected"],
         "seconds": round(time.perf_counter() - start, 3),
     }
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: argparse.Namespace) -> tuple:
     catalog = corpus_catalog()
     if args.action == "list":
         flt = args.filter or ""
@@ -374,8 +335,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             for c in catalog
             if flt in c["name"]
         ]
-        _emit({"command": "corpus", "action": "list", "cases": cases}, args.output)
-        return EXIT_OK
+        return {"command": "corpus", "action": "list", "cases": cases}, EXIT_OK
 
     jobs = _jobs(args.jobs)
     selected = [c for c in catalog if args.target == "all" or c["name"] == args.target]
@@ -395,11 +355,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         "failed": sum(1 for x in ran if not x["pass"]),
         "skipped": len(results) - len(ran),
     }
-    _emit(
-        {"command": "corpus", "action": "run", "cases": results, "summary": summary},
-        args.output,
-    )
-    return EXIT_OK if summary["failed"] == 0 else EXIT_INTERNAL
+    document = {"command": "corpus", "action": "run", "cases": results, "summary": summary}
+    return document, EXIT_OK if summary["failed"] == 0 else EXIT_INTERNAL
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +446,15 @@ def _print_error(kind: str, message: str, code: int) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _check_output(args.output)
-        return _DISPATCH[args.command](args)
+        document, code = _DISPATCH[args.command](args)
+        text = json.dumps(document, indent=2, sort_keys=False)
+        if args.output:
+            Path(args.output).write_text(text + "\n")
+        else:
+            print(text)
     except ParseError as exc:
         _print_error(type(exc).__name__, str(exc), EXIT_PARSE)
         return EXIT_PARSE
@@ -503,6 +464,13 @@ def main(argv=None) -> int:
     except Exception as exc:  # BorderRankError and anything unexpected
         _print_error(type(exc).__name__, str(exc), EXIT_INTERNAL)
         return EXIT_INTERNAL
+    if code == EXIT_BUDGET:
+        _print_error(
+            "BudgetExceededError",
+            "node budget exhausted; the emitted outcome is partial",
+            EXIT_BUDGET,
+        )
+    return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .apolarity import Tensor, poly_degree, poly_from_json
+from .apolarity import Tensor, integral_coefficients, poly_degree, poly_from_json
 from .errors import PreconditionError, ShapeMismatchError
 from .ring import (
     FactorShape,
@@ -226,9 +226,8 @@ def contained_in_apolar(I, F: Tensor) -> bool:
         raise ShapeMismatchError("ideal and tensor shapes differ")
     if isinstance(I, MonomialIdeal):
         return not any(g.divides(m) for m, _ in F.terms() for g in I.generators)
-    L = F.degree
-    values = linalg.integral([F.coefficient(m) for m in enumerate_monomials(F.shape, L)])
-    return not any(sum(map(operator.mul, row, values)) for row in I.piece_rows(L))
+    values = integral_coefficients(F)
+    return not any(sum(map(operator.mul, row, values)) for row in I.piece_rows(F.degree))
 
 
 # ---------------------------------------------------------------------------

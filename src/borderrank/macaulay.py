@@ -44,19 +44,25 @@ def macaulay_coefficients(r: int, d: int) -> MacaulayDecomposition:
     """Greedy Macaulay decomposition of r in degree d.
 
     a_d is the largest a with C(a, d) <= remaining, then descend through the
-    indices.  Strict decrease of the coefficients is automatic for the greedy
-    choice; it is checked anyway since everything downstream relies on it.
+    indices.  Each a_i is found by doubling a bound past it, then bisecting,
+    so r = 10^12 at d = 1 takes some 80 binomials, not 10^12.  Strict
+    decrease of the coefficients is automatic for the greedy choice; it is
+    checked anyway since everything downstream relies on it.
     """
     if r < 0 or d < 1:
         raise PreconditionError(f"need r >= 0 and d >= 1, got r={r}, d={d}")
     coefficients = []
     remaining = r
     for i in range(d, 0, -1):
-        a = i - 1  # C(i-1, i) = 0, the degenerate floor
-        while math.comb(a + 1, i) <= remaining:
-            a += 1
-        coefficients.append(a)
-        remaining -= math.comb(a, i)
+        # C(lo, i) <= remaining < C(hi, i); C(i-1, i) = 0 is the degenerate floor
+        lo, hi = i - 1, i
+        while math.comb(hi, i) <= remaining:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if math.comb(mid, i) <= remaining else (lo, mid)
+        coefficients.append(lo)
+        remaining -= math.comb(lo, i)
     if remaining != 0 or any(x <= y for x, y in zip(coefficients, coefficients[1:])):
         raise BorderRankError(
             f"greedy Macaulay decomposition of r={r} in degree {d} failed: "

@@ -271,9 +271,9 @@ class _Plan:
         the products of monomial p into the target (see shift_table).
         feeds holds, per degree two higher, (t, table) for each degree t
         between, with table the shifts from t into it.  symmetry is (table,
-        rep, guard), or None with no group: element g owns bits g*W to
+        guard), or None with no group: element g owns bits g*W to
         g*W + W - 1, W = dim + 1, table[p] holds the bit g(p) of every
-        segment, rep the lowest bit of each and guard the top one."""
+        segment, and guard the top bit of each."""
         tables = self.levels[k]
         if tables is not None:
             return tables
@@ -307,8 +307,7 @@ class _Plan:
                     b = start + pos[permute(f)]
                     buf[b >> 3] |= 1 << (b & 7)
                 table.append(int.from_bytes(buf, "little"))
-            rep = sum(1 << start for start in starts)
-            symmetry = (table, rep, rep << len(pos))
+            symmetry = (table, sum(1 << start + len(pos) for start in starts))
         tables = self.levels[k] = (mask, targets, symmetry, feeds)
         return tables
 
@@ -544,7 +543,7 @@ class _Searcher:
         depth = len(forced)
         act = 0
         if active:
-            sym, _, guard = symmetry
+            sym, guard = symmetry
             # the lowest bit of the segment of each active element
             act = sum(1 << g * (len(sym) + 1) for g in active)
             targets = [*targets, (None, sym, guard.bit_length())]

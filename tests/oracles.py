@@ -9,9 +9,10 @@ JSON writers, minimal generator counts of presented ideals and of ideals
 known by their pieces, the minimal generators of a monomial ideal by
 pairwise division, the colon (I : m) and (I : B) of a monomial ideal, its
 saturation as the fixpoint of I -> (I : B) and the test for it, grevlex
-lex-segments, the text parser for monomials, single variables and products
-of monomials, and the move-fit piece enumerator without look-ahead and the
-entry test it is filtered by.
+lex-segments, the greedy Macaulay decomposition in unit steps, the text
+parser for monomials, single variables and products of monomials, and the
+move-fit piece enumerator without look-ahead and the entry test it is
+filtered by.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import gcd
+from math import comb, gcd
 
 from borderrank import linalg
 from borderrank.apolarity import Tensor, poly_degree
@@ -348,6 +349,20 @@ def lex_segment(n: int, d: int, r: int) -> tuple:
             f"codimension r={r} out of range 0..{len(mons)} for n={n}, d={d}"
         )
     return mons[r:]
+
+
+def macaulay_coefficients_by_unit_steps(r: int, d: int) -> tuple:
+    """(a_d, ..., a_1) of the greedy Macaulay decomposition of r in degree
+    d, each a_i raised one step at a time from the degenerate floor i - 1
+    while C(a_i + 1, i) still fits in what is left of r."""
+    coefficients = []
+    for i in range(d, 0, -1):
+        a = i - 1
+        while comb(a + 1, i) <= r:
+            a += 1
+        coefficients.append(a)
+        r -= comb(a, i)
+    return tuple(coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """End-to-end CLI tests: exit codes, document shapes, schema conformance."""
 
 import copy
+import functools
 import itertools
 import json
+import math
+import operator
 import os
 import re
 import subprocess
@@ -401,6 +404,16 @@ def test_macaulay_decomposition(capsys):
     assert document["lexbar"] is None
 
 
+def test_macaulay_decomposes_a_large_r_at_once():
+    # each a_i is found by bisection: at d = 1, a_1 = r, which steps of one
+    # would take r binomials to reach
+    done = cli_process("macaulay", "--r", "1000000000000", "--d", "1", timeout=10)
+    assert done.returncode == EXIT_OK, done.stderr
+    decomposition = parse_and_check(done.stdout)["decomposition"]
+    assert decomposition["coefficients"] == [10**12]
+    assert decomposition["exponent"] == math.comb(10**12 + 1, 2)
+
+
 def test_macaulay_lexbar(capsys):
     code, out, _ = run_cli(
         capsys, "macaulay", "--r", "38", "--summands", "2,3,3,4", "--n", "3"
@@ -563,6 +576,59 @@ def test_corpus_run_named_slow_case(capsys, monkeypatch):
     assert code == EXIT_OK
     skipped = [c["name"] for c in parse_and_check(out)["cases"] if c.get("skipped")]
     assert skipped == ["search-21-r2", "search-33111-r31"]
+
+
+# where each expected key of a corpus case lies in the document of its command
+CASE_KEY_PATHS = {
+    "status": ("outcome", "status"),
+    "lower": ("report", "lower"),
+    "upper": ("report", "upper"),
+    "catalecticant": ("report", "components", "catalecticant", "value"),
+    "value": ("report", "components", "closed_form", "value"),
+    "passed": ("report", "passed"),
+    "saturated": ("report", "saturation", "saturated"),
+}
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in corpus_catalog() if c["class"] == "fast"], ids=lambda c: c["name"]
+)
+def test_corpus_case_reads_the_document_of_its_command(capsys, case):
+    # a case is the argv of its command: its files, --r, --horizon, and --jobs
+    # for a search; a closed-form case reads its value off `bounds`
+    code, out, _ = run_cli(capsys, "corpus", "run", case["name"], "--jobs", "1")
+    assert code == EXIT_OK
+    (result,) = parse_and_check(out)["cases"]
+    command = "bounds" if case["command"] == "closed-form" else case["command"]
+    argv = [command, *(corpus(case[k]) for k in ("ideal", "tensor") if k in case)]
+    argv += [arg for key in ("r", "horizon") if key in case for arg in (f"--{key}", str(case[key]))]
+    argv += ["--jobs", "1"] if command == "search" else []
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    document = parse_and_check(out)
+    assert list(result["actual"]) == list(case["expected"])
+    for key, value in result["actual"].items():
+        if key == "generator_count":  # the generators of the loaded ideal
+            with open(corpus(case["ideal"])) as fh:
+                assert value == len(ideal_from_json(json.load(fh)).generators)
+        else:
+            assert value == functools.reduce(operator.getitem, CASE_KEY_PATHS[key], document)
+
+
+@pytest.mark.parametrize("command", ["frobnicate", "macaulay", "corpus"])
+def test_corpus_unknown_command_is_precondition(capsys, monkeypatch, command):
+    # a catalog command with no case runner stops before the parser sees it
+    catalog = [{**case, "command": command} for case in corpus_catalog()[:1]]
+    monkeypatch.setattr("borderrank.cli.corpus_catalog", lambda: catalog)
+    code, out, err = run_cli(capsys, "corpus", "run", "all")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert json.loads(err) == {
+        "error": {
+            "type": "PreconditionError",
+            "message": f"unknown corpus command {command!r}",
+        },
+        "exit_code": EXIT_PRECONDITION,
+    }
 
 
 def test_corpus_files_round_trip():

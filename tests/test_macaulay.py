@@ -21,7 +21,7 @@ from borderrank.macaulay import (
     macaulay_exponent,
 )
 from borderrank.ring import FactorShape, enumerate_monomials, piece_dimension
-from oracles import lex_segment, times, variable
+from oracles import lex_segment, macaulay_coefficients_by_unit_steps, times, variable
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,13 @@ def test_decomposition_reconstructs_and_decreases(r, d):
         math.comb(a, i) for a, i in zip(dec.coefficients, range(d, 0, -1))
     )
     assert total == r
+
+
+@given(st.integers(0, 10**5 - 1), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_decomposition_matches_unit_steps(r, d):
+    # doubling then bisection finds the a_i that raising one step at a time does
+    assert macaulay_coefficients(r, d).coefficients == macaulay_coefficients_by_unit_steps(r, d)
 
 
 @given(st.integers(0, 200), st.integers(1, 5))

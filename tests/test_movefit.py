@@ -538,10 +538,9 @@ def _unpacked(plan):
     every entry must hold exactly one bit, below its guard bit."""
     elements = len(plan.group)
     unpacked = [[] for _ in range(elements)]
-    for table, rep, guard in (plan.level(k)[2] for k in range(len(plan.degrees))):
+    for table, guard in (plan.level(k)[2] for k in range(len(plan.degrees))):
         width = len(table) + 1
-        assert rep == sum(1 << g * width for g in range(elements))
-        assert guard == rep << len(table)
+        assert guard == sum(1 << g * width + len(table) for g in range(elements))
         for g in range(elements):
             segments = [entry >> g * width & (1 << width) - 1 for entry in table]
             assert all(bits.bit_count() == 1 and bits < 1 << len(table) for bits in segments)

@@ -221,9 +221,11 @@ MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
          {"bounds", "macaulay"}),
         (["verify", "ideal-minrank-3x3x3.json", "minrank-3x3x3.json", "--r", "3"],
          {"bounds", "macaulay"}),
+        # a corpus case runs its command's argv, so it runs what that command runs
+        (["corpus", "run", "search-2211-r11"], {"bounds", "macaulay", "ideals", "linalg"}),
     ],
     ids=["macaulay", "bounds", "bounds-tensor", "search", "search-exhausted", "search-found",
-         "verify", "verify-graded"],
+         "verify", "verify-graded", "corpus-run-search-2211-r11"],
 )
 def test_each_command_runs_only_the_modules_it_reads(tmp_path, argv, not_run):
     argv = [str(PACKAGE / "corpus" / a) if a.endswith(".json") else a for a in argv]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .errors import PreconditionError, ShapeMismatchError
@@ -27,9 +27,9 @@ from .ring import (
     degree_is_effective,
     degree_le,
     degree_sub,
-    enumerate_monomials,
+    contract,
     piece_dimension,
-    product_table,
+    positions,
 )
 
 # A polynomial is a dict {Monomial: Fraction}; zero coefficients are dropped.
@@ -87,6 +87,12 @@ class Tensor:
     def coefficient(self, mon: Monomial) -> Fraction:
         return self._coeffs.get(mon, Fraction(0))
 
+    @cached_property
+    def row(self) -> list:
+        """poly_row of the coefficients over S_L, kept on the tensor once
+        built, as every catalecticant of the tensor reads it."""
+        return poly_row(self.shape, self.degree, self._coeffs)
+
     def terms(self):
         """(monomial, coefficient) pairs in descending grevlex order."""
         return tuple(
@@ -118,28 +124,29 @@ class Tensor:
 # Catalecticants
 # ---------------------------------------------------------------------------
 
-def integral_coefficients(F: Tensor) -> list:
-    """F's coefficients over the grevlex basis of S_L, scaled by the one
-    positive rational that makes them coprime ints."""
-    return linalg.integral([F.coefficient(m) for m in enumerate_monomials(F.shape, F.degree)])
+def poly_row(shape: FactorShape, D, poly: Poly) -> list:
+    """The coefficients of a form of degree D over the grevlex basis of S_D,
+    scaled by the one positive rational that makes them coprime ints."""
+    pos = positions(shape, D)
+    row = [0] * len(pos)
+    for m, c in poly.items():
+        row[pos[m.flat()]] = c
+    return linalg.integral(row)
 
 
 def catalecticant(F: Tensor, D) -> list:
-    """Rows of the matrix of S_D -> dual_{L-D}, theta |-> theta ⌟ F.
+    """Rows of the matrix of S_D -> dual_{L-D}, theta |-> theta ⌟ F, for
+    0 <= D <= L.
 
     Row basis: monomials of S_D; column basis: divided-power monomials of
     degree L - D; both in descending grevlex.  entry(e, m) = c * F[e + m],
     an int, for the one positive rational c that makes F's coefficients
-    coprime integers.
+    coprime integers.  The transpose is the catalecticant at L - D.
     """
     D = F.shape.check_degree(D)
-    if not degree_is_effective(D):
-        raise PreconditionError(f"catalecticant degree {D} is not effective")
-    comp = degree_sub(F.degree, D)
-    if not degree_is_effective(comp):
-        return [[] for _ in range(piece_dimension(F.shape, D))]
-    values = integral_coefficients(F)
-    return [[values[i] for i in row] for row in product_table(F.shape, comp, D)]
+    if not (degree_is_effective(D) and degree_le(D, F.degree)):
+        raise PreconditionError(f"catalecticant degree {D} is not between 0 and {F.degree}")
+    return contract(F.shape, [F.row], degree_sub(F.degree, D), D)
 
 
 def apolar_piece(F: Tensor, D) -> list:
@@ -153,8 +160,8 @@ def apolar_piece(F: Tensor, D) -> list:
     D = F.shape.check_degree(D)
     if not degree_is_effective(D):
         raise PreconditionError(f"degree {D} is not effective")
-    # the kernel of the map is the left null space of the matrix
-    transposed = [list(column) for column in zip(*catalecticant(F, D))]
+    # the kernel of the map is the null space of the transpose, the catalecticant at L - D
+    transposed = catalecticant(F, degree_sub(F.degree, D)) if degree_le(D, F.degree) else []
     return linalg.kernel_basis(transposed, piece_dimension(F.shape, D))
 
 

@@ -30,8 +30,7 @@ from .apolarity import (
 )
 from .errors import BorderRankError, PreconditionError, UnsupportedShapeError
 from .macaulay import lexbar_growth
-from .ring import FactorShape, Monomial, degree_add, degree_sub, generic_hilbert
-from .ring import piece_dimension, product_table
+from .ring import FactorShape, Monomial, degree_sub, generic_hilbert, multiply, piece_dimension
 
 
 class BoundReport(collections.namedtuple("BoundReport", [
@@ -220,29 +219,12 @@ def minimal_border_rank_quotient_test(F: Tensor):
     return quotient_dim, (HOLDS if quotient_dim >= threshold else NOT_MINIMAL)
 
 
-def times_variables(shape: FactorShape, rows, E, j: int) -> list:
-    """Int rows spanning V * S_{e_j} in S_{E + e_j}, where V is spanned by int
-    rows over the grevlex basis of S_E: every row times every variable of
-    factor j."""
-    unit = shape.unit_degree(j)
-    size = piece_dimension(shape, degree_add(E, unit))
-    shifts = product_table(shape, E, unit)
-    products = []
-    for row in rows:
-        for shifted in shifts:
-            prod = [0] * size
-            for col, c in enumerate(row):
-                if c:
-                    prod[shifted[col]] = c
-            products.append(prod)
-    return products
-
-
 def _products(F: Tensor, j: int) -> list:
     """Int rows spanning P_j = F^⊥_{L - e_j} * S_{e_j} inside S_L."""
     # a concise tensor has L >= e_j, so the lower degree is effective
-    lower = degree_sub(F.degree, F.shape.unit_degree(j))
-    return times_variables(F.shape, apolar_piece(F, lower), lower, j)
+    unit = F.shape.unit_degree(j)
+    lower = degree_sub(F.degree, unit)
+    return multiply(F.shape, apolar_piece(F, lower), lower, unit)
 
 
 @lru_cache(maxsize=1)

@@ -21,19 +21,19 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .apolarity import Tensor, integral_coefficients, poly_degree, poly_from_json
+from .apolarity import Tensor, poly_degree, poly_from_json, poly_row
 from .errors import PreconditionError, ShapeMismatchError
 from .ring import (
     FactorShape,
     Monomial,
+    contract,
     degree_add,
     degree_is_effective,
     degree_sub,
     degrees_up_to,
-    enumerate_monomials,
+    multiply,
     piece_dimension,
     positions,
-    product_table,
 )
 
 
@@ -60,14 +60,17 @@ class MonomialIdeal:
                 raise ShapeMismatchError(f"generator {g} does not fit {shape.factors}")
         self.generators = _minimalize(generators)
 
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.generators)
-
     def is_zero(self) -> bool:
         return not self.generators
 
     def piece_dimension(self, D) -> int:
-        return len(monomial_piece(self, D))
+        """The number of monomials of degree D some generator divides, each
+        compared as flat exponent tuples, as _minimalize compares them."""
+        gens = [g.flat() for g in self.generators]
+        return sum(
+            any(all(map(operator.le, g, f)) for g in gens)
+            for f in positions(self.shape, D)
+        )
 
     def __eq__(self, other):
         return (
@@ -107,18 +110,13 @@ class GradedIdeal:
         """Int rows spanning I_D over the grevlex basis of S_D: the multiples
         of each generator, its coefficients scaled to coprime integers."""
         D = self.shape.check_degree(D)
-        size = piece_dimension(self.shape, D)
         rows = []
         for gen_degree, poly in self.generators:
             shift = degree_sub(D, gen_degree)
-            if not degree_is_effective(shift):
-                continue
-            terms = _term_positions(self.shape, gen_degree, poly)
-            for shifted in product_table(self.shape, gen_degree, shift):
-                row = [0] * size
-                for p, c in terms:
-                    row[shifted[p]] += c
-                rows.append(row)
+            if degree_is_effective(shift):
+                rows += multiply(
+                    self.shape, [poly_row(self.shape, gen_degree, poly)], gen_degree, shift
+                )
         return rows
 
     def piece_basis(self, D) -> list:
@@ -136,23 +134,9 @@ class GradedIdeal:
         return f"GradedIdeal({self.shape.factors}, {len(self.generators)} gens)"
 
 
-def _term_positions(shape: FactorShape, D, poly) -> list:
-    """(position in the grevlex basis of S_D, coefficient) for each term, the
-    coefficients scaled by one positive rational to coprime integers."""
-    pos = positions(shape, D)
-    coefficients = linalg.integral(list(poly.values()))
-    return [(pos[m.flat()], c) for m, c in zip(poly, coefficients)]
-
-
 # ---------------------------------------------------------------------------
 # Graded pieces and Hilbert functions
 # ---------------------------------------------------------------------------
-
-def monomial_piece(I: MonomialIdeal, D) -> tuple:
-    """All degree-D monomials divisible by some generator, grevlex order."""
-    D = I.shape.check_degree(D)
-    return tuple(m for m in enumerate_monomials(I.shape, D) if I.contains_monomial(m))
-
 
 def hilbert_function(I, D) -> tuple:
     """(dim I_D, dim (S/I)_D); counting for monomial ideals, rank otherwise."""
@@ -226,8 +210,7 @@ def contained_in_apolar(I, F: Tensor) -> bool:
         raise ShapeMismatchError("ideal and tensor shapes differ")
     if isinstance(I, MonomialIdeal):
         return not any(g.divides(m) for m, _ in F.terms() for g in I.generators)
-    values = integral_coefficients(F)
-    return not any(sum(map(operator.mul, row, values)) for row in I.piece_rows(F.degree))
+    return not any(sum(map(operator.mul, row, F.row)) for row in I.piece_rows(F.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +239,7 @@ def iterated_colon_piece(I: GradedIdeal, D, steps: int, _memo=None):
     # monomials of degree (1, ..., 1); membership in a span is vanishing
     # against the null space of its row matrix
     normals = linalg.kernel_basis(upper, piece_dimension(shape, up))
-    constraints = []
-    for shifted in product_table(shape, D, ones):
-        for normal in normals:
-            constraints.append([normal[s] for s in shifted])
-    rows = linalg.kernel_basis(constraints, piece_dimension(shape, D))
+    rows = linalg.kernel_basis(contract(shape, normals, D, ones), piece_dimension(shape, D))
     _memo[key] = rows
     return rows
 

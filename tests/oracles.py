@@ -3,8 +3,10 @@
 None of these is reached by the CLI or by the library example in the
 README, so they live with the tests: row reduction on dense int rows, the
 hook action on tensors, the apolar ideal of a monomial by its generators,
-the grevlex basis by sorting Monomials, containment of a monomial ideal in
-an apolar ideal by listing its degree-L piece, the tensor and graded-ideal
+the grevlex basis by sorting Monomials, the products and contractions of
+rows by multiplying Monomials, membership in a monomial ideal and its
+degree-D piece by Monomial.divides, containment of a monomial ideal in an
+apolar ideal by listing its degree-L piece, the tensor and graded-ideal
 JSON writers, minimal generator counts of presented ideals and of ideals
 known by their pieces, the minimal generators of a monomial ideal by
 pairwise division, the colon (I : m) and (I : B) of a monomial ideal, its
@@ -25,23 +27,19 @@ from math import comb, gcd
 
 from borderrank import linalg
 from borderrank.apolarity import Tensor, poly_degree
-from borderrank.bounds import times_variables
 from borderrank.errors import ParseError, PreconditionError, ShapeMismatchError
-from borderrank.ideals import (
-    GradedIdeal,
-    MonomialIdeal,
-    intersect,
-    monomial_piece,
-)
+from borderrank.ideals import GradedIdeal, MonomialIdeal, intersect
 from borderrank.movefit import _bits, _image
 from borderrank.ring import (
     _BLOCK_LETTERS,
     FactorShape,
     _compositions,
     Monomial,
+    degree_add,
     degree_is_effective,
     degree_sub,
     enumerate_monomials,
+    multiply,
     positions,
     product_table,
 )
@@ -106,6 +104,33 @@ def times(m: Monomial, n: Monomial) -> Monomial:
     if [len(b) for b in m.exponents] != [len(b) for b in n.exponents]:
         raise ShapeMismatchError(f"monomials {m} and {n} live on different shapes")
     return Monomial([[e + f for e, f in zip(b, c)] for b, c in zip(m.exponents, n.exponents)])
+
+
+def multiply_by_times(shape: FactorShape, rows, D, E) -> list:
+    """ring.multiply by Monomials: each row over S_D times each monomial of
+    S_E, every product placed by its position in S_{D+E}."""
+    target = positions(shape, degree_add(D, E))
+    basis = enumerate_monomials(shape, D)
+    products = []
+    for row in rows:
+        for u in enumerate_monomials(shape, E):
+            product = [0] * len(target)
+            for m, c in zip(basis, row):
+                product[target[times(m, u).flat()]] += c
+            products.append(product)
+    return products
+
+
+def contract_by_times(shape: FactorShape, vectors, D, E) -> list:
+    """ring.contract by Monomials: each vector over S_{D+E} read, for each
+    monomial u of S_E, at u times each monomial of S_D."""
+    source = positions(shape, degree_add(D, E))
+    basis = enumerate_monomials(shape, D)
+    return [
+        [v[source[times(m, u).flat()]] for m in basis]
+        for v in vectors
+        for u in enumerate_monomials(shape, E)
+    ]
 
 
 _VAR_RE = re.compile(r"^([a-z])(\d+)(?:\^(\d+))?$")
@@ -234,6 +259,17 @@ def graded_ideal_to_json(I: GradedIdeal) -> dict:
     return {"shape": list(I.shape.factors), "generators": gens}
 
 
+def contains_monomial(I: MonomialIdeal, m: Monomial) -> bool:
+    """Whether some generator of I divides m."""
+    return any(g.divides(m) for g in I.generators)
+
+
+def monomial_piece(I: MonomialIdeal, D) -> tuple:
+    """All degree-D monomials divisible by some generator, grevlex order."""
+    D = I.shape.check_degree(D)
+    return tuple(m for m in enumerate_monomials(I.shape, D) if contains_monomial(I, m))
+
+
 def contained_in_apolar_by_listing(I: MonomialIdeal, F: Tensor) -> bool:
     """I ⊆ F^⊥ as ideals.contained_in_apolar once decided it for a monomial
     ideal: every monomial of I in degree L = deg F has coefficient 0 in F."""
@@ -251,7 +287,7 @@ def piece_generator_count(shape: FactorShape, D, piece_rows) -> int:
     for j in range(shape.num_factors):
         lower = degree_sub(D, shape.unit_degree(j))
         if degree_is_effective(lower):
-            product_rows += times_variables(shape, piece_rows(lower), lower, j)
+            product_rows += multiply(shape, piece_rows(lower), lower, shape.unit_degree(j))
     return dim_piece - linalg.rank(product_rows)
 
 

@@ -15,6 +15,7 @@ from borderrank.apolarity import (
     apolar_piece_dimension,
     catalecticant_lower_bound,
     is_concise,
+    tensor_from_json,
 )
 from borderrank.bounds import (
     HOLDS,
@@ -26,7 +27,6 @@ from borderrank.bounds import (
     disjoint_module_obstruction,
     minimal_border_rank_generator_test,
     minimal_border_rank_quotient_test,
-    times_variables,
     upper_bound_monomial,
 )
 from borderrank.errors import (
@@ -40,9 +40,11 @@ from borderrank.ring import (
     Monomial,
     degree_sub,
     enumerate_monomials,
+    multiply,
     piece_dimension,
 )
 from oracles import dense_row_echelon, piece_generator_count
+from test_movefit import _corpus_json
 
 
 def single(*exps):
@@ -285,7 +287,7 @@ def test_minimal_tests_match_direct_computations(factors, L):
         F = Tensor(shape, L, {m: c for m, c in coeffs.items() if c}, allow_zero=True)
         if F.is_zero() or not is_concise(F):
             continue
-        products = times_variables(shape, apolar_piece(F, lower), lower, i)
+        products = multiply(shape, apolar_piece(F, lower), lower, shape.unit_degree(i))
         qdim, _ = minimal_border_rank_quotient_test(F)
         assert qdim == piece_dimension(shape, L) - linalg.rank(products)
         if len(set(factors)) > 1:
@@ -311,7 +313,7 @@ def all_products(F):
     rows = []
     for j in range(F.shape.num_factors):
         lower = degree_sub(F.degree, F.shape.unit_degree(j))
-        rows += times_variables(F.shape, apolar_piece(F, lower), lower, j)
+        rows += multiply(F.shape, apolar_piece(F, lower), lower, F.shape.unit_degree(j))
     return rows
 
 
@@ -403,6 +405,26 @@ def test_report_computes_catalecticant_once(monkeypatch):
     report = bounds_report(single(4, 4, 4, 3))
     assert report.lower == 86 and report.components["disjoint_module"]["value"] == 86
     assert len(calls) == 1
+
+
+def test_report_builds_the_tensor_row_once(monkeypatch):
+    # every catalecticant of a report reads the coefficient row the tensor
+    # keeps, so a report builds it once, however many degrees it ranks
+    from borderrank import apolarity, bounds
+
+    bounds._reduced_products.cache_clear()
+    apolarity.catalecticant_rank.cache_clear()
+    built = []
+    poly_row = apolarity.poly_row
+
+    def counted(shape, D, poly):
+        built.append(D)
+        return poly_row(shape, D, poly)
+
+    monkeypatch.setattr(apolarity, "poly_row", counted)
+    F = tensor_from_json(_corpus_json("minrank-3x3x3.json"))
+    assert "minimal_quotient_test" in bounds_report(F).components
+    assert built == [F.degree]
 
 
 def test_report_enumerates_only_the_catalecticant_box():

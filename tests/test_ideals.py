@@ -23,19 +23,26 @@ from borderrank.ideals import (
     ideal_to_json,
     intersect,
     iterated_colon_piece,
-    monomial_piece,
     saturate,
     saturation_defect,
 )
-from borderrank.ring import FactorShape, Monomial, enumerate_monomials, piece_dimension
+from borderrank.ring import (
+    FactorShape,
+    Monomial,
+    degrees_up_to,
+    enumerate_monomials,
+    piece_dimension,
+)
 from oracles import (
     apolar_of_monomial,
     colon,
     contained_in_apolar_by_listing,
+    contains_monomial,
     graded_ideal_to_json,
     is_saturated,
     minimal_generator_count,
     minimalize_by_divides,
+    monomial_piece,
     piece_generator_count,
     saturate_by_colons,
 )
@@ -56,8 +63,8 @@ def test_minimal_generators():
     I = MonomialIdeal(P2, [mono(2, 0, 0), mono(2, 1, 0), mono(0, 1, 1)])
     # the middle generator is a multiple of the first
     assert I.generators == (mono(2, 0, 0), mono(0, 1, 1))
-    assert I.contains_monomial(mono(2, 1, 3))
-    assert not I.contains_monomial(mono(1, 1, 0))
+    assert contains_monomial(I, mono(2, 1, 3))
+    assert not contains_monomial(I, mono(1, 1, 0))
     assert MonomialIdeal(P2, []).is_zero()
     with pytest.raises(ShapeMismatchError):
         MonomialIdeal(P2, [Monomial([(1, 0)])])
@@ -72,6 +79,23 @@ def test_monomial_piece_and_hilbert():
     assert dq == piece_dimension(P2, (3,)) - 3
     values = [hilbert_function(I, (d,)) for d in range(4)]
     assert values == [(0, 1), (0, 3), (1, 5), (3, 7)]
+
+
+@given(
+    st.sampled_from([[2], [3], [1, 2], [2, 2]]).map(FactorShape),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_piece_dimension_counts_the_monomial_piece(shape, rng):
+    # the count of flat tuples some generator divides, against the listing
+    # of the piece by Monomial.divides
+    gens = [
+        Monomial([[rng.randint(0, 2) for _ in range(a + 1)] for a in shape.factors])
+        for _ in range(rng.randint(0, 4))
+    ]
+    I = MonomialIdeal(shape, gens)
+    for D in degrees_up_to(shape.num_factors, 4):
+        assert I.piece_dimension(D) == len(monomial_piece(I, D))
 
 
 # ---------------------------------------------------------------------------

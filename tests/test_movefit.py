@@ -661,7 +661,9 @@ def test_plan_counts_no_divisor_past_the_monomial(monkeypatch):
         calls.clear()
         plan = _Plan(FactorShape([1]), a, SearchConfig(r=2, horizon=horizon))
         assert sorted(calls) == [1, 2, 3]
-        assert plan.apolar_counts[3:] == plan.dims[3:]
+        assert plan.apolar_counts[3:] == [
+            piece_dimension(plan.shape, d) for d in plan.degrees[3:]
+        ]
 
 
 def test_levels_are_built_on_first_visit(monkeypatch, tmp_path, capsys):

@@ -18,13 +18,22 @@ from borderrank.ring import (
     degree_le,
     degree_sub,
     degrees_up_to,
+    contract,
     enumerate_monomials,
     monomial_to_text,
+    multiply,
     piece_dimension,
     positions,
     product_table,
 )
-from oracles import enumerate_by_sorting, monomial_from_text, times, variable
+from oracles import (
+    contract_by_times,
+    enumerate_by_sorting,
+    monomial_from_text,
+    multiply_by_times,
+    times,
+    variable,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +203,34 @@ def test_flat_bases_match_sorted_monomials():
         assert product_table(shape, D, E) == tuple(
             tuple(index[times(m, u)] for m in basis) for u in enumerate_by_sorting(shape, E)
         )
+
+
+@st.composite
+def _shape_and_degrees(draw):
+    """A shape of 1-3 factors, each P^0-P^3, and degrees D, E of total at
+    most 4 together, so the products stay small."""
+    shape = FactorShape(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    D = tuple(draw(st.integers(0, 2)) for _ in shape.factors)
+    E = tuple(draw(st.integers(0, max(0, 4 - sum(D)) // len(D))) for _ in shape.factors)
+    return shape, D, E
+
+
+@given(_shape_and_degrees(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_multiply_and_contract_match_products_of_monomials(case, rng):
+    # the rows and their order both count: the order decides the echelon rows
+    shape, D, E = case
+    values = [-2, -1, 0, 0, 1, 3]
+    rows = [
+        [rng.choice(values) for _ in range(piece_dimension(shape, D))]
+        for _ in range(rng.randint(0, 3))
+    ]
+    assert multiply(shape, rows, D, E) == multiply_by_times(shape, rows, D, E)
+    vectors = [
+        [rng.choice(values) for _ in range(piece_dimension(shape, degree_add(D, E)))]
+        for _ in range(rng.randint(0, 3))
+    ]
+    assert contract(shape, vectors, D, E) == contract_by_times(shape, vectors, D, E)
 
 
 def test_degrees_up_to_matches_brute_force():

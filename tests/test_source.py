@@ -185,8 +185,9 @@ def test_movefit_import_loads_neither_bounds_nor_macaulay():
 
 
 def test_bounds_import_loads_neither_ideals_nor_movefit():
-    # the products with a factor's variables live in `bounds`, so a bounds
-    # command compiles neither module
+    # the products with a factor's variables are `ring.multiply`, and the
+    # tensor's row is built in `apolarity`, so a bounds command compiles
+    # neither module
     heavy = ["borderrank.ideals", "borderrank.movefit"]
     assert _loaded_by_import("borderrank.bounds", heavy) == "[]"
 

@@ -88,7 +88,7 @@ class Tensor:
         return self._coeffs.get(mon, Fraction(0))
 
     @cached_property
-    def row(self) -> list:
+    def row(self) -> dict:
         """poly_row of the coefficients over S_L, kept on the tensor once
         built, as every catalecticant of the tensor reads it."""
         return poly_row(self.shape, self.degree, self._coeffs)
@@ -114,6 +114,12 @@ class Tensor:
         )
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the tensor's value, kept, as the rank caches hash a
+        tensor at every lookup."""
         return hash((self.shape, self.degree, frozenset(self._coeffs.items())))
 
     def __repr__(self):
@@ -124,14 +130,12 @@ class Tensor:
 # Catalecticants
 # ---------------------------------------------------------------------------
 
-def poly_row(shape: FactorShape, D, poly: Poly) -> list:
-    """The coefficients of a form of degree D over the grevlex basis of S_D,
-    scaled by the one positive rational that makes them coprime ints."""
+def poly_row(shape: FactorShape, D, poly: Poly) -> dict:
+    """The coefficients of a form of degree D at their positions in the
+    grevlex basis of S_D, scaled by the one positive rational that makes
+    them coprime ints."""
     pos = positions(shape, D)
-    row = [0] * len(pos)
-    for m, c in poly.items():
-        row[pos[m.flat()]] = c
-    return linalg.integral(row)
+    return linalg.integral({pos[m.flat()]: c for m, c in poly.items()})
 
 
 def catalecticant(F: Tensor, D) -> list:

@@ -104,6 +104,8 @@ class GradedIdeal:
                     raise ShapeMismatchError(f"term {m} does not fit {shape.factors}")
             tagged.append((actual, poly))
         self.generators = tuple(tagged)
+        # each generator's coprime int row, which every piece multiplies
+        self._rows = [(D, poly_row(shape, D, poly)) for D, poly in tagged]
         self._bases = {}  # degree -> echelon rows of the piece
 
     def piece_rows(self, D) -> list:
@@ -111,12 +113,10 @@ class GradedIdeal:
         of each generator, its coefficients scaled to coprime integers."""
         D = self.shape.check_degree(D)
         rows = []
-        for gen_degree, poly in self.generators:
+        for gen_degree, row in self._rows:
             shift = degree_sub(D, gen_degree)
             if degree_is_effective(shift):
-                rows += multiply(
-                    self.shape, [poly_row(self.shape, gen_degree, poly)], gen_degree, shift
-                )
+                rows += multiply(self.shape, [row], gen_degree, shift)
         return rows
 
     def piece_basis(self, D) -> list:
@@ -210,7 +210,9 @@ def contained_in_apolar(I, F: Tensor) -> bool:
         raise ShapeMismatchError("ideal and tensor shapes differ")
     if isinstance(I, MonomialIdeal):
         return not any(g.divides(m) for m, _ in F.terms() for g in I.generators)
-    return not any(sum(map(operator.mul, row, F.row)) for row in I.piece_rows(F.degree))
+    return not any(
+        sum(x * F.row.get(k, 0) for k, x in row.items()) for row in I.piece_rows(F.degree)
+    )
 
 
 # ---------------------------------------------------------------------------

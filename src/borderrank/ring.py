@@ -9,7 +9,8 @@ multidegrees, monomials, graded-piece dimensions and enumeration, and the
 grevlex order used everywhere downstream.  It is also the one place that
 decides where a monomial, or a product of two, sits in a grevlex basis
 (positions, product_table), and the one place that turns those products into
-int rows (multiply, contract); the other modules read those tables and rows.
+int rows (multiply, contract), each a {position: non-zero int} dict as linalg
+reads it; the other modules read those tables and rows.
 A basis is built as flat exponent tuples in order, never as Monomials to sort.
 
 Variable order is factor-major: all variables of factor 0 first, then
@@ -286,17 +287,8 @@ def product_table(shape: FactorShape, D: Sequence[int], E: Sequence[int]) -> tup
 def multiply(shape: FactorShape, rows, D, E) -> list:
     """Int rows over S_{D+E}: each int row over S_D times each monomial of
     S_E, in that order (rows outer, the grevlex basis of S_E inner)."""
-    size = piece_dimension(shape, degree_add(D, E))
     table = product_table(shape, D, E)
-    products = []
-    for row in rows:
-        terms = [(p, c) for p, c in enumerate(row) if c]
-        for shifted in table:
-            product = [0] * size
-            for p, c in terms:
-                product[shifted[p]] = c
-            products.append(product)
-    return products
+    return [{shifted[p]: c for p, c in row.items()} for row in rows for shifted in table]
 
 
 def contract(shape: FactorShape, vectors, D, E) -> list:
@@ -304,7 +296,11 @@ def contract(shape: FactorShape, vectors, D, E) -> list:
     each monomial u of S_E with the basis of S_D, in the order of multiply.
     Row (v, u) is u ⌟ v, read as a tensor; zero iff v is orthogonal to u S_D."""
     table = product_table(shape, D, E)
-    return [[v[i] for i in shifted] for v in vectors for shifted in table]
+    return [
+        {p: x for p, i in enumerate(shifted) if (x := v.get(i))}
+        for v in vectors
+        for shifted in table
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """Reference implementations the tests compare package code against.
 
 None of these is reached by the CLI or by the library example in the
-README, so they live with the tests: row reduction on dense int rows, the
-hook action on tensors, the apolar ideal of a monomial by its generators,
-the grevlex basis by sorting Monomials, the products and contractions of
-rows by multiplying Monomials, membership in a monomial ideal and its
-degree-D piece by Monomial.divides, containment of a monomial ideal in an
-apolar ideal by listing its degree-L piece, the tensor and graded-ideal
-JSON writers, minimal generator counts of presented ideals and of ideals
-known by their pieces, the minimal generators of a monomial ideal by
-pairwise division, the colon (I : m) and (I : B) of a monomial ideal, its
-saturation as the fixpoint of I -> (I : B) and the test for it, grevlex
-lex-segments, the greedy Macaulay decomposition in unit steps, the text
-parser for monomials, single variables and products of monomials, and the
-move-fit piece enumerator without look-ahead and the entry test it is
+README, so they live with the tests: the conversions between the package's
+{column: entry} rows and dense lists, row reduction and kernels on dense
+int rows, the hook action on tensors, the apolar ideal of a monomial by its
+generators, the grevlex basis by sorting Monomials, the products and
+contractions of rows by multiplying Monomials, membership in a monomial
+ideal and its degree-D piece by Monomial.divides, containment of a
+monomial ideal in an apolar ideal by listing its degree-L piece, the tensor
+and graded-ideal JSON writers, minimal generator counts of presented ideals
+and of ideals known by their pieces, the minimal generators of a monomial
+ideal by pairwise division, the colon (I : m) and (I : B) of a monomial
+ideal, its saturation as the fixpoint of I -> (I : B) and the test for it,
+grevlex lex-segments, the greedy Macaulay decomposition in unit steps, the
+text parser for monomials, single variables and products of monomials, and
+the move-fit piece enumerator without look-ahead and the entry test it is
 filtered by.
 """
 
@@ -23,7 +24,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from borderrank import linalg
 from borderrank.apolarity import Tensor, poly_degree
@@ -49,25 +50,35 @@ from borderrank.ring import (
 # Linear algebra
 # ---------------------------------------------------------------------------
 
+def dense(row, width: int) -> list:
+    """A {column: entry} row of the package as a dense list over width columns."""
+    return [row.get(k, 0) for k in range(width)]
+
+
+def sparse(row) -> dict:
+    """A dense list as a {column: entry} row of the package: its non-zeros."""
+    return {k: x for k, x in enumerate(row) if x}
+
+
+def _dense_primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def dense_row_echelon(rows):
     """linalg.row_echelon as it was on dense rows of ints: the same
     fraction-free steps, each touching every column, so its echelon rows,
     their signs and its pivots are the exact reference."""
-
-    def primitive(row):
-        g = gcd(*row)
-        return [x // g for x in row] if g > 1 else row
-
     echelon = []
     pivots = []
     for row in rows:
-        row = primitive(row)
+        row = _dense_primitive(row)
         # eliminate against existing pivots, in increasing pivot column
         for erow, col in zip(echelon, pivots):
             c = row[col]
             if c:
                 p = erow[col]
-                row = primitive([p * x - c * y for x, y in zip(row, erow)])
+                row = _dense_primitive([p * x - c * y for x, y in zip(row, erow)])
         # find the new pivot, if any
         for col, value in enumerate(row):
             if value:
@@ -78,6 +89,32 @@ def dense_row_echelon(rows):
                 pivots.insert(pos, col)
                 break
     return echelon, pivots
+
+
+def dense_kernel_basis(rows, ncols: int):
+    """linalg.kernel_basis as it was on dense rows of ints: the back-
+    substitution from dense_row_echelon's rows, each step touching every
+    column, then one primitive vector per free column."""
+    echelon, pivots = dense_row_echelon(rows)
+    # full reduction: clear each pivot column above its pivot, last first
+    for i in range(len(echelon) - 1, 0, -1):
+        erow, col = echelon[i], pivots[i]
+        p = erow[col]
+        for j in range(i):
+            row = echelon[j]
+            c = row[col]
+            if c:
+                echelon[j] = _dense_primitive([p * x - c * y for x, y in zip(row, erow)])
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        # x_free = scale makes each pivot entry -erow[free] * scale / p an int
+        used = [(erow, col) for erow, col in zip(echelon, pivots) if erow[free]]
+        vec = [0] * ncols
+        vec[free] = scale = lcm(*(erow[col] for erow, col in used))
+        for erow, col in used:
+            vec[col] = -erow[free] * (scale // erow[col])
+        basis.append(_dense_primitive(vec))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +145,14 @@ def times(m: Monomial, n: Monomial) -> Monomial:
 
 def multiply_by_times(shape: FactorShape, rows, D, E) -> list:
     """ring.multiply by Monomials: each row over S_D times each monomial of
-    S_E, every product placed by its position in S_{D+E}."""
+    S_E, every product placed by its position in S_{D+E}, as dense lists."""
     target = positions(shape, degree_add(D, E))
     basis = enumerate_monomials(shape, D)
     products = []
     for row in rows:
         for u in enumerate_monomials(shape, E):
             product = [0] * len(target)
-            for m, c in zip(basis, row):
+            for m, c in zip(basis, dense(row, len(basis))):
                 product[target[times(m, u).flat()]] += c
             products.append(product)
     return products
@@ -123,12 +160,12 @@ def multiply_by_times(shape: FactorShape, rows, D, E) -> list:
 
 def contract_by_times(shape: FactorShape, vectors, D, E) -> list:
     """ring.contract by Monomials: each vector over S_{D+E} read, for each
-    monomial u of S_E, at u times each monomial of S_D."""
+    monomial u of S_E, at u times each monomial of S_D, as dense lists."""
     source = positions(shape, degree_add(D, E))
     basis = enumerate_monomials(shape, D)
     return [
         [v[source[times(m, u).flat()]] for m in basis]
-        for v in vectors
+        for v in (dense(v, len(source)) for v in vectors)
         for u in enumerate_monomials(shape, E)
     ]
 

@@ -28,7 +28,14 @@ from borderrank.ring import (
     enumerate_monomials,
     piece_dimension,
 )
-from oracles import apolar_of_monomial, contains_monomial, hook, hook_tensor, tensor_to_json
+from oracles import (
+    apolar_of_monomial,
+    contains_monomial,
+    dense,
+    hook,
+    hook_tensor,
+    tensor_to_json,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +54,26 @@ def test_tensor_construction_and_terms():
     with pytest.raises(PreconditionError):
         Tensor(shape, (3,), {})  # silent zero
     assert Tensor.zero(shape, (3,)).is_zero()
+
+
+def test_tensor_hash_key_is_built_once(monkeypatch):
+    # the rank caches hash a tensor at every lookup, and its key is a
+    # frozenset of all its terms: a dense quartic on P^4 has 70
+    built = []
+
+    def counted(items):
+        built.append(1)
+        return frozenset(items)
+
+    monkeypatch.setattr(apolarity, "frozenset", counted, raising=False)
+    shape = FactorShape([4])
+    F = Tensor(shape, (4,), {m: 1 for m in enumerate_monomials(shape, (4,))})
+    G = Tensor(shape, (4,), {m: 1 for m in enumerate_monomials(shape, (4,))})
+    assert len({hash(F) for _ in range(10)}) == 1
+    assert len(built) == 1
+    # equal tensors still hash equal, each building its own key once
+    assert hash(G) == hash(F) and G == F
+    assert len(built) == 2
 
 
 def test_hook_is_exponent_subtraction_with_unit_coefficient():
@@ -149,7 +176,7 @@ def test_kernel_really_annihilates(F):
     for D in _degrees_below(F.degree):
         basis = enumerate_monomials(F.shape, D)
         for row in apolar_piece(F, D):
-            theta = {m: c for m, c in zip(basis, row) if c}
+            theta = {m: c for m, c in zip(basis, dense(row, len(basis))) if c}
             assert hook_tensor(theta, F).is_zero()
 
 

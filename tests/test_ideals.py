@@ -234,6 +234,27 @@ def test_graded_ideal_pieces_match_monomial_ideal():
         assert hilbert_function(I, (d,)) == hilbert_function(J, (d,))
 
 
+def test_graded_ideal_builds_each_generator_row_once(monkeypatch):
+    # every piece multiplies the generators' rows, which the ideal builds
+    # once, as it is made, and keeps beside its (degree, poly) generators
+    from borderrank import ideals
+    from borderrank.movefit import verify_candidate
+    from test_movefit import _corpus_json
+
+    built = []
+    poly_row = ideals.poly_row
+
+    def counted(shape, D, poly):
+        built.append(D)
+        return poly_row(shape, D, poly)
+
+    monkeypatch.setattr(ideals, "poly_row", counted)
+    I = ideal_from_json(_corpus_json("ideal-minrank-3x3x3.json"))
+    F = tensor_from_json(_corpus_json("minrank-3x3x3.json"))
+    assert verify_candidate(I, F, 3, horizon=4).passed
+    assert built == [D for D, _ in I.generators]
+
+
 def test_graded_ideal_validation():
     # a zero generator, an inhomogeneous one, and one under the wrong tag
     with pytest.raises(PreconditionError):

@@ -31,6 +31,7 @@ from oracles import (
     enumerate_by_sorting,
     monomial_from_text,
     multiply_by_times,
+    sparse,
     times,
     variable,
 )
@@ -218,19 +219,23 @@ def _shape_and_degrees(draw):
 @given(_shape_and_degrees(), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_multiply_and_contract_match_products_of_monomials(case, rng):
-    # the rows and their order both count: the order decides the echelon rows
+    # the rows and their order both count: the order decides the echelon
+    # rows.  The dense references are compared as dicts of their non-zeros,
+    # so a stored zero fails as well
     shape, D, E = case
     values = [-2, -1, 0, 0, 1, 3]
     rows = [
-        [rng.choice(values) for _ in range(piece_dimension(shape, D))]
+        sparse([rng.choice(values) for _ in range(piece_dimension(shape, D))])
         for _ in range(rng.randint(0, 3))
     ]
-    assert multiply(shape, rows, D, E) == multiply_by_times(shape, rows, D, E)
+    reference = multiply_by_times(shape, rows, D, E)
+    assert multiply(shape, rows, D, E) == [sparse(row) for row in reference]
     vectors = [
-        [rng.choice(values) for _ in range(piece_dimension(shape, degree_add(D, E)))]
+        sparse([rng.choice(values) for _ in range(piece_dimension(shape, degree_add(D, E)))])
         for _ in range(rng.randint(0, 3))
     ]
-    assert contract(shape, vectors, D, E) == contract_by_times(shape, vectors, D, E)
+    reference = contract_by_times(shape, vectors, D, E)
+    assert contract(shape, vectors, D, E) == [sparse(row) for row in reference]
 
 
 def test_degrees_up_to_matches_brute_force():

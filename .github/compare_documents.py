@@ -42,6 +42,11 @@ def commands(corpus: Path, work: Path):
         yield ["verify", *cubic, "--r", "5", "--horizon", str(horizon)]
     minrank = [str(corpus / "ideal-minrank-3x3x3.json"), str(corpus / "minrank-3x3x3.json")]
     yield ["verify", *minrank, "--r", "3"]
+    yield ["verify", *minrank, "--r", "3", "--horizon", "4"]
+    # a monomial ideal: the only branch that writes the exact saturation rows
+    tangent = [str(corpus / "ideal-tangent-p3.json"), str(corpus / "mono-31-p3.json")]
+    yield ["verify", *tangent, "--r", "2"]
+    yield ["verify", *tangent, "--r", "2", "--horizon", "25"]
     for exps, r in SEARCHES:
         path = work / ("mono-" + "".join(map(str, exps)) + ".json")
         term = {"exp": [exps], "num": "1", "den": "1"}

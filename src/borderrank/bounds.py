@@ -20,7 +20,7 @@ from __future__ import annotations
 import collections
 from functools import lru_cache
 
-from . import linalg
+from . import linalg, macaulay
 from .apolarity import (
     Tensor,
     apolar_piece,
@@ -29,7 +29,6 @@ from .apolarity import (
     is_concise,
 )
 from .errors import BorderRankError, PreconditionError, UnsupportedShapeError
-from .macaulay import lexbar_growth
 from .ring import FactorShape, Monomial, degree_sub, generic_hilbert, multiply, piece_dimension
 
 
@@ -106,7 +105,7 @@ def disjoint_module_obstruction(F: Tensor, r: int, max_degree: int):
             continue
         modules = sorted(d - e - 1 for e in present)
         new_modules = sum(1 for e in exps if e == d)
-        growth = lexbar_growth(modules, n, codim[d]) + new_modules
+        growth = macaulay.lexbar_growth(modules, n, codim[d]) + new_modules
         if codim[d + 1] > growth:
             return {
                 "ruled_out_r": r,

@@ -248,7 +248,7 @@ def cmd_search(args: argparse.Namespace) -> tuple:
 def cmd_verify(args: argparse.Namespace) -> tuple:
     I = load_ideal(args.ideal)
     F, head = _tensor_head(args, input=args.ideal, tensor_input=args.tensor)
-    report = movefit.verify_candidate(I, F, args.r, args.horizon)
+    report = ideals.verify_candidate(I, F, args.r, args.horizon)
     return {**head, "report": report._asdict()}, EXIT_OK
 
 

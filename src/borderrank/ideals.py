@@ -1,4 +1,4 @@
-"""Monomial ideals and generator-presented graded ideals.
+"""Monomial and generator-presented graded ideals, and witness verification.
 
 MonomialIdeal keeps a minimal generating set and supports the exact
 combinatorial operations (pieces, intersection, saturation against the
@@ -17,8 +17,10 @@ saturated, while finding none is inconclusive.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .apolarity import Tensor, poly_degree, poly_from_json, poly_row
@@ -26,11 +28,13 @@ from .errors import PreconditionError, ShapeMismatchError
 from .ring import (
     FactorShape,
     Monomial,
+    check_r_and_horizon,
     contract,
     degree_add,
     degree_is_effective,
     degree_sub,
     degrees_up_to,
+    generic_hilbert,
     multiply,
     piece_dimension,
     positions,
@@ -271,6 +275,89 @@ def saturation_defect(I: GradedIdeal, max_total_degree: int):
                     "dim_colon": len(grown),
                 }
     return None
+
+
+# ---------------------------------------------------------------------------
+# Verification of an explicit ideal: a question about ideals alone
+# ---------------------------------------------------------------------------
+
+class VerificationReport(NamedTuple):
+    r: int
+    horizon: int
+    rows: list  # per-degree dicts
+    hilbert_ok: bool
+    containment: bool
+    saturation: dict
+    passed: bool  # Hilbert function and containment; saturation is informational
+
+
+def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
+    """Replay the move-fit conditions for an explicit ideal.
+
+    Checks, for every multidegree of total degree <= horizon, that
+    dim(S/I)_D = min(r, dim S_D), and that I sits inside the apolar ideal of
+    F.  A candidate passes on these two; saturation is reported alongside
+    (exactly for monomial ideals, by the degreewise colon probe otherwise)
+    but a candidate need not be saturated.  An r or a horizon below 1 is
+    refused, as search refuses it, and so is a horizon with over a million
+    monomials up to it.
+    """
+    if I.shape != F.shape:
+        raise ShapeMismatchError("ideal and tensor shapes differ")
+    if horizon is None:
+        horizon = sum(F.degree)
+    check_r_and_horizon(r, horizon)
+    # the degrees list C(horizon + N, N) monomials in all, for N variables, so they
+    # are counted first; a monomial ideal reads a million in about 3 s (2 vCPUs)
+    N = sum(F.shape.factors) + F.shape.num_factors
+    if (count := math.comb(horizon + N, N)) > 10**6:
+        raise PreconditionError(
+            f"verify would read {count:,} monomials up to degree {horizon}, over "
+            "the limit of 1,000,000; lower the horizon"
+        )
+
+    rows = []
+    hilbert_ok = True
+    sat_I = saturate(I) if isinstance(I, MonomialIdeal) else None
+    for D in degrees_up_to(F.shape.num_factors, horizon):
+        dim_s = piece_dimension(F.shape, D)
+        dim_ideal, dim_quotient = hilbert_function(I, D)
+        required_quotient = generic_hilbert(r, F.shape, D)
+        row = {
+            "degree": list(D),
+            "dim_s": dim_s,
+            "required_quotient": required_quotient,
+            "actual_quotient": dim_quotient,
+            "required_ideal": dim_s - required_quotient,
+            "actual_ideal": dim_ideal,
+            "ok": dim_quotient == required_quotient,
+        }
+        if sat_I is not None:
+            row["saturation_quotient"] = hilbert_function(sat_I, D)[1]
+        hilbert_ok = hilbert_ok and row["ok"]
+        rows.append(row)
+
+    containment = contained_in_apolar(I, F)
+
+    if isinstance(I, MonomialIdeal):
+        saturation = {"kind": "exact", "saturated": sat_I == I}
+    else:
+        defect = saturation_defect(I, max_total_degree=horizon)
+        saturation = {
+            "kind": "degreewise-probe",
+            "saturated": False if defect is not None else None,
+            "defect": defect,
+        }
+
+    return VerificationReport(
+        r=r,
+        horizon=horizon,
+        rows=rows,
+        hilbert_ok=hilbert_ok,
+        containment=containment,
+        saturation=saturation,
+        passed=hilbert_ok and containment,
+    )
 
 
 # ---------------------------------------------------------------------------

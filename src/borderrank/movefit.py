@@ -60,10 +60,11 @@ from typing import NamedTuple
 
 from . import ideals
 from .apolarity import Tensor, monomial_catalecticant_rank
-from .errors import PreconditionError, ShapeMismatchError
+from .errors import PreconditionError
 from .ring import (
     FactorShape,
     Monomial,
+    check_r_and_horizon,
     degree_add,
     degree_le,
     degree_sub,
@@ -176,7 +177,7 @@ class _Plan:
         self.a = a
         horizon = a.total_degree if config.horizon is None else config.horizon
         self.horizon = horizon
-        _check_r_and_horizon(config.r, horizon)
+        check_r_and_horizon(config.r, horizon)
         dim_L = piece_dimension(shape, a.degree)
         if config.r > dim_L:
             raise PreconditionError(
@@ -342,17 +343,16 @@ def _variable_permutations(a: Monomial):
     return [g for g in elements if g != identity], False
 
 
-def _check_r_and_horizon(r: int, horizon: int) -> None:
-    """Refuse an r or a horizon below 1, where a run would decide nothing."""
-    if horizon < 1:
-        raise PreconditionError(f"horizon must be >= 1, got {horizon}")
-    if r < 1:
-        raise PreconditionError(f"r must be >= 1, got {r}")
-
-
 # the benchmark's traced run (perfbench/traced_cli.py) times the plan build
-# under this name
+# under this name, and verification under movefit.verify_candidate, which the
+# hook below reads from `ideals` on demand, so that a search runs no `ideals`
 _build_plan = _Plan
+
+
+def __getattr__(name: str):
+    if name == "verify_candidate":
+        return ideals.verify_candidate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -769,85 +769,6 @@ def _in_order(pool, state, pieces, workers):
         size, future = pending.popleft()
         merged += size
         yield future.result()
-
-
-class VerificationReport(NamedTuple):
-    r: int
-    horizon: int
-    rows: list  # per-degree dicts
-    hilbert_ok: bool
-    containment: bool
-    saturation: dict
-    passed: bool  # Hilbert function and containment; saturation is informational
-
-
-def verify_candidate(I, F: Tensor, r: int, horizon: int | None = None):
-    """Replay the move-fit conditions for an explicit ideal.
-
-    Checks, for every multidegree of total degree <= horizon, that
-    dim(S/I)_D = min(r, dim S_D), and that I sits inside the apolar ideal of
-    F.  A candidate passes on these two; saturation is reported alongside
-    (exactly for monomial ideals, by the degreewise colon probe otherwise)
-    but a candidate need not be saturated.  An r or a horizon below 1 is
-    refused, as search refuses it, and so is a horizon with over a million
-    monomials up to it.
-    """
-    if I.shape != F.shape:
-        raise ShapeMismatchError("ideal and tensor shapes differ")
-    if horizon is None:
-        horizon = sum(F.degree)
-    _check_r_and_horizon(r, horizon)
-    # the degrees list C(horizon + N, N) monomials in all, for N variables, so they
-    # are counted first; a monomial ideal reads a million in about 3 s (2 vCPUs)
-    N = sum(F.shape.factors) + F.shape.num_factors
-    if (count := math.comb(horizon + N, N)) > 10**6:
-        raise PreconditionError(
-            f"verify would read {count:,} monomials up to degree {horizon}, over "
-            "the limit of 1,000,000; lower the horizon"
-        )
-
-    rows = []
-    hilbert_ok = True
-    sat_I = ideals.saturate(I) if isinstance(I, ideals.MonomialIdeal) else None
-    for D in degrees_up_to(F.shape.num_factors, horizon):
-        dim_s = piece_dimension(F.shape, D)
-        dim_ideal, dim_quotient = ideals.hilbert_function(I, D)
-        required_quotient = generic_hilbert(r, F.shape, D)
-        row = {
-            "degree": list(D),
-            "dim_s": dim_s,
-            "required_quotient": required_quotient,
-            "actual_quotient": dim_quotient,
-            "required_ideal": dim_s - required_quotient,
-            "actual_ideal": dim_ideal,
-            "ok": dim_quotient == required_quotient,
-        }
-        if sat_I is not None:
-            row["saturation_quotient"] = ideals.hilbert_function(sat_I, D)[1]
-        hilbert_ok = hilbert_ok and row["ok"]
-        rows.append(row)
-
-    containment = ideals.contained_in_apolar(I, F)
-
-    if isinstance(I, ideals.MonomialIdeal):
-        saturation = {"kind": "exact", "saturated": sat_I == I}
-    else:
-        defect = ideals.saturation_defect(I, max_total_degree=horizon)
-        saturation = {
-            "kind": "degreewise-probe",
-            "saturated": False if defect is not None else None,
-            "defect": defect,
-        }
-
-    return VerificationReport(
-        r=r,
-        horizon=horizon,
-        rows=rows,
-        hilbert_ok=hilbert_ok,
-        containment=containment,
-        saturation=saturation,
-        passed=hilbert_ok and containment,
-    )
 
 
 def _permuted(m: Monomial, order) -> list:

@@ -224,6 +224,14 @@ def generic_hilbert(r: int, shape: FactorShape, D) -> int:
     return min(r, piece_dimension(shape, D))
 
 
+def check_r_and_horizon(r: int, horizon: int) -> None:
+    """Refuse an r or a horizon below 1, where a run would decide nothing."""
+    if horizon < 1:
+        raise PreconditionError(f"horizon must be >= 1, got {horizon}")
+    if r < 1:
+        raise PreconditionError(f"r must be >= 1, got {r}")
+
+
 def _effective_degree(shape: FactorShape, D: Sequence[int]) -> MultiDegree:
     D = shape.check_degree(D)
     if not degree_is_effective(D):

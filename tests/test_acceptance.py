@@ -23,6 +23,7 @@ from borderrank.ideals import (
     MonomialIdeal,
     ideal_from_json,
     saturate,
+    verify_candidate,
 )
 from borderrank.macaulay import lexbar_growth, macaulay_exponent
 from borderrank.movefit import (
@@ -30,7 +31,6 @@ from borderrank.movefit import (
     FOUND,
     SearchConfig,
     search,
-    verify_candidate,
 )
 from borderrank.ring import FactorShape, enumerate_monomials, piece_dimension
 

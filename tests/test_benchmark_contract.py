@@ -29,9 +29,24 @@ def test_traced_layer_names_resolve():
             assert callable(getattr(module, name, None)), f"{short}.{name}"
 
 
+def test_movefit_hook_resolves_only_verification():
+    # the tracer still names movefit.verify_candidate, which lives in `ideals`:
+    # movefit's module __getattr__ hands it over, and nothing else
+    from borderrank import ideals, movefit
+
+    assert movefit.verify_candidate is ideals.verify_candidate
+    assert "verify_candidate" not in vars(movefit)
+    assert not hasattr(movefit, "no_such_name")
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["macaulay", "--r", "15", "--d", "3"], ["bounds", str(CORPUS / "mono-222.json")]],
+    [
+        ["macaulay", "--r", "15", "--d", "3"],
+        ["bounds", str(CORPUS / "mono-222.json")],
+        ["verify", str(CORPUS / "ideal-cubic-p4.json"), str(CORPUS / "cubic-p4.json"),
+         "--r", "5", "--horizon", "5"],
+    ],
 )
 def test_traced_cli_runs_a_command(argv, tmp_path):
     # traced_cli.py imports borderrank.cli alone and then wraps every traced
@@ -47,4 +62,12 @@ def test_traced_cli_runs_a_command(argv, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "cli.main" in {span["name"] for span in json.loads(spans.read_text())}
+    spans = json.loads(spans.read_text())
+    assert "cli.main" in {span["name"] for span in spans}
+    if argv[0] == "verify":
+        # one verification span, timed under movefit's name through its hook,
+        # with the Hilbert functions it reads inside it
+        verify = [i for i, span in enumerate(spans) if span["name"] == "movefit.verify_candidate"]
+        assert len(verify) == 1
+        hilbert = [span for span in spans if span["name"] == "ideals.hilbert_function"]
+        assert hilbert and all(span["parent"] == verify[0] for span in hilbert)

@@ -1,4 +1,5 @@
-"""Monomial and graded ideals: pieces, colon, saturation, apolar containment."""
+"""Monomial and graded ideals: pieces, colon, saturation, apolar containment,
+and the verification of an explicit ideal."""
 
 import json
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borderrank import ideals, linalg
 from borderrank.apolarity import (
     Tensor,
     apolar_piece,
@@ -25,6 +27,7 @@ from borderrank.ideals import (
     iterated_colon_piece,
     saturate,
     saturation_defect,
+    verify_candidate,
 )
 from borderrank.ring import (
     FactorShape,
@@ -46,6 +49,7 @@ from oracles import (
     piece_generator_count,
     saturate_by_colons,
 )
+from test_movefit import _corpus_json
 
 
 P2 = FactorShape([2])
@@ -237,10 +241,6 @@ def test_graded_ideal_pieces_match_monomial_ideal():
 def test_graded_ideal_builds_each_generator_row_once(monkeypatch):
     # every piece multiplies the generators' rows, which the ideal builds
     # once, as it is made, and keeps beside its (degree, poly) generators
-    from borderrank import ideals
-    from borderrank.movefit import verify_candidate
-    from test_movefit import _corpus_json
-
     built = []
     poly_row = ideals.poly_row
 
@@ -412,6 +412,120 @@ def test_saturation_defect_graded():
     assert defect is not None
     assert defect["degree"] == (1, 0)
     assert defect["dim_colon"] > defect["dim_ideal"]
+
+
+# ---------------------------------------------------------------------------
+# Candidate verification
+# ---------------------------------------------------------------------------
+
+def test_verify_candidate_rows_and_defaults():
+    F = Tensor.monomial(FactorShape([1]), [(2, 1)])
+    I = MonomialIdeal(F.shape, [Monomial([(0, 2)])])
+    report = verify_candidate(I, F, 2)
+    assert report.horizon == 3  # defaults to |L|
+    assert report.passed and report.hilbert_ok and report.containment
+    assert report.saturation == {"kind": "exact", "saturated": True}
+    degrees = [tuple(row["degree"]) for row in report.rows]
+    assert degrees == [(0,), (1,), (2,), (3,)]
+    zero_row = report.rows[0]
+    assert zero_row["required_quotient"] == 1
+    assert zero_row["actual_quotient"] == 1
+    assert all("saturation_quotient" in row for row in report.rows)
+    data = report._asdict()
+    assert data["passed"] is True
+
+
+def test_verify_candidate_rejects_wrong_hilbert():
+    F = Tensor.monomial(FactorShape([1]), [(2, 1)])
+    # the zero ideal misses the required codimension in degree 3
+    report = verify_candidate(MonomialIdeal(F.shape, []), F, 2)
+    assert not report.hilbert_ok
+    assert not report.passed
+    bad_rows = [row for row in report.rows if not row["ok"]]
+    assert bad_rows and bad_rows[0]["degree"] == [2]
+
+
+def test_verify_candidate_rejects_non_apolar():
+    F = Tensor.monomial(FactorShape([1]), [(2, 1)])
+    # a0^2 divides x^(2,1), so (a0^2) is not inside the apolar ideal; pad
+    # with a1^2 so the Hilbert function still matches
+    I = MonomialIdeal(F.shape, [Monomial([(2, 0)]), Monomial([(0, 2)])])
+    report = verify_candidate(I, F, 2)
+    assert not report.containment
+    assert not report.passed
+
+
+def test_verify_corpus_minimal_rank_witness():
+    F = tensor_from_json(_corpus_json("minrank-3x3x3.json"))
+    I = ideal_from_json(_corpus_json("ideal-minrank-3x3x3.json"))
+    report = verify_candidate(I, F, 3)
+    assert report.passed
+    assert report.saturation["kind"] == "degreewise-probe"
+    assert report.saturation["saturated"] is False
+    assert report.saturation["defect"]["degree"] == (1, 0, 0)
+
+
+def test_verify_corpus_plane_cubic_witness():
+    F = tensor_from_json(_corpus_json("cubic-p4.json"))
+    I = ideal_from_json(_corpus_json("ideal-cubic-p4.json"))
+    report = verify_candidate(I, F, 5, horizon=5)
+    assert report.passed
+    assert report.saturation["saturated"] is False
+    assert report.saturation["defect"]["degree"] == (3,)
+
+
+def test_verify_corpus_tangent_line_witness():
+    F = tensor_from_json(_corpus_json("mono-31-p3.json"))
+    I = ideal_from_json(_corpus_json("ideal-tangent-p3.json"))
+    report = verify_candidate(I, F, 2)
+    assert report.passed
+    assert report.saturation == {"kind": "exact", "saturated": True}
+
+
+@pytest.mark.parametrize(
+    "ideal, tensor, r, horizon",
+    [
+        ("ideal-minrank-3x3x3.json", "minrank-3x3x3.json", 3, None),
+        ("ideal-cubic-p4.json", "cubic-p4.json", 5, 5),
+    ],
+)
+def test_verify_report_survives_scaling_each_generator(ideal, tensor, r, horizon):
+    # a generator scaled by a non-zero rational spans the same line, so the
+    # ideal and its report stay; each generator's denominators are cleared
+    # on their own
+    F = tensor_from_json(_corpus_json(tensor))
+    I = ideal_from_json(_corpus_json(ideal))
+    scales = [Fraction(2, 3), Fraction(-5, 7), Fraction(7), Fraction(-1, 12)]
+    scaled = GradedIdeal(
+        I.shape,
+        [
+            (degree, {m: scales[k % len(scales)] * c for m, c in poly.items()})
+            for k, (degree, poly) in enumerate(I.generators)
+        ],
+    )
+    expected = verify_candidate(I, F, r, horizon)._asdict()
+    assert verify_candidate(scaled, F, r, horizon)._asdict() == expected
+
+
+def test_verify_reduces_each_piece_once(monkeypatch):
+    # the Hilbert function and the saturation probe read the same low-degree
+    # pieces of a graded ideal; each is row-reduced once and kept
+    F = tensor_from_json(_corpus_json("cubic-p4.json"))
+    I = ideal_from_json(_corpus_json("ideal-cubic-p4.json"))
+    reduced = []
+    row_echelon = linalg.row_echelon
+
+    def counting(rows):
+        reduced.append(repr(rows))
+        return row_echelon(rows)
+
+    monkeypatch.setattr(linalg, "row_echelon", counting)
+    assert verify_candidate(I, F, 5, horizon=6).passed
+    # an empty row list stands for zero-row matrices of different widths
+    # (the pieces of degree 0 and 1, and an empty constraint set)
+    matrices = [rows for rows in reduced if rows != "[]"]
+    assert len(matrices) >= 10
+    assert len(matrices) == len(set(matrices))
 
 
 # ---------------------------------------------------------------------------

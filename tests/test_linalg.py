@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from borderrank import linalg
 from borderrank.apolarity import tensor_from_json
 from borderrank.bounds import bounds_report
-from borderrank.ideals import ideal_from_json
+from borderrank.ideals import ideal_from_json, verify_candidate
 from borderrank.linalg import integral, kernel_basis, rank, row_echelon
-from borderrank.movefit import verify_candidate
 from oracles import dense, dense_kernel_basis, dense_row_echelon, sparse
 from test_bounds import rational_cubic
 from test_movefit import _corpus_json
